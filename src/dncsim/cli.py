@@ -100,18 +100,7 @@ def _cmd_predict(args) -> int:
     print("schedule:")
     for k, v in vars(sched).items():
         print(f"  {k} = {v}")
-    model = errmodel.ErrorModel(
-        n=args.n,
-        d=args.d,
-        D=args.D,
-        h=sched.h,
-        Delta=sched.Delta,
-        K=sched.K,
-        T=sched.T,
-        eta=sched.eta,
-        e_of_n=errmodel.default_e_of_n(args.delta, args.n),
-        g_of_n=0.0,
-    )
+    model = sched.error_model(args.n, args.D)
     bound = errmodel.predicted_error(model, sched.eps)
     print(f"predicted error bound: {bound:.6g} (target delta {args.delta})")
     rt = errmodel.predicted_runtime(

@@ -7,7 +7,7 @@ lower-dimensional weight estimates, and hands off to the recursive subroutine
 and combines recursively-estimated sub-synthesis values by signed
 inclusion-exclusion.
 
-Every run can be instrumented with a RecursionTrace whose per-node child
+Every run can be instrumented with a TraceNode tree whose per-node child
 counts are deterministic functions of the schedule and lattice geometry
 (see expected_node_counts).
 """
@@ -82,6 +82,21 @@ class ParameterSchedule:
         """(lower, upper) slice-weight thresholds 2^(log d / h), 2^(log d / 2h)."""
         l = math.log2(self.delta)
         return 2.0 ** (l / self.h), 2.0 ** (l / (2 * self.h))
+
+    def error_model(self, n: int, D: int) -> errmodel.ErrorModel:
+        """The error model of an n-qubit, D-dimensional run under this schedule."""
+        return errmodel.ErrorModel(
+            n=n,
+            d=self.d,
+            D=D,
+            h=self.h,
+            Delta=self.Delta,
+            K=self.K,
+            T=self.T,
+            eta=self.eta,
+            e_of_n=errmodel.default_e_of_n(self.delta, n),
+            g_of_n=0.0,
+        )
 
 
 def schedule(n: int, d: int, D: int, delta: float, profile: str = "paper", **overrides) -> ParameterSchedule:
@@ -177,9 +192,6 @@ class TraceNode:
             "value": self.value,
             "children": [c.to_dict() for c in self.children],
         }
-
-
-RecursionTrace = TraceNode
 
 
 def _jsonable(v):
@@ -302,28 +314,43 @@ def inclusion_exclusion_combine(single, double, multi, kappas, K: int, Delta: in
     multi[(i, j, sigma)]  product for cuts i, j >= i+2 and nonempty sigma,
                        sigma a tuple of indices in {i+1, .., j-1}
     Coefficients 1/kappa_i^(4K+1) and 1/(kappa_i kappa_j)^(4K+1); sigma terms
-    carry sign (-1)^(|sigma|+1).
+    carry sign (-1)^(|sigma|+1).  Raises ScheduleError when a kappa^(4K+1)
+    underflows to 0 or a term is not finite (large K at small kappa).
     """
     if len(single) != Delta or len(kappas) != Delta:
         raise KeyError("missing sub-value keys: need one single product and kappa per cut")
     p = 4 * K + 1
+
+    def scaled(value, kap):
+        try:
+            norm = float(kap) ** p
+        except OverflowError:
+            norm = math.inf
+        term = value / norm if norm > 0.0 else math.nan
+        if not math.isfinite(term):
+            raise ScheduleError(
+                f"inclusion-exclusion term out of floating-point range: kappa = "
+                f"{float(kap):.6g}, K = {K}, kappa^(4K+1) = {norm:.6g}, term = {term}"
+            )
+        return term
+
     total = 0.0
     for i in range(1, Delta + 1):
         if kappas[i - 1] <= 0:
             raise ValueError("kappas must be positive")
-        total += single[i - 1] / kappas[i - 1] ** p
+        total += scaled(single[i - 1], kappas[i - 1])
     for i in range(1, Delta + 1):
         for j in range(i + 1, Delta + 1):
             if (i, j) not in double:
                 raise KeyError(f"missing sub-value keys: double term {(i, j)}")
-            total -= double[(i, j)] / (kappas[i - 1] * kappas[j - 1]) ** p
+            total -= scaled(double[(i, j)], kappas[i - 1] * kappas[j - 1])
     for i in range(1, Delta + 1):
         for j in range(i + 2, Delta + 1):
             for sigma in nonempty_subsets(range(i + 1, j)):
                 if (i, j, sigma) not in multi:
                     raise KeyError(f"missing sub-value keys: multi term {(i, j, sigma)}")
                 sign = (-1.0) ** (len(sigma) + 1)
-                total += sign * multi[(i, j, sigma)] / (kappas[i - 1] * kappas[j - 1]) ** p
+                total += sign * scaled(multi[(i, j, sigma)], kappas[i - 1] * kappas[j - 1])
     return total
 
 

@@ -215,18 +215,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
             est = dnc.a_full(s, None, delta, D, config=cfg, trace=trace)
             wall = time.perf_counter() - t0
             n = circ.n_qubits
-            model = errmodel.ErrorModel(
-                n=n,
-                d=circ.depth,
-                D=D,
-                h=math_h(n, config.profile),
-                Delta=max(1, round(np.log2(n))),
-                K=max(1, round(np.log2(n) ** 3)),
-                T=max(1, round(np.log2(n) ** 3)),
-                eta=np.log2(n) / (D * np.log2(4 / 3)),
-                e_of_n=errmodel.default_e_of_n(delta, n),
-                g_of_n=0.0,
-            )
+            sched = dnc.schedule(n, circ.depth, D, delta, cfg.profile, **cfg.overrides)
             counts = trace.counts_by_kind()
             records.append(
                 {
@@ -238,7 +227,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
                     "oracle": target,
                     "estimate": est,
                     "abs_error": abs(target - est),
-                    "predicted_bound": errmodel.predicted_error(model, delta),
+                    "predicted_bound": errmodel.predicted_error(sched.error_model(n, D), sched.eps),
                     "nodes": sum(counts.values()),
                     "node_counts": counts,
                     "wall_time": wall,
@@ -246,7 +235,3 @@ def run_experiment(config: ExperimentConfig) -> Report:
                 }
             )
     return Report(SCHEMA_VERSION, records)
-
-
-def math_h(n: int, profile: str) -> float:
-    return float(np.log2(n) ** 7) if profile == "paper" else 4.0

@@ -50,11 +50,6 @@ def apply_gate_vec(psi: np.ndarray, matrix: np.ndarray, axes: list[int], n: int)
     return t.reshape(-1)
 
 
-def apply_operator_vec(psi: np.ndarray, op: np.ndarray, axes: list[int], n: int) -> np.ndarray:
-    """Same as apply_gate_vec but for arbitrary (non-unitary) matrices."""
-    return apply_gate_vec(psi, op, axes, n)
-
-
 def apply_lowrank_vec(
     psi: np.ndarray, factors: np.ndarray, coeffs: np.ndarray, axes: list[int], n: int
 ) -> np.ndarray:
@@ -66,6 +61,13 @@ def apply_lowrank_vec(
     out = factors @ (coeffs[:, None] * amps)
     t = np.moveaxis(out.reshape([2] * n), range(k), axes)
     return t.reshape(-1)
+
+
+def apply_sandwich_vec(psi: np.ndarray, op, axes: list[int], n: int) -> np.ndarray:
+    """Apply a sandwich annotation (dense matrix or low-rank factors) on `axes`."""
+    if op.factors is not None:
+        return apply_lowrank_vec(psi, op.factors, op.coeffs, axes, n)
+    return apply_gate_vec(psi, op.matrix, axes, n)
 
 
 def project_zero_vec(psi: np.ndarray, axes: list[int], n: int) -> np.ndarray:
@@ -86,16 +88,6 @@ def reduce_vec(psi: np.ndarray, keep_axes: list[int], n: int) -> np.ndarray:
     t = np.moveaxis(psi.reshape([2] * n), keep_axes, range(k))
     m = t.reshape(2**k, -1)
     return m @ m.conj().T
-
-
-def branch_vectors(psi: np.ndarray, keep_axes: list[int], n: int) -> np.ndarray:
-    """Columns spanning the traced-out ensemble: rho_keep = V @ V^dagger.
-
-    Shape (2^k, 2^(n-k)); useful for rank-structured spectral work.
-    """
-    k = len(keep_axes)
-    t = np.moveaxis(psi.reshape([2] * n), keep_axes, range(k))
-    return t.reshape(2**k, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +331,7 @@ def synthesis_value_exact(s, cap: int = DEFAULT_CAP) -> float:
             continue
         axes = [index[q] for q in op.qubits]
         if op.kind == "sandwich":
-            if op.factors is not None:
-                psi = apply_lowrank_vec(psi, op.factors, op.coeffs, axes, n)
-            else:
-                psi = apply_operator_vec(psi, op.matrix, axes, n)
+            psi = apply_sandwich_vec(psi, op, axes, n)
         elif op.kind == "insertion":
             psi = project_zero_vec(psi, [index[q] for q in op.project_zero], n)
             psi = apply_lowrank_vec(psi, op.factors, op.coeffs, axes, n)

@@ -21,12 +21,24 @@ conditioned front state factors through the band,
 with W the band-to-front contraction built from the gates in the forward
 light cone of the front region and omega the band state conditioned on zeros
 behind the cut.  All spectral quantities (kappa, projectors, residuals) are
-computed from the band-sized Gram matrix of W sqrt(omega), so nothing large
-is ever diagonalized.
+computed from the band-sized Gram matrix sqrt(omega) W^dagger W sqrt(omega),
+so nothing large is ever diagonalized.
+
+Nothing large is simulated either.  omega and W^dagger W each depend only on
+the gates in one backward light cone (of the band, the conditioned sites and
+the annotations).  The sites a cone reaches fall into windows, maximal runs
+along the cut axis with the full cross-section, that evolve independently:
+the window holding the band is simulated densely, and every other window
+contributes a scalar factor, its exact synthesis value.  So the cost of a cut
+depends on the depth and the cross-section, not on the length of the lattice.
+The front matrix W sqrt(omega), dense on all front sites, is built only on
+first use, when a front-side projector is asked for (`CutData.amat`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +48,10 @@ from .geomcircuit import Coord, CutError, Gate, LatticeCircuit, Slice, cone_gate
 # ---------------------------------------------------------------------------
 # types
 # ---------------------------------------------------------------------------
+
+
+def _shift(q: Coord, axis: int, delta: int) -> Coord:
+    return tuple(c + delta if k == axis else c for k, c in enumerate(q))
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +72,7 @@ class CutOp:
     project_zero: tuple[Coord, ...] = ()
 
     def shifted(self, axis: int, delta: int) -> "CutOp":
-        move = lambda qs: tuple(
-            tuple(c + delta if k == axis else c for k, c in enumerate(q)) for q in qs
-        )
+        move = lambda qs: tuple(_shift(q, axis, delta) for q in qs)
         return replace(self, qubits=move(self.qubits), project_zero=move(self.project_zero))
 
 
@@ -155,13 +169,74 @@ def _restrict_layers(circ: LatticeCircuit, keep_ids, axis: int, delta: int, new_
         kept = []
         for gi, g in enumerate(layer):
             if (t, gi) in keep_ids:
-                qs = tuple(
-                    tuple(c + delta if k == axis else c for k, c in enumerate(q))
-                    for q in g.qubits
-                )
-                kept.append(Gate(g.matrix, qs, name=g.name))
+                kept.append(Gate(g.matrix, tuple(_shift(q, axis, delta) for q in g.qubits), name=g.name))
         layers.append(tuple(kept))
     return LatticeCircuit(tuple(new_dims), circ.depth, tuple(layers))
+
+
+def _all_ids(circ: LatticeCircuit) -> set[tuple[int, int]]:
+    return {(t, gi) for t, layer in enumerate(circ.layers) for gi in range(len(layer))}
+
+
+def _light_cone_windows(circ: LatticeCircuit, seed, axis: int):
+    """Backward light cone of `seed`, split into windows that evolve independently.
+
+    The sites the cone reaches are grouped into maximal runs of consecutive
+    coordinates along `axis`; a window is one run with the full cross-section,
+    together with the cone gates inside it (a gate spans at most two adjacent
+    coordinates, so none links two windows).  Returns [(lo, hi, gate ids)].
+    """
+    ids, reached = cone_gates(circ, seed, "backward")
+    runs: list[list[int]] = []
+    for x in sorted({q[axis] for q in reached}):
+        if runs and x == runs[-1][1]:
+            runs[-1][1] = x + 1
+        else:
+            runs.append([x, x + 1])
+    return [
+        (lo, hi, {(t, gi) for t, gi in ids if lo <= circ.layers[t][gi].qubits[0][axis] < hi})
+        for lo, hi in runs
+    ]
+
+
+def _window(circ: LatticeCircuit, lo: int, hi: int, ids, axis: int, cond, ops, declared_axes) -> Synthesis:
+    """Sites [lo, hi) of `circ` along `axis` as a synthesis of their own, shifted
+    to start at 0: the gates `ids`, the sites of `cond` post-selected (M), the
+    rest traced (L), and the annotations of `ops` that lie inside."""
+    dims = tuple(hi - lo if k == axis else w for k, w in enumerate(circ.dims))
+    sub = _restrict_layers(circ, ids, axis, -lo, dims)
+    m = {_shift(q, axis, -lo) for q in cond if lo <= q[axis] < hi}
+    return Synthesis(
+        gamma=sub,
+        L=tuple(q for q in sub.sites() if q not in m),
+        M=tuple(q for q in sub.sites() if q in m),
+        N=(),
+        declared_axes=declared_axes,
+        cut_ops=tuple(op.shifted(axis, -lo) for op in ops if lo <= op.qubits[0][axis] < hi),
+    )
+
+
+def _front_columns(s: Synthesis, band, cap: int) -> np.ndarray:
+    """The contraction W of `s` from `band` to its other sites.
+
+    Column x is <0_band| S V |x_band, 0_rest> with V the gates of s and S its
+    sandwich annotations; shape (2^(n - |band|), 2^|band|), rows in site order.
+    """
+    band_set = set(band)
+    sites = list(band) + [q for q in s.gamma.sites() if q not in band_set]
+    n, nb = len(sites), len(band)
+    oracle._check_cap(n, cap)
+    index = {q: i for i, q in enumerate(sites)}
+    cols = np.zeros((2 ** (n - nb), 2**nb), dtype=complex)
+    for x in range(2**nb):
+        col = np.zeros(2**n, dtype=complex)
+        col[x << (n - nb)] = 1.0  # band axes are the leading axes
+        for _, g in s.gamma.gates():
+            col = oracle.apply_gate_vec(col, g.matrix, [index[q] for q in g.qubits], n)
+        for op in s.cut_ops:
+            col = oracle.apply_sandwich_vec(col, op, [index[q] for q in op.qubits], n)
+        cols[:, x] = col[: 2 ** (n - nb)]  # the band projected on zero
+    return cols
 
 
 @dataclass(eq=False)
@@ -180,8 +255,14 @@ class CutData:
     left_op: np.ndarray  # band PSD operator for the left child (pre-sqrt)
     right_input: np.ndarray  # band PSD input state for the right child
     gram_vectors: np.ndarray  # eigenvectors of the band Gram (columns)
-    amat: np.ndarray  # W sqrt(omega) columns on the front sites
+    m_omega: np.ndarray  # sqrt(omega), omega the band state
+    front_columns: Callable[[], np.ndarray] = field(repr=False)  # builds W on the front
     calculus: CutCalculus = field(default=CutCalculus())
+
+    @cached_property
+    def amat(self) -> np.ndarray:
+        """W sqrt(omega) on the front sites; dense on the front, so built on first use."""
+        return self.front_columns() @ self.m_omega
 
     def projector_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """(factors, coeffs) of the front-side cut operator Pi (or (rho/kappa)^2K)."""
@@ -235,8 +316,7 @@ def causal_split(s: Synthesis, sl: Slice):
     allowed = set(front) | set(band)
     if not set(reached) <= allowed:
         raise AssertionError("light cone of the front escaped its band")
-    all_ids = {(t, gi) for t, layer in enumerate(s.gamma.layers) for gi in range(len(layer))}
-    return all_ids - cone, cone, tuple(band)
+    return _all_ids(s.gamma) - cone, cone, tuple(band)
 
 
 def _partition_ops(s: Synthesis, sl: Slice):
@@ -261,86 +341,74 @@ def _role(s: Synthesis, q: Coord) -> str:
 
 
 def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAULT_CAP) -> CutData:
-    """Spectral data of the cut state at `sl` (conditioned behind, traced over
-    the back region, band-factored in front)."""
-    axis = sl.axis
+    """Spectral data of the cut state at `sl`, from light-cone windows.
+
+    The cut state is rho_front = W omega W^dagger.  The band state omega is
+    the state after the left gates and left annotations, with C (the back
+    half of the slice and the left M sites) conditioned on zero and
+    everything but the band traced out.  Only the backward light cone of the
+    band, C and the left annotations acts on it, and the sites that cone
+    reaches split along the cut axis into windows that evolve independently:
+    the window holding the band gives omega, through oracle.synthesis_state,
+    and every other window only a scalar factor, its exact synthesis value
+    with its part of C as M.  The band-sized W^dagger W comes the same way
+    from the backward cone of the band and the front sandwich annotations
+    within the front gates.  So the dense states of a cut span a few windows,
+    however long the lattice.  The front matrix W sqrt(omega) (`amat`, dense
+    on the front sites) is built, and checked against the cap, only when a
+    front-side projector is asked for.
+    """
+    axis, d = sl.axis, s.gamma.depth
     left_ids, cone_ids, band = causal_split(s, sl)
     left_ops, right_ops = _partition_ops(s, sl)
-    roles = {q: _role(s, q) for q in s.gamma.sites()}
+    if any(op.kind == "insertion" for op in s.cut_ops):
+        raise SplitError("cannot split through a synthesis with insertion operators")
+    inside = lambda lo, hi: lo <= band[0][axis] < hi
 
-    # --- band state omega: evolve the left gates, condition the slice's back
-    # half (and any left M sites) on zero, trace everything else.
-    left_sites = _axis_filter(s, 0, sl.hi, axis)
-    left_circ = _restrict_layers(
-        s.gamma,
-        left_ids,
-        axis,
-        0,
-        tuple(sl.hi if k == axis else w for k, w in enumerate(s.gamma.dims)),
-    )
-    left_view = Synthesis(
-        gamma=left_circ,
-        L=tuple(q for q in left_sites if roles[q] == "L"),
-        M=tuple(q for q in left_sites if roles[q] == "M"),
-        N=tuple(q for q in left_sites if roles[q] == "N"),
-        declared_axes=s.declared_axes,
-        cut_ops=tuple(left_ops),
-    )
-    psi, qubits, index = oracle.synthesis_state(left_view, cap=cap)
-    n = len(qubits)
-    for op in left_ops:
-        if op.kind == "sandwich":
-            axes = [index[q] for q in op.qubits]
-            if op.factors is not None:
-                psi = oracle.apply_lowrank_vec(psi, op.factors, op.coeffs, axes, n)
-            else:
-                psi = oracle.apply_operator_vec(psi, op.matrix, axes, n)
-        elif op.kind == "insertion":
-            raise SplitError("cannot split through a synthesis with insertion operators")
-    # condition on zeros: back half of the slice plus any M-roled left site
-    m_back = [q for q in left_sites if sl.lo <= q[axis] < sl.hi - s.gamma.depth]
-    cond = sorted(
-        {index[q] for q in m_back} | {index[q] for q in left_view.M}
-    )
-    t = psi.reshape([2] * n)
-    for a in sorted(cond, reverse=True):
-        t = np.take(t, 0, axis=a)
-    remaining = [q for i, q in enumerate(qubits) if i not in cond]
-    band_axes = [remaining.index(q) for q in band]
-    omega = oracle.reduce_vec(t.reshape(-1), band_axes, len(remaining))
-
-    # --- front contraction W: evolve each band basis state through the cone
-    # gates, apply front-side annotations, project the band to zero.
-    front = _axis_filter(s, sl.hi, s.gamma.dims[axis], axis)
-    right_sites = list(band) + front
-    oracle._check_cap(len(right_sites), cap)
-    ridx = {q: i for i, q in enumerate(right_sites)}
-    nb, nr = len(band), len(right_sites)
-    cone_gate_list = [
-        (t_, g) for t_, layer in enumerate(s.gamma.layers) for gi, g in enumerate(layer)
-        if (t_, gi) in cone_ids
-    ]
-    wcols = np.zeros((2 ** len(front), 2**nb), dtype=complex)
-    for x in range(2**nb):
-        col = np.zeros(2**nr, dtype=complex)
-        col[x << len(front)] = 1.0  # band axes are the leading axes
-        for _, g in cone_gate_list:
-            col = oracle.apply_gate_vec(col, g.matrix, [ridx[q] for q in g.qubits], nr)
-        for op in right_ops:
+    # --- band state omega from the backward cone of band, C and left annotations
+    left_dims = tuple(sl.hi if k == axis else w for k, w in enumerate(s.gamma.dims))
+    left_circ = _restrict_layers(s.gamma, left_ids, axis, 0, left_dims)
+    m_sites = set(s.M)
+    cond = {q for q in left_circ.sites() if q in m_sites or sl.lo <= q[axis] < sl.hi - d}
+    if cond & set(band):
+        raise SplitError("the cut band is post-selected; the slice overlaps an input band")
+    seed = cond | set(band) | {q for op in left_ops for q in op.qubits}
+    omega, scale = None, 1.0
+    for lo, hi, ids in _light_cone_windows(left_circ, seed, axis):
+        view = _window(left_circ, lo, hi, ids, axis, cond, left_ops, s.declared_axes)
+        if not inside(lo, hi):
+            scale *= oracle.synthesis_value_exact(view, cap=cap)
+            continue
+        psi, qubits, index = oracle.synthesis_state(view, cap=cap)
+        n = len(qubits)
+        for op in view.cut_ops:
             if op.kind == "sandwich":
-                axes = [ridx[q] for q in op.qubits]
-                if op.factors is not None:
-                    col = oracle.apply_lowrank_vec(col, op.factors, op.coeffs, axes, nr)
-                else:
-                    col = oracle.apply_operator_vec(col, op.matrix, axes, nr)
-        t_ = col.reshape([2] * nr)
-        for a in range(nb):
-            t_ = np.take(t_, 0, axis=0)
-        wcols[:, x] = t_.reshape(-1)
+                psi = oracle.apply_sandwich_vec(psi, op, [index[q] for q in op.qubits], n)
+        psi = oracle.project_zero_vec(psi, [index[q] for q in view.M], n)
+        omega = oracle.reduce_vec(psi, [index[_shift(q, axis, -lo)] for q in band], n)
+    omega = scale * omega
+
+    # --- W^dagger W from the backward cone of band and front sandwiches
+    cone_circ = _restrict_layers(s.gamma, cone_ids, axis, 0, s.gamma.dims)
+    sandwiches = [op for op in right_ops if op.kind == "sandwich"]
+    seed = set(band) | {q for op in sandwiches for q in op.qubits}
+    wtw, scale = None, 1.0
+    for lo, hi, ids in _light_cone_windows(cone_circ, seed, axis):
+        view = _window(cone_circ, lo, hi, ids, axis, (), sandwiches, s.declared_axes)
+        if not inside(lo, hi):
+            scale *= oracle.synthesis_value_exact(view, cap=cap)
+            continue
+        cols = _front_columns(view, [_shift(q, axis, -lo) for q in band], cap)
+        wtw = cols.conj().T @ cols
+    wtw = scale * wtw
+
+    def front_columns() -> np.ndarray:
+        lo, hi = sl.hi - d, s.gamma.dims[axis]
+        view = _window(cone_circ, lo, hi, _all_ids(cone_circ), axis, (), sandwiches, s.declared_axes)
+        return _front_columns(view, [_shift(q, axis, -lo) for q in band], cap)
 
     m_omega = _psd_sqrt(omega)
-    amat = wcols @ m_omega
-    gram = amat.conj().T @ amat
+    gram = m_omega @ wtw @ m_omega  # (W sqrt(omega))^dagger (W sqrt(omega))
     gram = 0.5 * (gram + gram.conj().T)
     mu, gv = np.linalg.eigh(gram)
     order = np.argsort(mu)[::-1]
@@ -355,7 +423,6 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     kap = kappa_from_spectrum(mu, calc.T)
 
     K = calc.K
-    wtw = wcols.conj().T @ wcols
     if calc.mode == "exact-spectral":
         # left operator  kappa^2K * W^dag Pi W,  Pi the kept eigenprojector
         p_tilde = sum(
@@ -378,7 +445,7 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     return CutData(
         slice_=sl,
         band=band,
-        front_sites=tuple(front),
+        front_sites=tuple(_axis_filter(s, sl.hi, s.gamma.dims[axis], axis)),
         weight=weight,
         kappa=kap,
         eigvals=mu,
@@ -388,7 +455,8 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
         left_op=left_op,
         right_input=right_input,
         gram_vectors=gv,
-        amat=amat,
+        m_omega=m_omega,
+        front_columns=front_columns,
         calculus=calc,
     )
 
@@ -413,7 +481,7 @@ def slice_weight(s: Synthesis, sl: Slice, cap: int = oracle.DEFAULT_CAP) -> floa
     return oracle.synthesis_value_exact(view, cap=cap)
 
 
-def kappa(s: Synthesis, sl: Slice, T: int, eps: float, calc: CutCalculus | None = None,
+def kappa(s: Synthesis, sl: Slice, T: int, calc: CutCalculus | None = None,
           cap: int = oracle.DEFAULT_CAP) -> float:
     """Normalization constant (tr rho^{2T})^{1/(2T)} of the cut state at `sl`."""
     if T < 1:
@@ -549,7 +617,7 @@ def _right_child(s: Synthesis, sl: Slice, data: CutData, cone_ids, right_ops) ->
         s.gamma.dims[axis] - sl.lo if k == axis else w for k, w in enumerate(s.gamma.dims)
     )
     circ = _restrict_layers(s.gamma, cone_ids, axis, delta, dims)
-    shift = lambda q: tuple(c + delta if k == axis else c for k, c in enumerate(q))
+    shift = lambda q: _shift(q, axis, delta)
     band = {shift(q) for q in data.band}
     roles = {shift(q): _role(s, q) for q in s.gamma.sites() if q[axis] >= sl.lo}
     ops = [op.shifted(axis, delta) for op in right_ops]
@@ -580,7 +648,7 @@ def _middle_child(s, i: Slice, j: Slice, data_i: CutData, data_j: CutData, cone_
     delta = -i.lo
     dims = tuple(j.hi - i.lo if k == axis else w for k, w in enumerate(s.gamma.dims))
     circ = _restrict_layers(s.gamma, cone_i - cone_j, axis, delta, dims)
-    shift = lambda q: tuple(c + delta if k == axis else c for k, c in enumerate(q))
+    shift = lambda q: _shift(q, axis, delta)
     band_i = {shift(q) for q in data_i.band}
     band_j = {shift(q) for q in data_j.band}
     roles = {

@@ -220,6 +220,18 @@ def test_combine_missing_keys():
         dnc.inclusion_exclusion_combine([1.0, 1.0], {}, {}, [1.0, 1.0], K=1, Delta=2)
 
 
+def test_combine_out_of_range_normalization_raises_schedule_error():
+    # the paper-profile K = 1000 at n = 1024: 0.5^4001 underflows to 0
+    with pytest.raises(dnc.ScheduleError, match=r"kappa = 0\.5, K = 1000"):
+        dnc.inclusion_exclusion_combine([1e-3], {}, {}, [0.5], 1000, 1)
+    # kappa^(4K+1) = 1e-300 is representable but the term overflows
+    with pytest.raises(dnc.ScheduleError, match="K = 1"):
+        dnc.inclusion_exclusion_combine([1e300], {}, {}, [1e-60], 1, 1)
+    # a product kappa_i kappa_j that underflows in a double term
+    with pytest.raises(dnc.ScheduleError):
+        dnc.inclusion_exclusion_combine([0.1, 0.1], {(1, 2): 0.1}, {}, [1e-40, 1e-40], 1, 2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     delta=st.integers(min_value=1, max_value=4),

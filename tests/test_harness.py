@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -157,3 +158,15 @@ def test_cli_predict(capsys):
     assert cli.main(["predict", "--n", "1024", "--delta", "0.1", "--D", "3"]) == 0
     out = capsys.readouterr().out
     assert "schedule" in out and "predicted error bound" in out and "predicted cost" in out
+
+
+def test_predicted_bound_comes_from_the_schedule_that_ran(capsys):
+    config = ExperimentConfig(
+        circuits=[{"kind": "brickwork", "dims": [16, 1, 1], "depth": 1, "seed": 3, "gates": "weak"}],
+        deltas=[0.1],
+    )
+    bound = run_experiment(config).records[0]["predicted_bound"]
+    assert bound == pytest.approx(1.0e-3, rel=0.05)
+    assert cli.main(["predict", "--n", "16", "--d", "1", "--D", "3", "--delta", "0.1", "--profile", "desk"]) == 0
+    printed = re.search(r"predicted error bound: (\S+)", capsys.readouterr().out).group(1)
+    assert bound == pytest.approx(float(printed), rel=1e-5)
