@@ -21,7 +21,7 @@ general.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -229,7 +229,7 @@ def encoding_block(enc: BlockEncoding, cap: int = oracle.DEFAULT_CAP) -> np.ndar
 
     Only qubits actually touched by gates (plus the declared registers) are
     simulated; idle lattice sites factor out exactly.  All data-basis columns
-    are evolved in one batched tensor pass.
+    are evolved in one pass, as one trailing batch axis of the state tensor.
     """
     used = set(enc.ancilla) | set(enc.data)
     for _, g in enc.circuit.gates():
@@ -239,40 +239,22 @@ def encoding_block(enc: BlockEncoding, cap: int = oracle.DEFAULT_CAP) -> np.ndar
     oracle._check_cap(n, cap)
     index = {q: i for i, q in enumerate(used_list)}
     data_axes = [index[q] for q in enc.data]
-    other_axes = [i for i in range(n) if i not in data_axes]
-    dim = 2 ** len(enc.data)
-    # batched initial state: axis layout [2]*n + [column]
-    t = np.zeros([2] * n + [dim], dtype=complex)
-    flat = t.reshape(-1, dim)
-    for x in range(dim):
-        idx = 0
-        for pos, a in enumerate(data_axes):
-            bit = (x >> (len(data_axes) - 1 - pos)) & 1
-            idx |= bit << (n - 1 - a)
-        flat[idx, x] = 1.0
+    nd, dim = len(data_axes), 2 ** len(data_axes)
+    t = oracle.product_state(n, data_axes, np.eye(dim).reshape([2] * nd + [dim]))
     for _, g in enc.circuit.gates():
-        axes = [index[q] for q in g.qubits]
-        k = len(axes)
-        t = np.tensordot(g.matrix.reshape([2] * (2 * k)), t, axes=(list(range(k, 2 * k)), axes))
-        t = np.moveaxis(t, list(range(k)), axes)
-    for a in sorted(other_axes, reverse=True):
-        t = np.take(t, 0, axis=a)
-    return t.reshape(dim, dim)
+        t = oracle.apply_gate(t, g.matrix, [index[q] for q in g.qubits])
+    t = np.moveaxis(t, data_axes, range(nd))
+    return t[(slice(None),) * nd + (0,) * (n - nd)].reshape(dim, dim)
 
 
 def _target_operator(t: TargetSpec, cap: int) -> np.ndarray:
-    sigma = oracle.reduced_state(t.circuit, t.regions, cap=cap)
+    regions = t.regions
+    if t.side == "B":  # trace out F instead of B
+        regions = replace(regions, back=regions.front, front=regions.back)
+    sigma = oracle.reduced_state(t.circuit, regions, cap=cap)
     if t.kind == "sigma":
         return sigma.matrix
-    if t.side == "F":
-        rho = oracle.postselect_zero(sigma, t.regions.middle).matrix
-    else:
-        state = oracle.evolve_zero(t.circuit, cap=cap)
-        idx = {q: i for i, q in enumerate(state.qubits)}
-        keep = [q for q in state.qubits if q not in set(t.regions.front)]
-        red = oracle.reduce_vec(state.amplitudes, [idx[q] for q in keep], state.n)
-        op = oracle.DensityOperator(red, tuple(keep))
-        rho = oracle.postselect_zero(op, t.regions.middle).matrix
+    rho = oracle.postselect_zero(sigma, t.regions.middle).matrix
     return np.linalg.matrix_power(rho, t.k)
 
 

@@ -32,7 +32,6 @@ def _cmd_simulate(args) -> int:
     s = synthesis_of_circuit(circ)
     trace = dnc.TraceNode("run", {"file": args.file, "delta": args.delta})
     cfg = dnc.DncConfig(
-        base=oracle.base_exact,
         calc=CutCalculus(mode=args.calculus),
         profile=args.profile,
         cap=args.cap,
@@ -125,7 +124,6 @@ def main(argv=None) -> int:
     s.add_argument("--delta", type=float, required=True)
     s.add_argument("--profile", choices=("desk", "paper"), default="desk")
     s.add_argument("--dim", type=int, default=None)
-    s.add_argument("--base", choices=("exact",), default="exact")
     s.add_argument("--calculus", choices=("exact-spectral", "power-encoding"), default="exact-spectral")
     s.add_argument("--trace", default=None)
     s.add_argument("--oracle", action="store_true", help="also print the dense value")

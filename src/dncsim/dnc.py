@@ -206,15 +206,10 @@ def _jsonable(v):
 
 @dataclass
 class DncConfig:
-    base: object = None
     calc: CutCalculus = field(default_factory=CutCalculus)
     profile: str = "desk"
     overrides: dict = field(default_factory=dict)
     cap: int = oracle.DEFAULT_CAP
-
-    def __post_init__(self):
-        if self.base is None:
-            self.base = oracle.base_exact
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +406,12 @@ def a_full(
     sched: ParameterSchedule | None = None,
     trace: TraceNode | None = None,
 ) -> float:
-    """Driver: delta edge cases, heavy-slice scan, dispatch to the recursion."""
-    cfg = config or DncConfig(base=base)
-    if base is None:
-        base = cfg.base
+    """Driver: delta edge cases, heavy-slice scan, dispatch to the recursion.
+
+    `base(s, delta)` solves the D = 2 leaves; None means exact dense
+    evaluation (`oracle.base_exact`) under `config.cap`.
+    """
+    cfg = config or DncConfig()
     n = s.gamma.n_qubits
     node = trace.add("a_full", dims=s.declared_dims, D=D, delta=delta) if trace is not None else None
 
@@ -430,7 +427,7 @@ def a_full(
             node.value = 0.5
         return 0.5
     if D == 2:
-        val = base(s, delta)
+        val = oracle.base_exact(s, delta, cap=cfg.cap) if base is None else base(s, delta)
         if node is not None:
             node.add("base").value = val
             node.value = val
@@ -495,9 +492,7 @@ def a_recursive(
 
     K_heavy is given in absolute (top-level) coordinates.
     """
-    cfg = config or DncConfig(base=base)
-    if base is None:
-        base = cfg.base
+    cfg = config or DncConfig()
     if eta is None:
         eta = sched.eta
     if not K_heavy:

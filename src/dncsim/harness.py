@@ -126,7 +126,6 @@ class ExperimentConfig:
     deltas: list[float]
     profile: str = "desk"
     calculus: str = "exact-spectral"
-    base: str = "exact"
     dim: int | None = None  # declared dimension (defaults to len(dims))
     overrides: dict = field(default_factory=dict)
     output_json: str | None = None
@@ -204,7 +203,6 @@ def run_experiment(config: ExperimentConfig) -> Report:
         for delta in config.deltas:
             trace = dnc.TraceNode("run", {"label": label, "delta": delta})
             cfg = dnc.DncConfig(
-                base=oracle.base_exact,
                 calc=calc,
                 profile=config.profile,
                 overrides=dict(config.overrides),

@@ -6,6 +6,16 @@ is double-precision and serves as ground truth for the rest of the package;
 it also doubles as the base-case solver for two-dimensional subproblems
 (`base_exact`), which evaluates a synthesis with zero error.
 
+Every dense evolution in the package (here, in `synthesis.cut_data` and in
+`blockenc.encoding_block`) runs on state tensors through the four kernels
+below: `apply_gate`, `apply_sandwich`, `project_zero` and `reduce`.  A state
+tensor of n qubits has one axis of length 2 per qubit, axis i for qubit i,
+optionally followed by batch axes (for example one per basis column).  The
+kernels take qubit axes and never flatten; `StateVector.amplitudes` is the
+only flat form (index bits big-endian in qubit order), converted at that
+boundary.  `circuit_unitary` shares no code with the kernels and serves as
+their independent reference.
+
 Tolerance ladder: 1e-12 for unitarity, 1e-10 for algebraic identities,
 1e-8 of slack for positive semidefiniteness.
 """
@@ -30,63 +40,60 @@ def _check_cap(n: int, cap: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# raw statevector kernels (flat arrays of length 2^n, axis q <-> qubit q)
+# state-tensor kernels (one axis of length 2 per qubit, then any batch axes)
 # ---------------------------------------------------------------------------
 
 
-def zero_state(n: int) -> np.ndarray:
-    psi = np.zeros(2**n, dtype=complex)
-    psi[0] = 1.0
-    return psi
+def product_state(n: int, axes=(), block=None) -> np.ndarray:
+    """State tensor on n qubits: |0> on every axis but `axes`, which hold `block`.
 
-
-def apply_gate_vec(psi: np.ndarray, matrix: np.ndarray, axes: list[int], n: int) -> np.ndarray:
-    """Apply a k-qubit gate matrix to the given axes of a 2^n statevector."""
+    The leading len(axes) axes of `block` belong to `axes`, in that order; any
+    further axes of `block` become trailing batch axes of the result.
+    """
+    block = np.ones(()) if block is None else np.asarray(block)
     k = len(axes)
-    t = psi.reshape([2] * n)
+    t = np.zeros([2] * n + list(block.shape[k:]), dtype=complex)
+    held = set(axes)
+    t[tuple(slice(None) if i in held else 0 for i in range(n))] = block.transpose(
+        list(np.argsort(axes)) + list(range(k, block.ndim))
+    )
+    return t
+
+
+def apply_gate(t: np.ndarray, matrix: np.ndarray, axes: list[int]) -> np.ndarray:
+    """Apply a k-qubit gate matrix to the given qubit axes of a state tensor."""
+    k = len(axes)
     t = np.tensordot(matrix.reshape([2] * (2 * k)), t, axes=(list(range(k, 2 * k)), axes))
     # tensordot puts the gate's output axes first; move them back.
-    t = np.moveaxis(t, list(range(k)), axes)
-    return t.reshape(-1)
+    return np.moveaxis(t, list(range(k)), axes)
 
 
-def apply_lowrank_vec(
-    psi: np.ndarray, factors: np.ndarray, coeffs: np.ndarray, axes: list[int], n: int
-) -> np.ndarray:
-    """Apply sum_j coeffs[j] |f_j><f_j| on `axes`; factors has shape (2^k, r)."""
+def apply_sandwich(t: np.ndarray, op, axes: list[int]) -> np.ndarray:
+    """Apply a cut operator on `axes`: its dense matrix, or the low-rank
+    sum_j coeffs[j] |f_j><f_j| of its factors (shape (2^k, r))."""
+    if op.factors is None:
+        return apply_gate(t, op.matrix, axes)
     k = len(axes)
-    t = np.moveaxis(psi.reshape([2] * n), axes, range(k))
-    m = t.reshape(2**k, -1)
-    amps = factors.conj().T @ m
-    out = factors @ (coeffs[:, None] * amps)
-    t = np.moveaxis(out.reshape([2] * n), range(k), axes)
-    return t.reshape(-1)
+    moved = np.moveaxis(t, axes, range(k))
+    m = moved.reshape(2**k, -1)
+    out = op.factors @ (op.coeffs[:, None] * (op.factors.conj().T @ m))
+    return np.moveaxis(out.reshape(moved.shape), range(k), axes)
 
 
-def apply_sandwich_vec(psi: np.ndarray, op, axes: list[int], n: int) -> np.ndarray:
-    """Apply a sandwich annotation (dense matrix or low-rank factors) on `axes`."""
-    if op.factors is not None:
-        return apply_lowrank_vec(psi, op.factors, op.coeffs, axes, n)
-    return apply_gate_vec(psi, op.matrix, axes, n)
-
-
-def project_zero_vec(psi: np.ndarray, axes: list[int], n: int) -> np.ndarray:
+def project_zero(t: np.ndarray, axes: list[int]) -> np.ndarray:
     """Zero out all amplitudes where any of `axes` is 1 (apply |0><0| there)."""
     if not axes:
-        return psi
-    t = psi.reshape([2] * n).copy()
+        return t
+    t = t.copy()
     for a in axes:
-        idx = [slice(None)] * n
-        idx[a] = 1
-        t[tuple(idx)] = 0.0
-    return t.reshape(-1)
+        t[(slice(None),) * a + (1,)] = 0.0
+    return t
 
 
-def reduce_vec(psi: np.ndarray, keep_axes: list[int], n: int) -> np.ndarray:
+def reduce(t: np.ndarray, keep_axes: list[int]) -> np.ndarray:
     """Density operator on keep_axes obtained by tracing out all other axes."""
     k = len(keep_axes)
-    t = np.moveaxis(psi.reshape([2] * n), keep_axes, range(k))
-    m = t.reshape(2**k, -1)
+    m = np.moveaxis(t, keep_axes, range(k)).reshape(2**k, -1)
     return m @ m.conj().T
 
 
@@ -139,7 +146,7 @@ class DensityOperator:
 
 
 def basis_state(circ: LatticeCircuit) -> StateVector:
-    return StateVector(zero_state(circ.n_qubits), circ.sites())
+    return StateVector(product_state(circ.n_qubits).reshape(-1), circ.sites())
 
 
 def apply_circuit(state: StateVector, circ: LatticeCircuit, cap: int = DEFAULT_CAP) -> StateVector:
@@ -150,9 +157,10 @@ def apply_circuit(state: StateVector, circ: LatticeCircuit, cap: int = DEFAULT_C
         for q in g.qubits:
             if q not in index:
                 raise ValueError(f"gate qubit {q} not present in state")
-    psi = state.amplitudes
+    t = state.amplitudes.reshape([2] * state.n)
     for _, g in circ.gates():
-        psi = apply_gate_vec(psi, g.matrix, [index[q] for q in g.qubits], state.n)
+        t = apply_gate(t, g.matrix, [index[q] for q in g.qubits])
+    psi = t.reshape(-1)
     nrm = np.linalg.norm(psi)
     if abs(nrm - np.linalg.norm(state.amplitudes)) > 1e-12 * max(1.0, nrm):
         raise AssertionError("statevector norm drifted beyond 1e-12")
@@ -178,10 +186,10 @@ def output_probability(circ: LatticeCircuit, x, cap: int = DEFAULT_CAP) -> float
 def reduced_state(circ: LatticeCircuit, regions, cap: int = DEFAULT_CAP) -> DensityOperator:
     """sigma on M u F: exact partial trace of C|0><0|C^dagger over B."""
     state = evolve_zero(circ, cap=cap)
-    index = {q: i for i, q in enumerate(state.qubits)}
-    keep = [q for q in state.qubits if q not in set(regions.back)]
-    rho = reduce_vec(state.amplitudes, [index[q] for q in keep], state.n)
-    return DensityOperator(rho, tuple(keep))
+    back = set(regions.back)
+    keep = [i for i, q in enumerate(state.qubits) if q not in back]
+    rho = reduce(state.amplitudes.reshape([2] * state.n), keep)
+    return DensityOperator(rho, tuple(state.qubits[i] for i in keep))
 
 
 def postselect_zero(op: DensityOperator, register) -> DensityOperator:
@@ -222,7 +230,7 @@ def circuit_unitary(circ: LatticeCircuit, cap: int = 12) -> np.ndarray:
     """Assemble the full 2^n x 2^n unitary (independent of the vector kernels).
 
     Embeds each gate by explicit bit-index permutation, so this path shares no
-    code with apply_gate_vec; used to cross-check the evolution kernels.
+    code with apply_gate; used to cross-check the evolution kernels.
     """
     n = circ.n_qubits
     _check_cap(n, cap)
@@ -258,62 +266,33 @@ def circuit_unitary(circ: LatticeCircuit, cap: int = 12) -> np.ndarray:
 
 
 def synthesis_state(s, cap: int = DEFAULT_CAP):
-    """Statevector of a synthesis just before register projections.
+    """State tensor of a synthesis just before register projections.
 
-    Returns (psi, qubit order, axis map).  Input-state annotations are loaded
+    Returns (t, qubit order, axis map).  Input-state annotations are loaded
     through purification ancillas (appended after the lattice sites and later
     traced with the L register).
     """
     sites = list(s.gamma.sites())
-    input_ops = [op for op in s.cut_ops if op.kind == "input_state"]
     anc: list[Coord] = []
-    blocks: list[np.ndarray] = []
-    consumed: set[Coord] = set()
-    for op in input_ops:
-        band = list(op.qubits)
-        consumed.update(band)
-        w, v = np.linalg.eigh(op.matrix)
-        w = np.clip(w, 0.0, None)
-        r = len(band)
+    held: list[Coord] = []
+    block = np.ones(())
+    for op in s.cut_ops:
+        if op.kind != "input_state":
+            continue
+        r = len(op.qubits)
         a = [(-1 - len(anc) - j,) * len(s.gamma.dims) for j in range(r)]
         anc.extend(a)
+        held.extend(list(op.qubits) + a)
         # purified vector on band + ancillas: sum_j sqrt(w_j) |e_j>|j>
-        vec = np.zeros((2 ** len(band), 2 ** len(a)), dtype=complex)
-        for j in range(min(vec.shape[1], len(w))):
-            vec[:, j] = np.sqrt(w[j]) * v[:, j]
-        blocks.append(vec.reshape(-1))
+        w, v = np.linalg.eigh(op.matrix)
+        block = np.multiply.outer(block, (v * np.sqrt(np.clip(w, 0.0, None))).reshape([2] * (2 * r)))
     qubits = sites + anc
-    n = len(qubits)
-    _check_cap(n, cap)
+    _check_cap(len(qubits), cap)
     index = {q: i for i, q in enumerate(qubits)}
-
-    # assemble the initial state: |0> everywhere except purified bands
-    psi = zero_state(n)
-    if input_ops:
-        # build by sequential embedding: start from |0>, write each block
-        psi = np.zeros([2] * n, dtype=complex).reshape(-1)
-        psi = psi.reshape([2] * n)
-        psi[(0,) * n] = 1.0
-        psi = psi.reshape(-1)
-        a_cursor = len(sites)
-        for op, block in zip(input_ops, blocks):
-            band = [index[q] for q in op.qubits]
-            r = len(op.qubits)
-            ancs = list(range(a_cursor, a_cursor + r))
-            a_cursor += r
-            axes = band + ancs
-            t = np.moveaxis(psi.reshape([2] * n), axes, range(len(axes)))
-            shape = t.shape
-            m = t.reshape(2 ** len(axes), -1)
-            # the band+anc block currently holds |0...0>; replace with the vec
-            base = m[0].copy()
-            m[:] = np.outer(block, base)
-            t = m.reshape(shape)
-            psi = np.moveaxis(t, range(len(axes)), axes).reshape(-1)
-
+    t = product_state(len(qubits), [index[q] for q in held], block)
     for _, g in s.gamma.gates():
-        psi = apply_gate_vec(psi, g.matrix, [index[q] for q in g.qubits], n)
-    return psi, qubits, index
+        t = apply_gate(t, g.matrix, [index[q] for q in g.qubits])
+    return t, qubits, index
 
 
 def synthesis_value_exact(s, cap: int = DEFAULT_CAP) -> float:
@@ -323,22 +302,18 @@ def synthesis_value_exact(s, cap: int = DEFAULT_CAP) -> float:
     register to 0, apply sandwich/insertion annotations, project N to 0, and
     take the squared norm over the remaining (traced) registers.
     """
-    psi, qubits, index = synthesis_state(s, cap=cap)
-    n = len(qubits)
-    psi = project_zero_vec(psi, [index[q] for q in s.M], n)
+    t, _, index = synthesis_state(s, cap=cap)
+    t = project_zero(t, [index[q] for q in s.M])
     for op in s.cut_ops:
         if op.kind == "input_state":
             continue
-        axes = [index[q] for q in op.qubits]
-        if op.kind == "sandwich":
-            psi = apply_sandwich_vec(psi, op, axes, n)
-        elif op.kind == "insertion":
-            psi = project_zero_vec(psi, [index[q] for q in op.project_zero], n)
-            psi = apply_lowrank_vec(psi, op.factors, op.coeffs, axes, n)
-        else:
+        if op.kind == "insertion":
+            t = project_zero(t, [index[q] for q in op.project_zero])
+        elif op.kind != "sandwich":
             raise ValueError(f"unknown cut-op kind {op.kind!r}")
-    psi = project_zero_vec(psi, [index[q] for q in s.N], n)
-    return float(np.real(np.vdot(psi, psi)))
+        t = apply_sandwich(t, op, [index[q] for q in op.qubits])
+    t = project_zero(t, [index[q] for q in s.N])
+    return float(np.real(np.vdot(t, t)))
 
 
 def base_exact(s, delta: float = 0.0, cap: int = DEFAULT_CAP) -> float:

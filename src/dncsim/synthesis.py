@@ -228,14 +228,14 @@ def _front_columns(s: Synthesis, band, cap: int) -> np.ndarray:
     oracle._check_cap(n, cap)
     index = {q: i for i, q in enumerate(sites)}
     cols = np.zeros((2 ** (n - nb), 2**nb), dtype=complex)
-    for x in range(2**nb):
-        col = np.zeros(2**n, dtype=complex)
-        col[x << (n - nb)] = 1.0  # band axes are the leading axes
+    basis = np.eye(2**nb).reshape([2**nb] + [2] * nb)
+    for x in range(2**nb):  # one column at a time: a batch would take 2^nb times the memory
+        t = oracle.product_state(n, range(nb), basis[x])  # band axes are the leading axes
         for _, g in s.gamma.gates():
-            col = oracle.apply_gate_vec(col, g.matrix, [index[q] for q in g.qubits], n)
+            t = oracle.apply_gate(t, g.matrix, [index[q] for q in g.qubits])
         for op in s.cut_ops:
-            col = oracle.apply_sandwich_vec(col, op, [index[q] for q in op.qubits], n)
-        cols[:, x] = col[: 2 ** (n - nb)]  # the band projected on zero
+            t = oracle.apply_sandwich(t, op, [index[q] for q in op.qubits])
+        cols[:, x] = t[(0,) * nb].reshape(-1)  # the band projected on zero
     return cols
 
 
@@ -379,13 +379,12 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
         if not inside(lo, hi):
             scale *= oracle.synthesis_value_exact(view, cap=cap)
             continue
-        psi, qubits, index = oracle.synthesis_state(view, cap=cap)
-        n = len(qubits)
+        t, _, index = oracle.synthesis_state(view, cap=cap)
         for op in view.cut_ops:
             if op.kind == "sandwich":
-                psi = oracle.apply_sandwich_vec(psi, op, [index[q] for q in op.qubits], n)
-        psi = oracle.project_zero_vec(psi, [index[q] for q in view.M], n)
-        omega = oracle.reduce_vec(psi, [index[_shift(q, axis, -lo)] for q in band], n)
+                t = oracle.apply_sandwich(t, op, [index[q] for q in op.qubits])
+        t = oracle.project_zero(t, [index[q] for q in view.M])
+        omega = oracle.reduce(t, [index[_shift(q, axis, -lo)] for q in band])
     omega = scale * omega
 
     # --- W^dagger W from the backward cone of band and front sandwiches

@@ -174,3 +174,34 @@ def test_verify_encoding_capacity():
     enc = blockenc.build_sigma_encoding(circ, regions)
     with pytest.raises(oracle.OracleCapacityError):
         blockenc.verify_encoding(enc, cap=4)
+
+
+def unitary_block(enc):
+    """<0_rest| U |0_rest> on enc.data, from oracle.circuit_unitary over every site."""
+    sites = enc.circuit.sites()
+    n = len(sites)
+    order = {q: i for i, q in enumerate(sites)}
+    nd = len(enc.data)
+    rows = [
+        sum(((x >> (nd - 1 - pos)) & 1) << (n - 1 - order[q]) for pos, q in enumerate(enc.data))
+        for x in range(2**nd)
+    ]
+    U = oracle.circuit_unitary(enc.circuit, cap=10)
+    return U[np.ix_(rows, rows)]
+
+
+@pytest.mark.parametrize(
+    "kind,side,layout,lo,seed",
+    [("sigma", "F", "stacked", 1, 31), ("sigma", "F", "interleaved", 1, 32),
+     ("rho", "F", "stacked", 0, 33), ("rho", "B", "interleaved", 2, 34)],
+)
+def test_encoding_block_matches_circuit_unitary(kind, side, layout, lo, seed):
+    circ = seeded_chain(4, 1, seed)
+    regions = gc.cut_regions(circ, gc.Slice(0, lo, lo + 2))
+    if kind == "sigma":
+        enc = blockenc.build_sigma_encoding(circ, regions, layout=layout)
+    else:
+        enc = blockenc.build_rho_power_encoding(circ, regions, 1, side=side, layout=layout)
+    assert enc.circuit.n_qubits <= 10 and len(enc.data) >= 2
+    block = blockenc.encoding_block(enc)
+    assert np.abs(block - unitary_block(enc)).max() < 1e-12

@@ -38,14 +38,13 @@ def dense_reference(s, sl, calc):
         declared_axes=s.declared_axes,
         cut_ops=tuple(left_ops),
     )
-    psi, qubits, index = oracle.synthesis_state(left, cap=30)
-    n = len(qubits)
+    t, _, index = oracle.synthesis_state(left, cap=30)
     for op in left_ops:
         if op.kind == "sandwich":
-            psi = oracle.apply_sandwich_vec(psi, op, [index[q] for q in op.qubits], n)
+            t = oracle.apply_sandwich(t, op, [index[q] for q in op.qubits])
     cond = [index[q] for q in left_circ.sites() if q in m_sites or sl.lo <= q[axis] < sl.hi - d]
-    psi = oracle.project_zero_vec(psi, cond, n)
-    omega = oracle.reduce_vec(psi, [index[q] for q in band], n)
+    t = oracle.project_zero(t, cond)
+    omega = oracle.reduce(t, [index[q] for q in band])
 
     front = [q for q in s.gamma.sites() if q[axis] >= sl.hi]
     sites = list(band) + front
@@ -56,11 +55,12 @@ def dense_reference(s, sl, calc):
     for x in range(2**nb):
         col = np.zeros(2**nr, dtype=complex)
         col[x << len(front)] = 1.0
+        col = col.reshape([2] * nr)
         for g in gates:
-            col = oracle.apply_gate_vec(col, g.matrix, [ridx[q] for q in g.qubits], nr)
+            col = oracle.apply_gate(col, g.matrix, [ridx[q] for q in g.qubits])
         for op in right_ops:
             if op.kind == "sandwich":
-                col = oracle.apply_sandwich_vec(col, op, [ridx[q] for q in op.qubits], nr)
+                col = oracle.apply_sandwich(col, op, [ridx[q] for q in op.qubits])
         W[:, x] = col.reshape(2**nb, -1)[0]
 
     rho = W @ omega @ W.conj().T

@@ -87,6 +87,15 @@ def test_a_full_d2_delegates_to_base_verbatim():
     assert calls == [(s, 0.05)]
 
 
+def test_a_full_d2_default_base_honours_the_cap():
+    circ = generate_circuit({"kind": "brickwork", "dims": [10, 1], "depth": 1, "seed": 3, "gates": "weak"})
+    s = syn.synthesis_of_circuit(circ)
+    with pytest.raises(oracle.OracleCapacityError, match="10 qubits > cap 8"):
+        dnc.a_full(s, None, 0.1, 2, config=dnc.DncConfig(cap=8))
+    exact = oracle.synthesis_value_exact(s)
+    assert dnc.a_full(s, None, 0.1, 2, config=dnc.DncConfig(cap=10)) == exact
+
+
 def test_a_full_identity_small_lattice():
     s, _ = make_synth({"kind": "identity", "dims": [2, 2, 2], "depth": 1})
     assert dnc.a_full(s, None, 0.1, 3) == pytest.approx(1.0, abs=0.1)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dncsim import geomcircuit as gc, oracle
 from dncsim.harness import generate_circuit
-from dncsim.synthesis import CutOp, Synthesis, synthesis_of_circuit
+from dncsim.synthesis import CutCalculus, CutOp, Synthesis, split_at_cuts, synthesis_of_circuit
 
 
 def bell_circuit():
@@ -198,3 +200,79 @@ def test_base_exact_is_synthesis_value():
     circ = generate_circuit({"kind": "brickwork", "dims": [6], "depth": 1, "seed": 1, "gates": "haar"})
     s = synthesis_of_circuit(circ)
     assert oracle.base_exact(s, 0.3) == oracle.synthesis_value_exact(s)
+
+
+# ---------------------------------------------------------------------------
+# the state-tensor kernels against circuit_unitary (which shares no code)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "dims,depth",
+    [((8,), 2), ((4, 2), 2), ((3, 3), 1), ((2, 2, 2), 2), ((5, 1, 1), 3)],
+)
+def test_synthesis_state_matches_unitary_column(dims, depth):
+    circ = generate_circuit({"kind": "brickwork", "dims": list(dims), "depth": depth, "seed": 5, "gates": "haar"})
+    t, qubits, index = oracle.synthesis_state(synthesis_of_circuit(circ))
+    assert t.shape == (2,) * circ.n_qubits
+    assert list(qubits) == list(circ.sites())
+    U = oracle.circuit_unitary(circ, cap=10)
+    assert np.abs(t.reshape(-1) - U[:, 0]).max() < 1e-12
+
+
+def test_synthesis_state_with_input_state_matches_unitary():
+    # a right child of a split starts from a mixed band state, loaded through
+    # ancillas; tracing them out must give U (omega x |0><0|) U^dagger
+    circ = generate_circuit({"kind": "brickwork", "dims": [10], "depth": 1, "seed": 9, "gates": "haar"})
+    s = synthesis_of_circuit(circ)
+    calc = CutCalculus("exact-spectral", K=2, T=2)
+    right = split_at_cuts(s, gc.Slice(0, 2, 4), None, calc).right
+    (op,) = [op for op in right.cut_ops if op.kind == "input_state"]
+    sites = right.gamma.sites()
+    ns, nb = len(sites), len(op.qubits)
+    t, qubits, _ = oracle.synthesis_state(right)
+    assert list(qubits[:ns]) == list(sites) and len(qubits) == ns + nb
+    m = t.reshape(2**ns, -1)
+    rho = m @ m.conj().T
+
+    order = {q: i for i, q in enumerate(sites)}
+    idx = np.arange(2**ns)
+    band_bits = np.zeros(2**ns, dtype=np.int64)
+    band_mask = 0
+    for pos, q in enumerate(op.qubits):
+        band_bits |= ((idx >> (ns - 1 - order[q])) & 1) << (nb - 1 - pos)
+        band_mask |= 1 << (ns - 1 - order[q])
+    sel = idx[(idx & ~band_mask) == 0]
+    rho0 = np.zeros((2**ns, 2**ns), dtype=complex)
+    rho0[np.ix_(sel, sel)] = op.matrix[np.ix_(band_bits[sel], band_bits[sel])]
+    U = oracle.circuit_unitary(right.gamma, cap=10)
+    assert np.abs(rho - U @ rho0 @ U.conj().T).max() < 1e-12
+
+
+def test_product_state_places_block_axes_in_the_given_order():
+    rng = np.random.default_rng(3)
+    block = rng.normal(size=(2, 2, 3))  # qubit axes for qubits 3 and 1, then a batch axis
+    t = oracle.product_state(4, [3, 1], block)
+    assert t.shape == (2, 2, 2, 2, 3)
+    for a in range(2):
+        for b in range(2):
+            assert np.array_equal(t[0, b, 0, a], block[a, b])
+    t[0, :, 0, :] = 0.0
+    assert not t.any()
+
+
+def test_synthesis_value_peak_memory_is_three_states():
+    # the gate loop may hold its input, the tensordot copy and its output;
+    # holding the initial state as well would make it four states
+    circ = generate_circuit(
+        {"kind": "brickwork", "dims": [16, 1, 1], "depth": 2, "seed": 7, "gates": "weak", "strength": 0.3}
+    )
+    s = synthesis_of_circuit(circ)
+    oracle.synthesis_value_exact(s)
+    tracemalloc.start()
+    try:
+        oracle.synthesis_value_exact(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * 16 * 2**16
