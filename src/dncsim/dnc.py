@@ -22,12 +22,11 @@ from . import errmodel, oracle
 from .geomcircuit import Slice, cone_gates, enumerate_slices
 from .synthesis import (
     CutCalculus,
-    CutOp,
     SplitError,
     Synthesis,
     cut_data,
     split_at_cuts,
-    _restrict_layers,
+    _segment,
 )
 
 
@@ -256,31 +255,15 @@ def slice_weight_synthesis(s: Synthesis, sl: Slice) -> Synthesis:
     cone, reached = cone_gates(s.gamma, slice_sites, "backward")
     if any(q[axis] < slab_lo or q[axis] >= slab_hi for q in reached):
         raise AssertionError("backward cone of the slice escaped its slab")
-    dims = tuple(slab_hi - slab_lo if k == axis else w for k, w in enumerate(s.gamma.dims))
-    circ = _restrict_layers(s.gamma, cone, axis, -slab_lo, dims)
-    kept_ops = []
     for op in s.cut_ops:
-        xs = [q[axis] for q in op.qubits] + [q[axis] for q in op.project_zero]
-        if max(xs) < slab_lo or min(xs) >= slab_hi:
+        lo, hi = op.extent(axis)
+        if hi < slab_lo or lo >= slab_hi:
             if op.kind == "sandwich" or op.kind == "insertion":
                 raise SplitError("slice weight undefined with off-slab sandwich operators")
-            continue
-        if min(xs) >= slab_lo and max(xs) < slab_hi:
-            kept_ops.append(op.shifted(axis, -slab_lo))
-        else:
+        elif lo < slab_lo or hi >= slab_hi:
             raise SplitError(f"cut operator on {op.qubits} straddles the slab")
-    shift = lambda q: tuple(c - slab_lo if k == axis else c for k, c in enumerate(q))
-    m_sites = {shift(q) for q in slice_sites}
-    return Synthesis(
-        gamma=circ,
-        L=tuple(q for q in circ.sites() if q not in m_sites),
-        M=tuple(sorted(m_sites)),
-        N=(),
-        declared_axes=s.declared_axes,
-        thickness=s.thickness,
-        cut_ops=tuple(kept_ops),
-        origin=s.origin,
-    )
+    in_slice = lambda q: "M" if sl.lo <= q[axis] < sl.hi else "L"
+    return _segment(s, axis, slab_lo, slab_hi, cone, s.cut_ops, in_slice)
 
 
 def select_region_Z(s: Synthesis, sched: ParameterSchedule, K_heavy: list[Slice]):
@@ -397,6 +380,11 @@ def heavy_slices(
     return heavy, enough
 
 
+def _trace_child(trace: TraceNode | None, kind: str, **meta) -> TraceNode:
+    """A new child of `trace`, or a detached node when the caller keeps no trace."""
+    return trace.add(kind, **meta) if trace is not None else TraceNode(kind, meta)
+
+
 def a_full(
     s: Synthesis,
     base,
@@ -413,36 +401,31 @@ def a_full(
     """
     cfg = config or DncConfig()
     n = s.gamma.n_qubits
-    node = trace.add("a_full", dims=s.declared_dims, D=D, delta=delta) if trace is not None else None
+    node = _trace_child(trace, "a_full", dims=s.declared_dims, D=D, delta=delta)
 
     if delta <= _brute_cutoff(n):
         val = oracle.synthesis_value_exact(s, cap=cfg.cap)
-        if node is not None:
-            node.add("brute_force").value = val
-            node.value = val
-        return val
-    if delta >= 0.5:
-        if node is not None:
-            node.add("return_half").value = 0.5
-            node.value = 0.5
-        return 0.5
-    if D == 2:
+        node.add("brute_force").value = val
+    elif delta >= 0.5:
+        val = 0.5
+        node.add("return_half").value = val
+    elif D == 2:
         val = oracle.base_exact(s, delta, cap=cfg.cap) if base is None else base(s, delta)
-        if node is not None:
-            node.add("base").value = val
-            node.value = val
-        return val
+        node.add("base").value = val
+    else:
+        val = _scan_and_recurse(s, base, delta, D, cfg, sched, node)
+    node.value = val
+    return val
 
+
+def _scan_and_recurse(s, base, delta, D, cfg, sched, node) -> float:
+    """`a_full` above the leaves: weigh the slices, then recurse at the heavy ones."""
     if sched is None:
-        sched = schedule(n, s.gamma.depth, D, delta, cfg.profile, **cfg.overrides)
+        sched = schedule(s.gamma.n_qubits, s.gamma.depth, D, delta, cfg.profile, **cfg.overrides)
     axis = widest_axis(s)
     slices = enumerate_slices(s.gamma, axis, sched.slice_width, sched.max_gap)
     if not slices:
-        reduced = dimension_reduce(s, axis)
-        val = a_full(reduced, base, delta, D - 1, cfg, None, node)
-        if node is not None:
-            node.value = val
-        return val
+        return a_full(dimension_reduce(s, axis), base, delta, D - 1, cfg, None, node)
 
     def subsolver(wsyn: Synthesis, err: float) -> float:
         reduced = dimension_reduce(wsyn, axis)
@@ -450,14 +433,11 @@ def a_full(
 
     K_heavy, enough = heavy_slices(s, slices, sched, subsolver, trace=node)
     if not enough:
-        if node is not None:
-            node.add("none_heavy").value = 0.0
-            node.value = 0.0
+        node.add("none_heavy").value = 0.0
         return 0.0
-    val = a_recursive(s, sched, K_heavy, D, base, config=cfg, trace=node)
-    if node is not None:
-        node.value = val
-    return val
+    # the slices were enumerated in the frame of s; a_recursive takes them absolute
+    K_heavy = [_absolute(sl, s) for sl in K_heavy]
+    return a_recursive(s, sched, K_heavy, D, base, config=cfg, trace=node)
 
 
 def _localize(K_heavy: list[Slice], s: Synthesis, axis: int) -> list[Slice]:
@@ -499,27 +479,21 @@ def a_recursive(
         raise SpacingError("K_heavy is empty")
     axis = K_heavy[0].axis
     length = s.gamma.dims[axis]
-    node = (
-        trace.add("a_recursive", width=length, eta=eta, D=D, dims=s.declared_dims)
-        if trace is not None
-        else None
-    )
+    node = _trace_child(trace, "a_recursive", width=length, eta=eta, D=D, dims=s.declared_dims)
 
     if length < sched.w0 or eta < 1:
         reduced = dimension_reduce(s, axis)
         val = a_full(reduced, base, sched.eps, D - 1, cfg, None, node)
-        if node is not None:
-            node.meta["stopped"] = True
-            node.value = val
+        node.meta["stopped"] = True
+        node.value = val
         return val
 
     local = _localize(K_heavy, s, axis)
     if not local:
         raise SpacingError("no heavy slices lie inside this sub-synthesis")
     region, chosen = select_region_Z(s, sched, local)
-    if node is not None:
-        node.meta["region_Z"] = region
-        node.meta["chosen"] = [c for c in chosen]
+    node.meta["region_Z"] = region
+    node.meta["chosen"] = [c for c in chosen]
 
     calc = replace(cfg.calc, K=sched.K, T=sched.T)
     Delta = sched.Delta
@@ -527,15 +501,14 @@ def a_recursive(
     for sl in chosen:
         cd = cut_data(s, sl, calc, cap=cfg.cap)
         data.append(cd)
-        if node is not None:
-            knode = node.add(
-                "kappa",
-                slice=sl,
-                weight=cd.weight,
-                e_residual=cd.e_residual,
-                g_residual=cd.g_residual,
-            )
-            knode.value = cd.kappa
+        knode = node.add(
+            "kappa",
+            slice=sl,
+            weight=cd.weight,
+            e_residual=cd.e_residual,
+            g_residual=cd.g_residual,
+        )
+        knode.value = cd.kappa
 
     vL: list[float] = []
     vR: list[float] = []
@@ -543,13 +516,12 @@ def a_recursive(
     for idx, sl in enumerate(chosen):
         sp = split_at_cuts(s, sl, None, calc, cap=cfg.cap, data_i=data[idx])
         splits.append(sp)
-        lnode = node.add("left", slice=sl, parent_width=length, child_width=sp.left.gamma.dims[axis]) if node is not None else None
+        lnode = node.add("left", slice=sl, parent_width=length, child_width=sp.left.gamma.dims[axis])
         vL.append(a_recursive(sp.left, sched, K_heavy, D, base, eta - 1, cfg, lnode))
-        rnode = node.add("right", slice=sl, parent_width=length, child_width=sp.right.gamma.dims[axis]) if node is not None else None
+        rnode = node.add("right", slice=sl, parent_width=length, child_width=sp.right.gamma.dims[axis])
         vR.append(a_recursive(sp.right, sched, K_heavy, D, base, eta - 1, cfg, rnode))
-        if lnode is not None:
-            lnode.value = vL[-1]
-            rnode.value = vR[-1]
+        lnode.value = vL[-1]
+        rnode.value = vR[-1]
 
     single = [vL[i] * vR[i] for i in range(Delta)]
     double = {}
@@ -560,10 +532,9 @@ def a_recursive(
                 s, chosen[i], chosen[j], calc, cap=cfg.cap, data_i=data[i], data_j=data[j]
             )
             phis[(i, j)] = sp.phi
-            mnode = node.add("middle", slices=(chosen[i], chosen[j])) if node is not None else None
+            mnode = node.add("middle", slices=(chosen[i], chosen[j]))
             vM = a_full(sp.middle, base, sched.eps, D - 1, cfg, None, mnode)
-            if mnode is not None:
-                mnode.value = vM
+            mnode.value = vM
             double[(i + 1, j + 1)] = vL[i] * vM * vR[j]
 
     multi = {}
@@ -574,20 +545,14 @@ def a_recursive(
                 mid_lo = chosen[i].lo
                 local_slices = [Slice(axis, sl.lo - mid_lo, sl.hi - mid_lo) for sl in picked]
                 annotated = phis[(i, j)].with_insertions(local_slices, calc, cap=cfg.cap)
-                snode = (
-                    node.add("sigma_term", slices=(chosen[i], chosen[j]), sigma=sigma)
-                    if node is not None
-                    else None
-                )
+                snode = node.add("sigma_term", slices=(chosen[i], chosen[j]), sigma=sigma)
                 val = a_full(annotated, base, errmodel.e3(sched.eps, Delta), D - 1, cfg, None, snode)
-                if snode is not None:
-                    snode.value = val
+                snode.value = val
                 multi[(i + 1, j + 1, sigma)] = vL[i] * val * vR[j]
 
     kappas = [cd.kappa for cd in data]
     total = inclusion_exclusion_combine(single, double, multi, kappas, sched.K, Delta)
-    if node is not None:
-        node.value = total
+    node.value = total
     return total
 
 

@@ -156,14 +156,15 @@ def validate(circ: LatticeCircuit) -> ValidationReport:
 
 
 def cone_gates(
-    circ: LatticeCircuit, seed, direction: str = "forward"
+    circ: LatticeCircuit, seed, direction: str = "forward", among=None
 ) -> tuple[set[tuple[int, int]], frozenset[Coord]]:
     """Gates causally connected to `seed`, plus the reached coordinate set.
 
     forward: layers in time order, seeded at the input; backward: reversed.
     Returns ({(layer index, gate index)}, reached coords).  The returned gate
     set G has the property that the circuit factors as (gates not in G applied
-    first... or last, per direction) -- see synthesis.causal_split.
+    first... or last, per direction) -- see synthesis.causal_split.  `among`,
+    a set of gate ids, restricts the cone to the circuit made of those gates.
     """
     reached: set[Coord] = {tuple(q) for q in seed}
     members: set[tuple[int, int]] = set()
@@ -172,7 +173,7 @@ def cone_gates(
         raise ValueError(f"direction must be forward|backward, got {direction!r}")
     for t in order:
         for gi, g in enumerate(circ.layers[t]):
-            if reached.intersection(g.qubits):
+            if (among is None or (t, gi) in among) and reached.intersection(g.qubits):
                 members.add((t, gi))
                 reached.update(g.qubits)
     return members, frozenset(reached)
@@ -198,12 +199,6 @@ class Slice:
     @property
     def width(self) -> int:
         return self.hi - self.lo
-
-    def contains(self, coord: Coord) -> bool:
-        return self.lo <= coord[self.axis] < self.hi
-
-    def key(self) -> tuple[int, int, int]:
-        return (self.axis, self.lo, self.hi)
 
 
 @dataclass(frozen=True)

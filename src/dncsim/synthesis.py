@@ -11,7 +11,10 @@ cut-adjacent bands: an input state on the band for the right-hand child, a
 positive sandwich operator on the band for the left-hand child, and explicit
 projector insertions for the middle pieces of multi-cut terms.  Annotation
 operators are always confined to a band of thickness equal to the circuit
-depth, which is what keeps the recursion compositional.
+depth, which is what keeps the recursion compositional.  Every sub-synthesis
+(a child of a cut, a slab of the slice-weight scan, a window of `cut_data`)
+is carved by one builder, `_segment`: a range of sites along one axis,
+shifted to start at 0, with its gates, annotations, roles and `origin`.
 
 Cut-state structure exploited throughout: for a slice of width >= 2d the
 conditioned front state factors through the band,
@@ -75,6 +78,11 @@ class CutOp:
         move = lambda qs: tuple(_shift(q, axis, delta) for q in qs)
         return replace(self, qubits=move(self.qubits), project_zero=move(self.project_zero))
 
+    def extent(self, axis: int) -> tuple[int, int]:
+        """Lowest and highest coordinate along `axis` of the sites it acts on."""
+        xs = [q[axis] for q in self.qubits + self.project_zero]
+        return min(xs), max(xs)
+
 
 @dataclass(frozen=True, eq=False)
 class Synthesis:
@@ -113,9 +121,6 @@ class Synthesis:
 
     def width(self, axis: int) -> int:
         return self.gamma.dims[axis]
-
-    def value(self, cap: int = oracle.DEFAULT_CAP) -> float:
-        return oracle.synthesis_value_exact(self, cap=cap)
 
 
 def synthesis_of_circuit(circ: LatticeCircuit) -> Synthesis:
@@ -174,19 +179,16 @@ def _restrict_layers(circ: LatticeCircuit, keep_ids, axis: int, delta: int, new_
     return LatticeCircuit(tuple(new_dims), circ.depth, tuple(layers))
 
 
-def _all_ids(circ: LatticeCircuit) -> set[tuple[int, int]]:
-    return {(t, gi) for t, layer in enumerate(circ.layers) for gi in range(len(layer))}
-
-
-def _light_cone_windows(circ: LatticeCircuit, seed, axis: int):
-    """Backward light cone of `seed`, split into windows that evolve independently.
+def _light_cone_windows(circ: LatticeCircuit, gate_ids, seed, axis: int):
+    """Backward light cone of `seed` through the gates `gate_ids` of `circ`,
+    split into windows that evolve independently.
 
     The sites the cone reaches are grouped into maximal runs of consecutive
     coordinates along `axis`; a window is one run with the full cross-section,
     together with the cone gates inside it (a gate spans at most two adjacent
     coordinates, so none links two windows).  Returns [(lo, hi, gate ids)].
     """
-    ids, reached = cone_gates(circ, seed, "backward")
+    ids, reached = cone_gates(circ, seed, "backward", among=gate_ids)
     runs: list[list[int]] = []
     for x in sorted({q[axis] for q in reached}):
         if runs and x == runs[-1][1]:
@@ -199,20 +201,35 @@ def _light_cone_windows(circ: LatticeCircuit, seed, axis: int):
     ]
 
 
-def _window(circ: LatticeCircuit, lo: int, hi: int, ids, axis: int, cond, ops, declared_axes) -> Synthesis:
-    """Sites [lo, hi) of `circ` along `axis` as a synthesis of their own, shifted
-    to start at 0: the gates `ids`, the sites of `cond` post-selected (M), the
-    rest traced (L), and the annotations of `ops` that lie inside."""
-    dims = tuple(hi - lo if k == axis else w for k, w in enumerate(circ.dims))
-    sub = _restrict_layers(circ, ids, axis, -lo, dims)
-    m = {_shift(q, axis, -lo) for q in cond if lo <= q[axis] < hi}
+def _segment(s: Synthesis, axis: int, lo: int, hi: int, gate_ids, ops=(), role=None) -> Synthesis:
+    """Sites [lo, hi) of `s` along `axis` as a synthesis of their own, shifted
+    to start at 0.
+
+    It keeps the gates `gate_ids` of s and those annotations of `ops` (given
+    in the frame of s) that lie inside.  A site q of s gets the role `role(q)`,
+    or its role in s where `role` is None or returns None.  `origin` moves by
+    lo along `axis`.  Every sub-synthesis is carved here: the children of a
+    cut, the slabs of the slice-weight scan and the windows of `cut_data`.
+    """
+    m_sites, l_sites = set(s.M), set(s.L)
+    roles: dict[str, list[Coord]] = {"L": [], "M": [], "N": []}
+    for q in s.gamma.sites():
+        if lo <= q[axis] < hi:
+            r = role(q) if role is not None else None
+            if r is None:
+                r = "M" if q in m_sites else "L" if q in l_sites else "N"
+            roles[r].append(_shift(q, axis, -lo))
+    dims = tuple(hi - lo if k == axis else w for k, w in enumerate(s.gamma.dims))
+    inside = lambda extent: lo <= extent[0] and extent[1] < hi
     return Synthesis(
-        gamma=sub,
-        L=tuple(q for q in sub.sites() if q not in m),
-        M=tuple(q for q in sub.sites() if q in m),
-        N=(),
-        declared_axes=declared_axes,
-        cut_ops=tuple(op.shifted(axis, -lo) for op in ops if lo <= op.qubits[0][axis] < hi),
+        gamma=_restrict_layers(s.gamma, gate_ids, axis, -lo, dims),
+        L=tuple(roles["L"]),
+        M=tuple(roles["M"]),
+        N=tuple(roles["N"]),
+        declared_axes=s.declared_axes,
+        thickness=s.thickness,
+        cut_ops=tuple(op.shifted(axis, -lo) for op in ops if inside(op.extent(axis))),
+        origin=_shift(s.origin or (0,) * len(dims), axis, lo),
     )
 
 
@@ -316,28 +333,21 @@ def causal_split(s: Synthesis, sl: Slice):
     allowed = set(front) | set(band)
     if not set(reached) <= allowed:
         raise AssertionError("light cone of the front escaped its band")
-    return _all_ids(s.gamma) - cone, cone, tuple(band)
+    every = {(t, gi) for t, layer in enumerate(s.gamma.layers) for gi in range(len(layer))}
+    return every - cone, cone, tuple(band)
 
 
 def _partition_ops(s: Synthesis, sl: Slice):
     left_ops, right_ops = [], []
     for op in s.cut_ops:
-        xs = [q[sl.axis] for q in op.qubits] + [q[sl.axis] for q in op.project_zero]
-        if max(xs) < sl.lo:
+        lo, hi = op.extent(sl.axis)
+        if hi < sl.lo:
             left_ops.append(op)
-        elif min(xs) >= sl.hi - s.gamma.depth:
+        elif lo >= sl.hi - s.gamma.depth:
             right_ops.append(op)
         else:
             raise SplitError(f"cut operator on {op.qubits} straddles the slice")
     return left_ops, right_ops
-
-
-def _role(s: Synthesis, q: Coord) -> str:
-    if q in set(s.M):
-        return "M"
-    if q in set(s.L):
-        return "L"
-    return "N"
 
 
 def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAULT_CAP) -> CutData:
@@ -366,16 +376,18 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     inside = lambda lo, hi: lo <= band[0][axis] < hi
 
     # --- band state omega from the backward cone of band, C and left annotations
-    left_dims = tuple(sl.hi if k == axis else w for k, w in enumerate(s.gamma.dims))
-    left_circ = _restrict_layers(s.gamma, left_ids, axis, 0, left_dims)
     m_sites = set(s.M)
-    cond = {q for q in left_circ.sites() if q in m_sites or sl.lo <= q[axis] < sl.hi - d}
+    cond = {
+        q for q in s.gamma.sites()
+        if q[axis] < sl.hi and (q in m_sites or sl.lo <= q[axis] < sl.hi - d)
+    }
     if cond & set(band):
         raise SplitError("the cut band is post-selected; the slice overlaps an input band")
     seed = cond | set(band) | {q for op in left_ops for q in op.qubits}
+    conditioned = lambda q: "M" if q in cond else "L"
     omega, scale = None, 1.0
-    for lo, hi, ids in _light_cone_windows(left_circ, seed, axis):
-        view = _window(left_circ, lo, hi, ids, axis, cond, left_ops, s.declared_axes)
+    for lo, hi, ids in _light_cone_windows(s.gamma, left_ids, seed, axis):
+        view = _segment(s, axis, lo, hi, ids, left_ops, conditioned)
         if not inside(lo, hi):
             scale *= oracle.synthesis_value_exact(view, cap=cap)
             continue
@@ -388,12 +400,12 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     omega = scale * omega
 
     # --- W^dagger W from the backward cone of band and front sandwiches
-    cone_circ = _restrict_layers(s.gamma, cone_ids, axis, 0, s.gamma.dims)
     sandwiches = [op for op in right_ops if op.kind == "sandwich"]
     seed = set(band) | {q for op in sandwiches for q in op.qubits}
+    traced = lambda q: "L"
     wtw, scale = None, 1.0
-    for lo, hi, ids in _light_cone_windows(cone_circ, seed, axis):
-        view = _window(cone_circ, lo, hi, ids, axis, (), sandwiches, s.declared_axes)
+    for lo, hi, ids in _light_cone_windows(s.gamma, cone_ids, seed, axis):
+        view = _segment(s, axis, lo, hi, ids, sandwiches, traced)
         if not inside(lo, hi):
             scale *= oracle.synthesis_value_exact(view, cap=cap)
             continue
@@ -402,8 +414,8 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     wtw = scale * wtw
 
     def front_columns() -> np.ndarray:
-        lo, hi = sl.hi - d, s.gamma.dims[axis]
-        view = _window(cone_circ, lo, hi, _all_ids(cone_circ), axis, (), sandwiches, s.declared_axes)
+        lo = sl.hi - d
+        view = _segment(s, axis, lo, s.gamma.dims[axis], cone_ids, sandwiches, traced)
         return _front_columns(view, [_shift(q, axis, -lo) for q in band], cap)
 
     m_omega = _psd_sqrt(omega)
@@ -564,8 +576,6 @@ class PhiDescriptor:
     """Middle-segment synthesis with cut-operator annotations on both ends."""
 
     middle: Synthesis
-    left_slice: Slice
-    right_slice: Slice
 
     def with_insertions(self, slices, calc: CutCalculus, cap: int = oracle.DEFAULT_CAP) -> Synthesis:
         ops = [
@@ -585,103 +595,14 @@ class SplitResult:
     right_data: CutData
 
 
-def _shift_slice(sl: Slice, delta: int) -> Slice:
-    return Slice(sl.axis, sl.lo + delta, sl.hi + delta)
+def _band_sandwich(data: CutData) -> CutOp:
+    """The left-hand side's cut operator, on the band of the cut."""
+    return CutOp(kind="sandwich", qubits=data.band, matrix=_psd_sqrt(data.left_op))
 
 
-def _left_child(s: Synthesis, sl: Slice, data: CutData, left_ids, left_ops) -> Synthesis:
-    axis = sl.axis
-    dims = tuple(sl.hi if k == axis else w for k, w in enumerate(s.gamma.dims))
-    circ = _restrict_layers(s.gamma, left_ids, axis, 0, dims)
-    sites = set(circ.sites())
-    band = set(data.band)
-    roles = {q: _role(s, q) for q in sites}
-    sandwich = CutOp(kind="sandwich", qubits=data.band, matrix=_psd_sqrt(data.left_op))
-    return Synthesis(
-        gamma=circ,
-        L=tuple(q for q in circ.sites() if roles[q] == "L" or q in band),
-        M=tuple(q for q in circ.sites() if roles[q] == "M" and q not in band),
-        N=tuple(q for q in circ.sites() if roles[q] == "N" and q not in band),
-        declared_axes=s.declared_axes,
-        thickness=s.thickness,
-        cut_ops=tuple(left_ops) + (sandwich,),
-        origin=s.origin,
-    )
-
-
-def _right_child(s: Synthesis, sl: Slice, data: CutData, cone_ids, right_ops) -> Synthesis:
-    axis = sl.axis
-    delta = -sl.lo
-    dims = tuple(
-        s.gamma.dims[axis] - sl.lo if k == axis else w for k, w in enumerate(s.gamma.dims)
-    )
-    circ = _restrict_layers(s.gamma, cone_ids, axis, delta, dims)
-    shift = lambda q: _shift(q, axis, delta)
-    band = {shift(q) for q in data.band}
-    roles = {shift(q): _role(s, q) for q in s.gamma.sites() if q[axis] >= sl.lo}
-    ops = [op.shifted(axis, delta) for op in right_ops]
-    ops.append(
-        CutOp(
-            kind="input_state",
-            qubits=tuple(sorted(band)),
-            matrix=data.right_input,
-        )
-    )
-    origin = tuple(
-        o + sl.lo if k == axis else o for k, o in enumerate(s.origin or (0,) * len(s.gamma.dims))
-    )
-    return Synthesis(
-        gamma=circ,
-        L=tuple(q for q in circ.sites() if roles[q] == "L" and q not in band),
-        M=tuple(q for q in circ.sites() if roles[q] == "M" or q in band),
-        N=tuple(q for q in circ.sites() if roles[q] == "N" and q not in band),
-        declared_axes=s.declared_axes,
-        thickness=s.thickness,
-        cut_ops=tuple(ops),
-        origin=origin,
-    )
-
-
-def _middle_child(s, i: Slice, j: Slice, data_i: CutData, data_j: CutData, cone_i, cone_j) -> Synthesis:
-    axis = i.axis
-    delta = -i.lo
-    dims = tuple(j.hi - i.lo if k == axis else w for k, w in enumerate(s.gamma.dims))
-    circ = _restrict_layers(s.gamma, cone_i - cone_j, axis, delta, dims)
-    shift = lambda q: _shift(q, axis, delta)
-    band_i = {shift(q) for q in data_i.band}
-    band_j = {shift(q) for q in data_j.band}
-    roles = {
-        shift(q): _role(s, q) for q in s.gamma.sites() if i.lo <= q[axis] < j.hi
-    }
-    ops = [
-        CutOp(kind="input_state", qubits=tuple(sorted(band_i)), matrix=data_i.right_input),
-        CutOp(
-            kind="sandwich",
-            qubits=tuple(sorted(band_j)),
-            matrix=_psd_sqrt(data_j.left_op),
-        ),
-    ]
-    origin = tuple(
-        o + i.lo if k == axis else o for k, o in enumerate(s.origin or (0,) * len(s.gamma.dims))
-    )
-    return Synthesis(
-        gamma=circ,
-        L=tuple(q for q in circ.sites() if (roles[q] == "L" and q not in band_i) or q in band_j),
-        M=tuple(
-            q
-            for q in circ.sites()
-            if (roles[q] == "M" and q not in band_j) or (q in band_i and q not in band_j)
-        ),
-        N=tuple(
-            q
-            for q in circ.sites()
-            if roles[q] == "N" and q not in band_i and q not in band_j
-        ),
-        declared_axes=s.declared_axes,
-        thickness=s.thickness,
-        cut_ops=tuple(ops),
-        origin=origin,
-    )
+def _band_input(data: CutData) -> CutOp:
+    """The right-hand side's input state, on the band of the cut."""
+    return CutOp(kind="input_state", qubits=data.band, matrix=data.right_input)
 
 
 def split_at_cuts(
@@ -697,7 +618,10 @@ def split_at_cuts(
 
     Returns the left sub-synthesis (ending at cut i), the middle segment
     between the cuts with cut-operator annotations on both ends (two-cut form
-    only), and the right sub-synthesis (starting at cut i or j).
+    only), and the right sub-synthesis (starting at cut i or j).  The band of
+    a cut is traced (L) in the child on its left, which carries the sandwich,
+    and post-selected (M) in the child on its right, which loads the input
+    state.
     """
     axis = i.axis
     if not (0 <= i.lo and i.hi <= s.gamma.dims[axis]):
@@ -710,25 +634,30 @@ def split_at_cuts(
         if j.hi > s.gamma.dims[axis]:
             raise SplitError("slice j outside the synthesis lattice")
         for op in s.cut_ops:
-            xs = [q[axis] for q in op.qubits] + [q[axis] for q in op.project_zero]
-            if min(xs) >= i.hi - s.gamma.depth and max(xs) < j.lo:
+            lo, hi = op.extent(axis)
+            if lo >= i.hi - s.gamma.depth and hi < j.lo:
                 raise SplitError("cut operator inside the middle segment")
 
-    left_ids_i, cone_i, _ = causal_split(s, i)
-    left_ops_i, right_ops_i = _partition_ops(s, i)
+    left_ids, cone_i, _ = causal_split(s, i)
+    left_ops, right_ops = _partition_ops(s, i)
     if data_i is None:
         data_i = cut_data(s, i, calc, cap=cap)
-    left = _left_child(s, i, data_i, left_ids_i, left_ops_i)
+    band_i = data_i.band
+    left = _segment(s, axis, 0, i.hi, left_ids, left_ops + [_band_sandwich(data_i)],
+                    lambda q: "L" if q in band_i else None)
 
-    if j is None:
-        right = _right_child(s, i, data_i, cone_i, right_ops_i)
-        return SplitResult(left, None, right, None, data_i, data_i)
-
-    left_ids_j, cone_j, _ = causal_split(s, j)
-    _, right_ops_j = _partition_ops(s, j)
-    if data_j is None:
-        data_j = cut_data(s, j, calc, cap=cap)
-    right = _right_child(s, j, data_j, cone_j, right_ops_j)
-    middle = _middle_child(s, i, j, data_i, data_j, cone_i, cone_j)
-    phi = PhiDescriptor(middle=middle, left_slice=_shift_slice(i, -i.lo), right_slice=_shift_slice(j, -i.lo))
-    return SplitResult(left, middle, right, phi, data_i, data_j)
+    middle, r, data_r, cone_r = None, i, data_i, cone_i
+    if j is not None:
+        _, cone_j, _ = causal_split(s, j)
+        _, right_ops = _partition_ops(s, j)
+        if data_j is None:
+            data_j = cut_data(s, j, calc, cap=cap)
+        band_j = data_j.band
+        middle = _segment(s, axis, i.lo, j.hi, cone_i - cone_j, [_band_input(data_i), _band_sandwich(data_j)],
+                          lambda q: "L" if q in band_j else "M" if q in band_i else None)
+        r, data_r, cone_r = j, data_j, cone_j
+    band_r = data_r.band
+    right = _segment(s, axis, r.lo, s.gamma.dims[axis], cone_r, right_ops + [_band_input(data_r)],
+                     lambda q: "M" if q in band_r else None)
+    phi = PhiDescriptor(middle) if middle is not None else None
+    return SplitResult(left, middle, right, phi, data_i, data_r)

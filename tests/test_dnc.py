@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,6 +166,22 @@ def test_slice_weight_synthesis_matches_full_system_weight():
     assert wsyn.gamma.dims[0] <= sl.width + 2 * circ.depth
     assert oracle.synthesis_value_exact(wsyn) == pytest.approx(
         syn.slice_weight(s, sl), abs=1e-12
+    )
+
+
+def test_slice_weight_synthesis_on_a_child_shifts_origin_and_annotations():
+    s, _ = make_synth({"kind": "brickwork", "dims": [16], "depth": 1, "seed": 4, "gates": "weak", "strength": 0.2})
+    right = syn.split_at_cuts(s, gc.Slice(0, 2, 4), None, syn.CutCalculus()).right
+    assert right.origin == (2,)
+    far = dnc.slice_weight_synthesis(right, gc.Slice(0, 6, 8))  # slab [5, 9)
+    assert far.M == ((1,), (2,)) and far.L == ((0,), (3,))
+    assert far.origin == (2 + 5,)
+    assert far.cut_ops == ()  # the input state lies off the slab
+    near = dnc.slice_weight_synthesis(right, gc.Slice(0, 2, 4))  # slab [1, 5)
+    assert near.M == ((1,), (2,)) and near.origin == (2 + 1,)
+    assert [(op.kind, op.qubits) for op in near.cut_ops] == [("input_state", ((0,),))]
+    assert oracle.synthesis_value_exact(near) == pytest.approx(
+        syn.slice_weight(right, gc.Slice(0, 2, 4)), abs=1e-12
     )
 
 
@@ -460,6 +477,27 @@ def test_determinism_bit_identical_values_and_traces():
     est2, _, _, tr2 = run_with_trace(spec, 0.05)
     assert est1 == est2
     assert tr1.to_dict() == tr2.to_dict()
+    assert desk_run(spec, 0.05)[0] == est1  # untraced: the same value
+
+
+def test_heavy_slices_keep_their_frame_on_a_shifted_synthesis():
+    # a right child starts at 5 in the lattice; a_full weighs slices in its own
+    # frame and must cut only at slices it weighed, wherever the child sits
+    s, _ = make_synth(
+        {"kind": "brickwork", "dims": [24, 1, 1], "depth": 1, "seed": 3, "gates": "weak", "strength": 0.1}
+    )
+    right = syn.split_at_cuts(s, gc.Slice(0, 5, 7), None, syn.CutCalculus()).right
+    assert right.origin == (5, 0, 0)
+    runs = []
+    for child in (right, replace(right, origin=(0, 0, 0))):
+        trace = dnc.TraceNode("run")
+        est = dnc.a_full(child, None, 0.1, 3, trace=trace)
+        (top,) = trace.children
+        heavy = [n.meta["slice"] for n in top.children if n.kind == "slice_weight" and n.value >= n.meta["midpoint"]]
+        (rec,) = [n for n in top.children if n.kind == "a_recursive"]
+        assert rec.meta["chosen"] and set(rec.meta["chosen"]) <= set(heavy)
+        runs.append((est, rec.meta["chosen"]))
+    assert runs[0] == runs[1]
 
 
 def test_expected_node_counts_match_traces():

@@ -181,6 +181,53 @@ def test_split_child_register_roles_and_annotations():
     assert sp.right.origin == (4,)
 
 
+def test_two_cut_middle_child_roles_annotations_and_origin():
+    circ = weak_chain(14, seed=9)
+    s = syn.synthesis_of_circuit(circ)
+    i, j = gc.Slice(0, 4, 6), gc.Slice(0, 8, 10)
+    sp = syn.split_at_cuts(s, i, j, CALC)
+    mid = sp.middle
+    assert mid.gamma.dims == (j.hi - i.lo,)
+    assert mid.origin == (i.lo,)
+    band_i = tuple((q[0] - i.lo,) for q in sp.left_data.band)  # post-selected, loaded
+    band_j = tuple((q[0] - i.lo,) for q in sp.right_data.band)  # traced, sandwiched
+    assert band_i == ((1,),) and band_j == ((5,),)
+    assert mid.M == band_i and mid.L == band_j
+    assert set(mid.N) == set(mid.gamma.sites()) - set(band_i) - set(band_j)
+    assert [op.kind for op in mid.cut_ops] == ["input_state", "sandwich"]
+    assert mid.cut_ops[0].qubits == band_i and mid.cut_ops[1].qubits == band_j
+    assert np.array_equal(mid.cut_ops[0].matrix, sp.left_data.right_input)
+
+
+def test_right_child_split_again_adds_origins_and_shifts_annotations():
+    s = syn.synthesis_of_circuit(weak_chain(16, seed=23))
+    a = syn.split_at_cuts(s, gc.Slice(0, 14, 16), None, CALC).left  # sandwich on (15,)
+    b = syn.split_at_cuts(a, gc.Slice(0, 2, 4), None, CALC).right
+    c = syn.split_at_cuts(b, gc.Slice(0, 4, 6), None, CALC).right
+    assert a.origin == (0,) and b.origin == (2,) and c.origin == (2 + 4,)
+    (sandwich,) = [op for op in a.cut_ops if op.kind == "sandwich"]
+    assert [(op.kind, op.qubits) for op in b.cut_ops] == [("sandwich", ((13,),)), ("input_state", ((1,),))]
+    assert [(op.kind, op.qubits) for op in c.cut_ops] == [("sandwich", ((9,),)), ("input_state", ((1,),))]
+    assert c.cut_ops[0].matrix is sandwich.matrix
+    assert c.M == ((1,),) and c.L == ((9,),)  # the sandwiched band stays traced
+    assert c.N == tuple((x,) for x in range(c.gamma.dims[0]) if x not in (1, 9))
+
+
+def test_segment_carves_sites_gates_roles_and_annotations():
+    circ = weak_chain(10, seed=3)
+    s = syn.split_at_cuts(syn.synthesis_of_circuit(circ), gc.Slice(0, 2, 4), None, CALC).right
+    inside = lambda g: all(1 <= q[0] < 5 for q in g.qubits)
+    ids = {(t, gi) for t, layer in enumerate(s.gamma.layers) for gi, g in enumerate(layer) if inside(g)}
+    seg = syn._segment(s, 0, 1, 5, ids, s.cut_ops)
+    assert seg.gamma.dims == (4,) and seg.origin == (2 + 1,)
+    assert seg.M == ((0,),) and seg.N == ((1,), (2,), (3,))  # roles of s, shifted
+    assert [op.qubits for op in seg.cut_ops] == [((0,),)]
+    shifted = [tuple((q[0] - 1,) for q in g.qubits) for _, g in s.gamma.gates() if inside(g)]
+    assert [g.qubits for _, g in seg.gamma.gates()] == shifted
+    traced = syn._segment(s, 0, 2, 6, set(), s.cut_ops, lambda q: "L")
+    assert traced.cut_ops == () and traced.L == tuple(traced.gamma.sites())
+
+
 def test_split_child_width_bound():
     circ = weak_chain(16, seed=19)
     s = syn.synthesis_of_circuit(circ)
