@@ -20,7 +20,7 @@ for label, spec in [
     s = syn.synthesis_of_circuit(circ)
     sl = gc.Slice(0, 4, 4 + 2 * circ.depth)
     data = syn.cut_data(s, sl, calc)
-    sp = syn.split_at_cuts(s, sl, None, calc, data_i=data)
+    sp = syn.split_at_cuts(s, sl, calc, data=data)
     vL = oracle.synthesis_value_exact(sp.left)
     vR = oracle.synthesis_value_exact(sp.right)
     est = vL * vR / data.kappa ** (4 * calc.K + 1)
@@ -30,15 +30,17 @@ for label, spec in [
         f"rank={int(data.kept.sum())}  v={v:.6f}  split-product={est:.6f}  |diff|={abs(est-v):.2e}"
     )
 
-# two cuts: left, middle (annotated on both ends), right
+# two cuts: the left child of cut i, the middle between the cuts (annotated on
+# both ends) and the right child of cut j
 circ = generate_circuit({"kind": "brickwork", "dims": [14], "depth": 1, "seed": 9, "gates": "weak", "strength": 0.15})
 s = syn.synthesis_of_circuit(circ)
 i, j = gc.Slice(0, 4, 6), gc.Slice(0, 8, 10)
-sp = syn.split_at_cuts(s, i, j, calc)
-vL, vM, vR = (oracle.synthesis_value_exact(x) for x in (sp.left, sp.middle, sp.right))
-est = vL * vM * vR / (sp.left_data.kappa * sp.right_data.kappa) ** (4 * calc.K + 1)
+at_i, at_j = syn.split_at_cuts(s, i, calc), syn.split_at_cuts(s, j, calc)
+middle = syn.middle_between_cuts(s, i, j, calc, data_i=at_i.data, data_j=at_j.data).middle
+vL, vM, vR = (oracle.synthesis_value_exact(x) for x in (at_i.left, middle, at_j.right))
+est = vL * vM * vR / (at_i.data.kappa * at_j.data.kappa) ** (4 * calc.K + 1)
 print(f"\ntwo-cut product = {est:.6f} vs value {oracle.synthesis_value_exact(s):.6f}")
-print(f"middle child annotations: {[op.kind for op in sp.middle.cut_ops]}")
+print(f"middle child annotations: {[op.kind for op in middle.cut_ops]}")
 
 # the reference decomposition: inserted values telescope under the signed sum
 t_i = syn.inserted_value(s, [i], calc)

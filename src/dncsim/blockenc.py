@@ -241,8 +241,7 @@ def encoding_block(enc: BlockEncoding, cap: int = oracle.DEFAULT_CAP) -> np.ndar
     data_axes = [index[q] for q in enc.data]
     nd, dim = len(data_axes), 2 ** len(data_axes)
     t = oracle.product_state(n, data_axes, np.eye(dim).reshape([2] * nd + [dim]))
-    for _, g in enc.circuit.gates():
-        t = oracle.apply_gate(t, g.matrix, [index[q] for q in g.qubits])
+    t = oracle.apply_gates(t, ((g.matrix, [index[q] for q in g.qubits]) for _, g in enc.circuit.gates()))
     t = np.moveaxis(t, data_axes, range(nd))
     return t[(slice(None),) * nd + (0,) * (n - nd)].reshape(dim, dim)
 

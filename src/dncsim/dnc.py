@@ -25,6 +25,7 @@ from .synthesis import (
     SplitError,
     Synthesis,
     cut_data,
+    middle_between_cuts,
     split_at_cuts,
     _segment,
 )
@@ -43,9 +44,13 @@ class ParameterSchedule:
     """All scalar knobs of the estimator.
 
     Paper profile derives every field from (n, d, D, delta); the desk profile
-    starts from small validated defaults and accepts overrides.  `h` drives
-    the heavy-slice thresholds 2^(log delta / h); `h_margin` is the allowed
-    number of non-heavy slices (the paper couples both roles in one h(n)).
+    starts from small validated defaults and accepts overrides.  The desk
+    recursion depth grows with n, as the paper's does: eta = max(2,
+    ceil(log2(n / w0))) with the final w0, so the recursion can go on halving
+    until a piece is narrower than w0 (where it stops anyway); an explicit
+    `eta` override wins.  `h` drives the heavy-slice thresholds
+    2^(log delta / h); `h_margin` is the allowed number of non-heavy slices
+    (the paper couples both roles in one h(n)).
     """
 
     delta: float
@@ -131,16 +136,20 @@ def schedule(n: int, d: int, D: int, delta: float, profile: str = "paper", **ove
         z_width = int(
             overrides.get("z_width", Delta * (slice_width + max_gap) + slice_width)
         )
+        w0 = int(overrides.get("w0", z_width + slice_width + 1))
+        if w0 < 1:
+            raise ScheduleError("w0 must be >= 1")
         fields = dict(
             delta=delta,
             eps=eps,
             h=4,
             h_margin=1,
-            eta=2,
+            # enough levels to halve n down to w0; the width check stops sooner
+            eta=max(2, math.ceil(math.log2(n / w0))),
             Delta=Delta,
             K=2,
             T=2,
-            w0=z_width + slice_width + 1,
+            w0=w0,
             z_width=z_width,
             slice_width=slice_width,
             max_gap=max_gap,
@@ -512,10 +521,8 @@ def a_recursive(
 
     vL: list[float] = []
     vR: list[float] = []
-    splits = []
     for idx, sl in enumerate(chosen):
-        sp = split_at_cuts(s, sl, None, calc, cap=cfg.cap, data_i=data[idx])
-        splits.append(sp)
+        sp = split_at_cuts(s, sl, calc, cap=cfg.cap, data=data[idx])
         lnode = node.add("left", slice=sl, parent_width=length, child_width=sp.left.gamma.dims[axis])
         vL.append(a_recursive(sp.left, sched, K_heavy, D, base, eta - 1, cfg, lnode))
         rnode = node.add("right", slice=sl, parent_width=length, child_width=sp.right.gamma.dims[axis])
@@ -528,12 +535,12 @@ def a_recursive(
     phis = {}
     for i in range(Delta):
         for j in range(i + 1, Delta):
-            sp = split_at_cuts(
+            phi = middle_between_cuts(
                 s, chosen[i], chosen[j], calc, cap=cfg.cap, data_i=data[i], data_j=data[j]
             )
-            phis[(i, j)] = sp.phi
+            phis[(i, j)] = phi
             mnode = node.add("middle", slices=(chosen[i], chosen[j]))
-            vM = a_full(sp.middle, base, sched.eps, D - 1, cfg, None, mnode)
+            vM = a_full(phi.middle, base, sched.eps, D - 1, cfg, None, mnode)
             mnode.value = vM
             double[(i + 1, j + 1)] = vL[i] * vM * vR[j]
 

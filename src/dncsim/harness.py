@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.stats import unitary_group
 
 from . import dnc, errmodel, oracle
 from .geomcircuit import Gate, LatticeCircuit, NAMED_GATES, load_circuit, validate
@@ -47,10 +46,21 @@ def _pair_layers(dims: tuple[int, ...], depth: int):
 
 
 def _weak_unitary(rng: np.random.Generator, dim: int, strength: float) -> np.ndarray:
+    """exp(-i strength h) for a random Hermitian h of unit spectral norm."""
     h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = 0.5 * (h + h.conj().T)
     h /= max(np.linalg.norm(h, 2), 1e-12)
-    return expm(-1j * strength * h)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * strength * w)) @ v.conj().T
+
+
+def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A Haar-random unitary: the Q of a complex Gaussian matrix's QR
+    decomposition, its columns' phases fixed by the diagonal of R (Mezzadri)."""
+    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) * (1 / math.sqrt(2))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / abs(d))
 
 
 def generate_circuit(spec: dict) -> LatticeCircuit:
@@ -103,7 +113,7 @@ def generate_circuit(spec: dict) -> LatticeCircuit:
             layer = []
             for a, b in pairs:
                 if gates == "haar":
-                    m = unitary_group.rvs(4, random_state=rng)
+                    m = _haar_unitary(rng, 4)
                 elif gates == "weak":
                     m = _weak_unitary(rng, 4, strength)
                 else:

@@ -7,14 +7,14 @@ it also doubles as the base-case solver for two-dimensional subproblems
 (`base_exact`), which evaluates a synthesis with zero error.
 
 Every dense evolution in the package (here, in `synthesis.cut_data` and in
-`blockenc.encoding_block`) runs on state tensors through the four kernels
-below: `apply_gate`, `apply_sandwich`, `project_zero` and `reduce`.  A state
-tensor of n qubits has one axis of length 2 per qubit, axis i for qubit i,
-optionally followed by batch axes (for example one per basis column).  The
-kernels take qubit axes and never flatten; `StateVector.amplitudes` is the
-only flat form (index bits big-endian in qubit order), converted at that
-boundary.  `circuit_unitary` shares no code with the kernels and serves as
-their independent reference.
+`blockenc.encoding_block`) runs on state tensors through the kernels below:
+`apply_gates` (`apply_gate` for one gate), `apply_sandwich`, `project_zero`
+and `reduce`.  A state tensor of n qubits has one axis of length 2 per qubit,
+axis i for qubit i, optionally followed by batch axes (for example one per
+basis column).  The kernels take qubit axes and never flatten;
+`StateVector.amplitudes` is the only flat form (index bits big-endian in
+qubit order), converted at that boundary.  `circuit_unitary` shares no code
+with the kernels and serves as their independent reference.
 
 Tolerance ladder: 1e-12 for unitarity, 1e-10 for algebraic identities,
 1e-8 of slack for positive semidefiniteness.
@@ -62,10 +62,33 @@ def product_state(n: int, axes=(), block=None) -> np.ndarray:
 
 def apply_gate(t: np.ndarray, matrix: np.ndarray, axes: list[int]) -> np.ndarray:
     """Apply a k-qubit gate matrix to the given qubit axes of a state tensor."""
-    k = len(axes)
-    t = np.tensordot(matrix.reshape([2] * (2 * k)), t, axes=(list(range(k, 2 * k)), axes))
-    # tensordot puts the gate's output axes first; move them back.
-    return np.moveaxis(t, list(range(k)), axes)
+    return apply_gates(t, [(matrix, axes)])
+
+
+def apply_gates(t: np.ndarray, gates) -> np.ndarray:
+    """Apply (matrix, axes) pairs in order to a state tensor.
+
+    Each gate copies the state with its axes moved to the front into one work
+    buffer and multiplies the gate into a second, the same transpose and
+    product np.tensordot forms, so the result is the same to the bit.  Both
+    buffers are allocated once per call, not once per gate: a 22-qubit state
+    is 64 MB, and a fresh pair per gate spends about a third of a dense
+    evaluation faulting in new pages.  The result may be a view of a work
+    buffer; the input is never written.
+    """
+    front = out = None
+    for matrix, axes in gates:
+        k = len(axes)
+        m = matrix.reshape([2] * (2 * k)).reshape(2**k, 2**k)
+        if front is None:
+            front, out = (np.empty(t.size, np.result_type(t, complex)) for _ in range(2))
+        perm = list(axes) + [i for i in range(t.ndim) if i not in axes]
+        moved = front.reshape([t.shape[i] for i in perm])
+        np.copyto(moved, t.transpose(perm))
+        np.dot(m, moved.reshape(2**k, -1), out=out.reshape(2**k, -1))
+        # the product has the gate's axes first; move them back
+        t = np.moveaxis(out.reshape(moved.shape), list(range(k)), axes)
+    return t
 
 
 def apply_sandwich(t: np.ndarray, op, axes: list[int]) -> np.ndarray:
@@ -158,8 +181,7 @@ def apply_circuit(state: StateVector, circ: LatticeCircuit, cap: int = DEFAULT_C
             if q not in index:
                 raise ValueError(f"gate qubit {q} not present in state")
     t = state.amplitudes.reshape([2] * state.n)
-    for _, g in circ.gates():
-        t = apply_gate(t, g.matrix, [index[q] for q in g.qubits])
+    t = apply_gates(t, ((g.matrix, [index[q] for q in g.qubits]) for _, g in circ.gates()))
     psi = t.reshape(-1)
     nrm = np.linalg.norm(psi)
     if abs(nrm - np.linalg.norm(state.amplitudes)) > 1e-12 * max(1.0, nrm):
@@ -290,8 +312,7 @@ def synthesis_state(s, cap: int = DEFAULT_CAP):
     _check_cap(len(qubits), cap)
     index = {q: i for i, q in enumerate(qubits)}
     t = product_state(len(qubits), [index[q] for q in held], block)
-    for _, g in s.gamma.gates():
-        t = apply_gate(t, g.matrix, [index[q] for q in g.qubits])
+    t = apply_gates(t, ((g.matrix, [index[q] for q in g.qubits]) for _, g in s.gamma.gates()))
     return t, qubits, index
 
 

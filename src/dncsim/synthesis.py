@@ -248,8 +248,7 @@ def _front_columns(s: Synthesis, band, cap: int) -> np.ndarray:
     basis = np.eye(2**nb).reshape([2**nb] + [2] * nb)
     for x in range(2**nb):  # one column at a time: a batch would take 2^nb times the memory
         t = oracle.product_state(n, range(nb), basis[x])  # band axes are the leading axes
-        for _, g in s.gamma.gates():
-            t = oracle.apply_gate(t, g.matrix, [index[q] for q in g.qubits])
+        t = oracle.apply_gates(t, ((g.matrix, [index[q] for q in g.qubits]) for _, g in s.gamma.gates()))
         for op in s.cut_ops:
             t = oracle.apply_sandwich(t, op, [index[q] for q in op.qubits])
         cols[:, x] = t[(0,) * nb].reshape(-1)  # the band projected on zero
@@ -588,11 +587,8 @@ class PhiDescriptor:
 @dataclass(frozen=True, eq=False)
 class SplitResult:
     left: Synthesis
-    middle: Synthesis | None
     right: Synthesis
-    phi: PhiDescriptor | None
-    left_data: CutData
-    right_data: CutData
+    data: CutData
 
 
 def _band_sandwich(data: CutData) -> CutOp:
@@ -605,59 +601,71 @@ def _band_input(data: CutData) -> CutOp:
     return CutOp(kind="input_state", qubits=data.band, matrix=data.right_input)
 
 
+def _check_inside(s: Synthesis, sl: Slice) -> None:
+    if not (0 <= sl.lo and sl.hi <= s.gamma.dims[sl.axis]):
+        raise SplitError(f"slice {sl} outside the synthesis lattice")
+
+
 def split_at_cuts(
     s: Synthesis,
+    sl: Slice,
+    calc: CutCalculus,
+    cap: int = oracle.DEFAULT_CAP,
+    data: CutData | None = None,
+) -> SplitResult:
+    """Cut `s` at slice `sl` into a left and a right sub-synthesis.
+
+    The band of the cut is traced (L) in the left child, which carries the
+    sandwich, and post-selected (M) in the right child, which loads the input
+    state.  Both children keep the annotations of `s` on their side.
+    """
+    axis = sl.axis
+    _check_inside(s, sl)
+    left_ids, cone, _ = causal_split(s, sl)
+    left_ops, right_ops = _partition_ops(s, sl)
+    if data is None:
+        data = cut_data(s, sl, calc, cap=cap)
+    band = data.band
+    left = _segment(s, axis, 0, sl.hi, left_ids, left_ops + [_band_sandwich(data)],
+                    lambda q: "L" if q in band else None)
+    right = _segment(s, axis, sl.lo, s.gamma.dims[axis], cone, right_ops + [_band_input(data)],
+                     lambda q: "M" if q in band else None)
+    return SplitResult(left, right, data)
+
+
+def middle_between_cuts(
+    s: Synthesis,
     i: Slice,
-    j: Slice | None,
+    j: Slice,
     calc: CutCalculus,
     cap: int = oracle.DEFAULT_CAP,
     data_i: CutData | None = None,
     data_j: CutData | None = None,
-) -> SplitResult:
-    """Cut `s` at slice i (and optionally a second slice j to its right).
+) -> PhiDescriptor:
+    """The middle segment of `s` between cuts i and j (j right of i).
 
-    Returns the left sub-synthesis (ending at cut i), the middle segment
-    between the cuts with cut-operator annotations on both ends (two-cut form
-    only), and the right sub-synthesis (starting at cut i or j).  The band of
-    a cut is traced (L) in the child on its left, which carries the sandwich,
-    and post-selected (M) in the child on its right, which loads the input
-    state.
+    It spans [i.lo, j.hi), loads cut i's input state on i's band (M) and
+    carries cut j's sandwich on j's band (L); the left and right pieces are
+    the children of the one-cut splits at i and at j.
     """
     axis = i.axis
-    if not (0 <= i.lo and i.hi <= s.gamma.dims[axis]):
-        raise SplitError("slice i outside the synthesis lattice")
-    if j is not None:
-        if j.axis != axis:
-            raise SplitError("slices must share an axis")
-        if j.lo < i.hi:
-            raise SplitError("slices overlap or j is not right of i")
-        if j.hi > s.gamma.dims[axis]:
-            raise SplitError("slice j outside the synthesis lattice")
-        for op in s.cut_ops:
-            lo, hi = op.extent(axis)
-            if lo >= i.hi - s.gamma.depth and hi < j.lo:
-                raise SplitError("cut operator inside the middle segment")
-
-    left_ids, cone_i, _ = causal_split(s, i)
-    left_ops, right_ops = _partition_ops(s, i)
+    _check_inside(s, i)
+    _check_inside(s, j)
+    if j.axis != axis:
+        raise SplitError("slices must share an axis")
+    if j.lo < i.hi:
+        raise SplitError("slices overlap or j is not right of i")
+    for op in s.cut_ops:
+        lo, hi = op.extent(axis)
+        if lo >= i.hi - s.gamma.depth and hi < j.lo:
+            raise SplitError("cut operator inside the middle segment")
+    _, cone_i, _ = causal_split(s, i)
+    _, cone_j, _ = causal_split(s, j)
     if data_i is None:
         data_i = cut_data(s, i, calc, cap=cap)
-    band_i = data_i.band
-    left = _segment(s, axis, 0, i.hi, left_ids, left_ops + [_band_sandwich(data_i)],
-                    lambda q: "L" if q in band_i else None)
-
-    middle, r, data_r, cone_r = None, i, data_i, cone_i
-    if j is not None:
-        _, cone_j, _ = causal_split(s, j)
-        _, right_ops = _partition_ops(s, j)
-        if data_j is None:
-            data_j = cut_data(s, j, calc, cap=cap)
-        band_j = data_j.band
-        middle = _segment(s, axis, i.lo, j.hi, cone_i - cone_j, [_band_input(data_i), _band_sandwich(data_j)],
-                          lambda q: "L" if q in band_j else "M" if q in band_i else None)
-        r, data_r, cone_r = j, data_j, cone_j
-    band_r = data_r.band
-    right = _segment(s, axis, r.lo, s.gamma.dims[axis], cone_r, right_ops + [_band_input(data_r)],
-                     lambda q: "M" if q in band_r else None)
-    phi = PhiDescriptor(middle) if middle is not None else None
-    return SplitResult(left, middle, right, phi, data_i, data_r)
+    if data_j is None:
+        data_j = cut_data(s, j, calc, cap=cap)
+    band_i, band_j = data_i.band, data_j.band
+    middle = _segment(s, axis, i.lo, j.hi, cone_i - cone_j, [_band_input(data_i), _band_sandwich(data_j)],
+                      lambda q: "L" if q in band_j else "M" if q in band_i else None)
+    return PhiDescriptor(middle)

@@ -138,8 +138,10 @@ def test_cut_data_of_children_matches_dense_reference(dims, depth, i, j):
     # left children carry a sandwich, right children an input state on an M
     # band, and middle children both
     s = syn.synthesis_of_circuit(weak(dims, depth))
-    sp = syn.split_at_cuts(s, gc.Slice(0, *i), gc.Slice(0, *j), EXACT)
-    for child in (sp.left, sp.middle, sp.right):
+    left = syn.split_at_cuts(s, gc.Slice(0, *i), EXACT).left
+    middle = syn.middle_between_cuts(s, gc.Slice(0, *i), gc.Slice(0, *j), EXACT).middle
+    right = syn.split_at_cuts(s, gc.Slice(0, *j), EXACT).right
+    for child in (left, middle, right):
         slices = admissible_slices(child, 2 * depth)
         assert slices
         for sl in slices:
@@ -149,7 +151,7 @@ def test_cut_data_of_children_matches_dense_reference(dims, depth, i, j):
 
 def test_cut_data_rejects_a_slice_on_the_input_band():
     s = syn.synthesis_of_circuit(weak((12,), 1))
-    right = syn.split_at_cuts(s, gc.Slice(0, 4, 6), None, EXACT).right
+    right = syn.split_at_cuts(s, gc.Slice(0, 4, 6), EXACT).right
     with pytest.raises(syn.SplitError, match="post-selected"):
         syn.cut_data(right, gc.Slice(0, 0, 2), EXACT)
 
@@ -168,13 +170,13 @@ def test_cut_data_at_the_middle_of_a_long_chain_fits_a_small_cap():
 def test_cut_data_far_from_the_input_band_of_a_right_child():
     circ = weak((96, 1, 1), 1, seed=96, strength=0.1)
     s = syn.synthesis_of_circuit(circ)
-    sp = syn.split_at_cuts(s, gc.Slice(0, 8, 10), None, EXACT)
+    sp = syn.split_at_cuts(s, gc.Slice(0, 8, 10), EXACT)
     right = sp.right  # starts at site 8, input state on its site 1
     data = syn.cut_data(right, gc.Slice(0, 50, 52), EXACT, cap=8)
     # the input band is post-selected on 0, and the pair (58, 59) of the
     # parent ends at the slice: both factor out of the cut state
     (g,) = [g for g in circ.layers[0] if g.qubits[0][0] == 58]
-    expected = np.real(sp.right_data.right_input[0, 0]) * abs(g.matrix[0, 0]) ** 2
+    expected = np.real(sp.data.right_input[0, 0]) * abs(g.matrix[0, 0]) ** 2
     assert data.weight == pytest.approx(expected, rel=1e-10)
 
 
@@ -184,3 +186,22 @@ def test_a_full_on_a_48_qubit_chain_is_within_delta_of_the_pair_product():
     s = syn.synthesis_of_circuit(circ)
     est = dnc.a_full(s, None, 0.1, 3, config=dnc.DncConfig(profile="desk", cap=24))
     assert abs(est - exact) <= 0.1
+
+
+def test_a_full_on_a_128_qubit_chain_keeps_its_dense_leaves_small(monkeypatch):
+    # the desk eta grows with n (4 here), so the recursion halves the chain
+    # until its pieces are narrower than w0 before it evaluates them densely
+    circ = weak((128, 1, 1), 1, seed=128, strength=0.1)
+    exact = float(np.prod([abs(g.matrix[0, 0]) ** 2 for g in circ.layers[0]]))
+    sizes = []
+    value_exact = oracle.synthesis_value_exact
+
+    def recording(s, cap=oracle.DEFAULT_CAP):
+        sizes.append(s.gamma.n_qubits)
+        return value_exact(s, cap=cap)
+
+    monkeypatch.setattr(oracle, "synthesis_value_exact", recording)
+    s = syn.synthesis_of_circuit(circ)
+    est = dnc.a_full(s, None, 0.1, 3, config=dnc.DncConfig(profile="desk", cap=24))
+    assert abs(est - exact) <= 0.1
+    assert sizes and max(sizes) <= 14

@@ -50,6 +50,41 @@ def test_schedule_desk_minima_enforced():
         dnc.schedule(1, 1, 3, 0.1)
 
 
+def test_desk_eta_is_two_up_to_24_qubits():
+    d2 = {"z_width": 8, "w0": 13, "Delta": 1}
+    for n in range(2, 25):
+        for d, ov in ((1, {}), (2, {}), (1, {"Delta": 1}), (2, d2), (1, d2)):
+            assert dnc.schedule(n, d, 3, 0.1, profile="desk", **ov).eta == 2, (n, d, ov)
+
+
+def test_desk_eta_grows_with_n():
+    # d = 1: w0 = 13, so eta = ceil(log2(n / 13))
+    assert dnc.schedule(48, 1, 3, 0.1, profile="desk").eta == 2
+    assert dnc.schedule(64, 1, 3, 0.1, profile="desk").eta == 3
+    assert dnc.schedule(128, 1, 3, 0.1, profile="desk").eta == 4
+    # the final w0 counts, overridden or derived from an overridden z_width
+    assert dnc.schedule(128, 1, 3, 0.1, profile="desk", w0=64).eta == 2
+    assert dnc.schedule(128, 1, 3, 0.1, profile="desk", z_width=4).eta == 5
+
+
+def test_explicit_eta_override_wins():
+    assert dnc.schedule(128, 1, 3, 0.1, profile="desk", eta=1).eta == 1
+    assert dnc.schedule(16, 1, 3, 0.1, profile="desk", eta=6).eta == 6
+    assert dnc.schedule(128, 1, 3, 0.1, profile="paper", eta=2).eta == 2
+
+
+def test_paper_eta_is_unchanged():
+    for n in (16, 64, 128, 1024):
+        for D in (3, 4):
+            sched = dnc.schedule(n, 1, D, 0.1, profile="paper")
+            assert sched.eta == math.ceil(math.log2(n) / (D * math.log2(4 / 3)))
+
+
+def test_desk_schedule_rejects_a_nonpositive_w0():
+    with pytest.raises(dnc.ScheduleError):
+        dnc.schedule(16, 1, 3, 0.1, profile="desk", w0=0)
+
+
 def test_schedule_eps_never_exceeds_delta():
     for n in (4, 8, 16, 64):
         for delta in (0.5, 0.1, 1e-3):
@@ -171,7 +206,7 @@ def test_slice_weight_synthesis_matches_full_system_weight():
 
 def test_slice_weight_synthesis_on_a_child_shifts_origin_and_annotations():
     s, _ = make_synth({"kind": "brickwork", "dims": [16], "depth": 1, "seed": 4, "gates": "weak", "strength": 0.2})
-    right = syn.split_at_cuts(s, gc.Slice(0, 2, 4), None, syn.CutCalculus()).right
+    right = syn.split_at_cuts(s, gc.Slice(0, 2, 4), syn.CutCalculus()).right
     assert right.origin == (2,)
     far = dnc.slice_weight_synthesis(right, gc.Slice(0, 6, 8))  # slab [5, 9)
     assert far.M == ((1,), (2,)) and far.L == ((0,), (3,))
@@ -339,7 +374,7 @@ def test_a_recursive_delta1_reduces_to_single_product():
     sl = chosen[0]
     calc = syn.CutCalculus("exact-spectral", K=sched.K, T=sched.T)
     data = syn.cut_data(s, sl, calc)
-    sp = syn.split_at_cuts(s, sl, None, calc, data_i=data)
+    sp = syn.split_at_cuts(s, sl, calc, data=data)
     expect = (
         dnc.a_recursive(sp.left, sched, slices, 3, None, eta=sched.eta - 1)
         * dnc.a_recursive(sp.right, sched, slices, 3, None, eta=sched.eta - 1)
@@ -486,7 +521,7 @@ def test_heavy_slices_keep_their_frame_on_a_shifted_synthesis():
     s, _ = make_synth(
         {"kind": "brickwork", "dims": [24, 1, 1], "depth": 1, "seed": 3, "gates": "weak", "strength": 0.1}
     )
-    right = syn.split_at_cuts(s, gc.Slice(0, 5, 7), None, syn.CutCalculus()).right
+    right = syn.split_at_cuts(s, gc.Slice(0, 5, 7), syn.CutCalculus()).right
     assert right.origin == (5, 0, 0)
     runs = []
     for child in (right, replace(right, origin=(0, 0, 0))):
@@ -518,6 +553,16 @@ def test_expected_node_counts_match_traces():
         assert pred == got, (spec, pred, got)
 
 
+def test_expected_node_counts_follow_the_derived_eta_on_128_qubits():
+    _, _, circ, trace = run_with_trace({"kind": "identity", "dims": [128, 1, 1], "depth": 1}, 0.1)
+    sched = dnc.schedule(circ.n_qubits, circ.depth, 3, 0.1, "desk")
+    assert sched.eta == 4
+    got = trace.counts_by_kind()
+    got.pop("run")
+    assert got == dnc.expected_node_counts(circ.dims, circ.depth, 3, sched, 0.1)
+    assert got["a_full"] == 374 and got["a_recursive"] == 341
+
+
 def test_oracle_substitution_residual_bounded():
     # combine with oracle-exact sub-values; residual vs target within the
     # measured-error budget (2e + 2g)^Delta + 3 Delta^2 B3
@@ -530,12 +575,12 @@ def test_oracle_substitution_residual_bounded():
     data = [syn.cut_data(s, sl, calc) for sl in chosen]
     vL, vR = [], []
     for k, sl in enumerate(chosen):
-        sp = syn.split_at_cuts(s, sl, None, calc, data_i=data[k])
+        sp = syn.split_at_cuts(s, sl, calc, data=data[k])
         vL.append(oracle.synthesis_value_exact(sp.left))
         vR.append(oracle.synthesis_value_exact(sp.right))
     single = [vL[k] * vR[k] for k in range(len(chosen))]
-    sp = syn.split_at_cuts(s, chosen[0], chosen[1], calc, data_i=data[0], data_j=data[1])
-    double = {(1, 2): vL[0] * oracle.synthesis_value_exact(sp.middle) * vR[1]}
+    phi = syn.middle_between_cuts(s, chosen[0], chosen[1], calc, data_i=data[0], data_j=data[1])
+    double = {(1, 2): vL[0] * oracle.synthesis_value_exact(phi.middle) * vR[1]}
     combined = dnc.inclusion_exclusion_combine(
         single, double, {}, [d.kappa for d in data], K=sched.K, Delta=2
     )

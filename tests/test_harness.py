@@ -1,6 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dncsim import cli, geomcircuit as gc, harness, oracle
@@ -12,6 +17,37 @@ def test_generate_brickwork_deterministic():
     c1, c2 = generate_circuit(spec), generate_circuit(spec)
     assert c1.fingerprint() == c2.fingerprint()
     assert gc.validate(c1).ok
+
+
+def test_import_dncsim_does_not_load_scipy():
+    import dncsim
+
+    src = str(Path(dncsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, dncsim; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_haar_unitary_matches_scipy_draw_for_draw():
+    from scipy.stats import unitary_group
+
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(50):
+        assert np.array_equal(harness._haar_unitary(a, 4), unitary_group.rvs(4, random_state=b))
+
+
+def test_weak_unitary_matches_scipy_expm():
+    from scipy.linalg import expm
+
+    a, b = np.random.default_rng(12), np.random.default_rng(12)
+    for dim, strength in ((2, 0.25), (4, 0.1), (4, 0.4)):
+        u = harness._weak_unitary(a, dim, strength)
+        h = b.normal(size=(dim, dim)) + 1j * b.normal(size=(dim, dim))
+        h = 0.5 * (h + h.conj().T)
+        h /= np.linalg.norm(h, 2)
+        assert np.allclose(u, expm(-1j * strength * h), rtol=0, atol=1e-14)
+        assert np.allclose(u.conj().T @ u, np.eye(dim), rtol=0, atol=1e-14)
 
 
 def test_generate_requires_seed():

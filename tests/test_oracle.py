@@ -226,7 +226,7 @@ def test_synthesis_state_with_input_state_matches_unitary():
     circ = generate_circuit({"kind": "brickwork", "dims": [10], "depth": 1, "seed": 9, "gates": "haar"})
     s = synthesis_of_circuit(circ)
     calc = CutCalculus("exact-spectral", K=2, T=2)
-    right = split_at_cuts(s, gc.Slice(0, 2, 4), None, calc).right
+    right = split_at_cuts(s, gc.Slice(0, 2, 4), calc).right
     (op,) = [op for op in right.cut_ops if op.kind == "input_state"]
     sites = right.gamma.sites()
     ns, nb = len(sites), len(op.qubits)
@@ -261,9 +261,33 @@ def test_product_state_places_block_axes_in_the_given_order():
     assert not t.any()
 
 
+def test_apply_gates_matches_tensordot_to_the_bit_and_leaves_its_input():
+    rng = np.random.default_rng(5)
+
+    def unitary(k):
+        z = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+        return np.linalg.qr(z)[0]
+
+    # five qubit axes and a batch axis of 3; gates on adjacent, distant,
+    # reversed and single axes, one of them given as a transposed view
+    t0 = rng.normal(size=(2,) * 5 + (3,)) + 1j * rng.normal(size=(2,) * 5 + (3,))
+    gates = [(unitary(2), [0, 1]), (unitary(2), [4, 1]), (unitary(1), [3]), (unitary(2).T, [2, 0])]
+    want = t0
+    for m, axes in gates:
+        k = len(axes)
+        want = np.tensordot(m.reshape([2] * (2 * k)), want, axes=(list(range(k, 2 * k)), axes))
+        want = np.moveaxis(want, list(range(k)), axes)
+    before = t0.copy()
+    got = oracle.apply_gates(t0, gates)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(t0, before)
+    assert oracle.apply_gates(t0, []) is t0
+
+
 def test_synthesis_value_peak_memory_is_three_states():
-    # the gate loop may hold its input, the tensordot copy and its output;
-    # holding the initial state as well would make it four states
+    # the gate loop holds its input and its two work buffers (the transposed
+    # copy and the product); one more state would make it four
     circ = generate_circuit(
         {"kind": "brickwork", "dims": [16, 1, 1], "depth": 2, "seed": 7, "gates": "weak", "strength": 0.3}
     )

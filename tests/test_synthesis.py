@@ -135,7 +135,7 @@ def test_kappa_invariant_under_back_local_unitaries():
 
 def single_cut_estimate(s, sl, calc=CALC):
     data = syn.cut_data(s, sl, calc)
-    sp = syn.split_at_cuts(s, sl, None, calc, data_i=data)
+    sp = syn.split_at_cuts(s, sl, calc, data=data)
     vL = oracle.synthesis_value_exact(sp.left)
     vR = oracle.synthesis_value_exact(sp.right)
     return vL * vR / data.kappa ** (4 * calc.K + 1), sp, data
@@ -171,7 +171,7 @@ def test_split_child_register_roles_and_annotations():
     circ = weak_chain(12, seed=17)
     s = syn.synthesis_of_circuit(circ)
     sl = gc.Slice(0, 4, 6)
-    sp = syn.split_at_cuts(s, sl, None, CALC)
+    sp = syn.split_at_cuts(s, sl, CALC)
     # left child: band is traced (L) and carries a sandwich operator
     assert set(sp.left.L) == {(5,)}
     assert any(op.kind == "sandwich" for op in sp.left.cut_ops)
@@ -185,25 +185,25 @@ def test_two_cut_middle_child_roles_annotations_and_origin():
     circ = weak_chain(14, seed=9)
     s = syn.synthesis_of_circuit(circ)
     i, j = gc.Slice(0, 4, 6), gc.Slice(0, 8, 10)
-    sp = syn.split_at_cuts(s, i, j, CALC)
-    mid = sp.middle
+    data_i, data_j = syn.cut_data(s, i, CALC), syn.cut_data(s, j, CALC)
+    mid = syn.middle_between_cuts(s, i, j, CALC, data_i=data_i, data_j=data_j).middle
     assert mid.gamma.dims == (j.hi - i.lo,)
     assert mid.origin == (i.lo,)
-    band_i = tuple((q[0] - i.lo,) for q in sp.left_data.band)  # post-selected, loaded
-    band_j = tuple((q[0] - i.lo,) for q in sp.right_data.band)  # traced, sandwiched
+    band_i = tuple((q[0] - i.lo,) for q in data_i.band)  # post-selected, loaded
+    band_j = tuple((q[0] - i.lo,) for q in data_j.band)  # traced, sandwiched
     assert band_i == ((1,),) and band_j == ((5,),)
     assert mid.M == band_i and mid.L == band_j
     assert set(mid.N) == set(mid.gamma.sites()) - set(band_i) - set(band_j)
     assert [op.kind for op in mid.cut_ops] == ["input_state", "sandwich"]
     assert mid.cut_ops[0].qubits == band_i and mid.cut_ops[1].qubits == band_j
-    assert np.array_equal(mid.cut_ops[0].matrix, sp.left_data.right_input)
+    assert np.array_equal(mid.cut_ops[0].matrix, data_i.right_input)
 
 
 def test_right_child_split_again_adds_origins_and_shifts_annotations():
     s = syn.synthesis_of_circuit(weak_chain(16, seed=23))
-    a = syn.split_at_cuts(s, gc.Slice(0, 14, 16), None, CALC).left  # sandwich on (15,)
-    b = syn.split_at_cuts(a, gc.Slice(0, 2, 4), None, CALC).right
-    c = syn.split_at_cuts(b, gc.Slice(0, 4, 6), None, CALC).right
+    a = syn.split_at_cuts(s, gc.Slice(0, 14, 16), CALC).left  # sandwich on (15,)
+    b = syn.split_at_cuts(a, gc.Slice(0, 2, 4), CALC).right
+    c = syn.split_at_cuts(b, gc.Slice(0, 4, 6), CALC).right
     assert a.origin == (0,) and b.origin == (2,) and c.origin == (2 + 4,)
     (sandwich,) = [op for op in a.cut_ops if op.kind == "sandwich"]
     assert [(op.kind, op.qubits) for op in b.cut_ops] == [("sandwich", ((13,),)), ("input_state", ((1,),))]
@@ -215,7 +215,7 @@ def test_right_child_split_again_adds_origins_and_shifts_annotations():
 
 def test_segment_carves_sites_gates_roles_and_annotations():
     circ = weak_chain(10, seed=3)
-    s = syn.split_at_cuts(syn.synthesis_of_circuit(circ), gc.Slice(0, 2, 4), None, CALC).right
+    s = syn.split_at_cuts(syn.synthesis_of_circuit(circ), gc.Slice(0, 2, 4), CALC).right
     inside = lambda g: all(1 <= q[0] < 5 for q in g.qubits)
     ids = {(t, gi) for t, layer in enumerate(s.gamma.layers) for gi, g in enumerate(layer) if inside(g)}
     seg = syn._segment(s, 0, 1, 5, ids, s.cut_ops)
@@ -232,7 +232,7 @@ def test_split_child_width_bound():
     circ = weak_chain(16, seed=19)
     s = syn.synthesis_of_circuit(circ)
     sl = gc.Slice(0, 6, 8)
-    sp = syn.split_at_cuts(s, sl, None, CALC)
+    sp = syn.split_at_cuts(s, sl, CALC)
     ell = 16
     bound = 0.75 * ell + sl.width
     assert sp.left.gamma.dims[0] <= bound
@@ -243,20 +243,20 @@ def test_split_rejects_bad_slices():
     circ = weak_chain(12, seed=17)
     s = syn.synthesis_of_circuit(circ)
     with pytest.raises(syn.SplitError):
-        syn.split_at_cuts(s, gc.Slice(0, 4, 6), gc.Slice(0, 5, 7), CALC)  # overlap
+        syn.middle_between_cuts(s, gc.Slice(0, 4, 6), gc.Slice(0, 5, 7), CALC)  # overlap
     with pytest.raises(syn.SplitError):
-        syn.split_at_cuts(s, gc.Slice(0, 4, 6), gc.Slice(0, 10, 14), CALC)  # outside
+        syn.middle_between_cuts(s, gc.Slice(0, 4, 6), gc.Slice(0, 10, 14), CALC)  # outside
 
 
 def test_two_cut_middle_matches_inserted_term():
     circ = weak_chain(14, seed=9)
     s = syn.synthesis_of_circuit(circ)
     i, j = gc.Slice(0, 4, 6), gc.Slice(0, 8, 10)
-    sp = syn.split_at_cuts(s, i, j, CALC)
-    vL = oracle.synthesis_value_exact(sp.left)
-    vM = oracle.synthesis_value_exact(sp.middle)
-    vR = oracle.synthesis_value_exact(sp.right)
-    est = vL * vM * vR / (sp.left_data.kappa * sp.right_data.kappa) ** (4 * CALC.K + 1)
+    left, right = syn.split_at_cuts(s, i, CALC), syn.split_at_cuts(s, j, CALC)
+    vL = oracle.synthesis_value_exact(left.left)
+    vM = oracle.synthesis_value_exact(syn.middle_between_cuts(s, i, j, CALC).middle)
+    vR = oracle.synthesis_value_exact(right.right)
+    est = vL * vM * vR / (left.data.kappa * right.data.kappa) ** (4 * CALC.K + 1)
     t_ij = syn.inserted_value(s, [i, j], CALC)
     v = oracle.synthesis_value_exact(s)
     # per-term agreement within the measured residual scale, and the signed
@@ -276,10 +276,9 @@ def test_phi_descriptor_insertions():
     circ = weak_chain(16, seed=29)
     s = syn.synthesis_of_circuit(circ)
     i, j = gc.Slice(0, 2, 4), gc.Slice(0, 10, 12)
-    sp = syn.split_at_cuts(s, i, j, CALC)
-    assert sp.phi is not None
+    phi = syn.middle_between_cuts(s, i, j, CALC)
     mid_slice_local = gc.Slice(0, 4, 6)  # absolute [6, 8) shifted by i.lo = 2
-    annotated = sp.phi.with_insertions([mid_slice_local], CALC)
+    annotated = phi.with_insertions([mid_slice_local], CALC)
     assert any(op.kind == "insertion" for op in annotated.cut_ops)
     val = oracle.synthesis_value_exact(annotated)
     assert 0.0 <= val <= 1.0 + 1e-9
@@ -326,7 +325,7 @@ def test_power_mode_residual_reported_not_asserted(capsys):
 def test_values_stay_in_unit_interval_across_splits():
     circ = weak_chain(12, seed=31, depth=2, strength=0.1)
     s = syn.synthesis_of_circuit(circ)
-    sp = syn.split_at_cuts(s, gc.Slice(0, 4, 8), None, CALC)
+    sp = syn.split_at_cuts(s, gc.Slice(0, 4, 8), CALC)
     for child in (sp.left, sp.right):
         v = oracle.synthesis_value_exact(child)
         assert -1e-12 <= v <= 1.0 + 1e-9
