@@ -101,33 +101,25 @@ def _build(circ: LatticeCircuit, regions: CutRegions, k: int, side: str, layout:
         if q in mid:
             return p
         if q in far:
-            return g if i > 1 else (0, 0)  # factor 1 reuses the original far block
-        return g  # shared-region copy rides on the group plane (fresh for i >= 1)
-    # factor 1's shared-region copy also needs a fresh plane
-    def c_plane1(q: Coord):
-        if q in far:
-            return (0, 0)
-        return (1, 0)
+            return g  # factor 1's group plane is the origin: it reuses the original far block
+        return p if i == 1 else g  # shared-region copy: a fresh plane for every factor
 
     def c_layer(i: int, t: int, dagger: bool):
         src = circ.layers[circ.depth - 1 - t] if dagger else circ.layers[t]
         out = []
-        plane_of = c_plane1 if i == 1 else (lambda q, i=i: c_plane(i, q))
         for g in src:
-            qs = tuple(embed(q, plane_of(q)) for q in g.qubits)
+            qs = tuple(embed(q, c_plane(i, q)) for q in g.qubits)
             m = g.matrix.conj().T if dagger else g.matrix
             out.append(Gate(m, qs, name=(g.name + "+") if (g.name and dagger) else g.name))
         return tuple(out)
 
     def swap_layer(i: int):
-        g, p = _plane_pair(i, layout)
+        g, _ = _plane_pair(i, layout)
         out = []
-        plane_of = c_plane1 if i == 1 else (lambda q, i=i: c_plane(i, q))
         for q in sorted(mid):
-            mine = embed(q, (0, 0)) if i == 1 else embed(q, g)
-            out.append(Gate(NAMED_GATES["SWAP"], (mine, embed(q, plane_of(q))), name="SWAP"))
+            out.append(Gate(NAMED_GATES["SWAP"], (embed(q, g), embed(q, c_plane(i, q))), name="SWAP"))
         for q in sorted(shared):
-            out.append(Gate(NAMED_GATES["SWAP"], (embed(q, (0, 0)), embed(q, plane_of(q))), name="SWAP"))
+            out.append(Gate(NAMED_GATES["SWAP"], (embed(q, (0, 0)), embed(q, c_plane(i, q))), name="SWAP"))
         return tuple(out)
 
     layers: list[tuple[Gate, ...]] = []
@@ -144,15 +136,9 @@ def _build(circ: LatticeCircuit, regions: CutRegions, k: int, side: str, layout:
     # register bookkeeping
     anc: set[Coord] = set()
     for i in range(1, k + 1):
-        plane_of = c_plane1 if i == 1 else (lambda q, i=i: c_plane(i, q))
-        g, p = _plane_pair(i, layout)
-        for q in far:
-            anc.add(embed(q, plane_of(q)))
-        for q in mid:
-            anc.add(embed(q, plane_of(q)))  # primed copy
-            anc.add(embed(q, (0, 0)) if i == 1 else embed(q, g))  # swap partner
-        for q in shared:
-            anc.add(embed(q, plane_of(q)))  # shared-region copy
+        g, _ = _plane_pair(i, layout)
+        anc.update(embed(q, c_plane(i, q)) for q in far | mid | shared)  # the factor's copies
+        anc.update(embed(q, g) for q in mid)  # swap partners of the primed middle copies
     data = tuple(embed(q, (0, 0)) for q in sorted(shared))
     return enc_circ, tuple(sorted(anc)), data
 

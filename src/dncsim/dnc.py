@@ -13,6 +13,7 @@ counts are deterministic functions of the schedule and lattice geometry
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field, replace
 
@@ -44,13 +45,14 @@ class ParameterSchedule:
     """All scalar knobs of the estimator.
 
     Paper profile derives every field from (n, d, D, delta); the desk profile
-    starts from small validated defaults and accepts overrides.  The desk
-    recursion depth grows with n, as the paper's does: eta = max(2,
-    ceil(log2(n / w0))) with the final w0, so the recursion can go on halving
-    until a piece is narrower than w0 (where it stops anyway); an explicit
-    `eta` override wins.  `h` drives the heavy-slice thresholds
-    2^(log delta / h); `h_margin` is the allowed number of non-heavy slices
-    (the paper couples both roles in one h(n)).
+    starts from small validated defaults.  Either takes overrides, each naming
+    a field (`schedule` rejects any other key).  The desk recursion depth
+    grows with n, as the paper's does: eta = max(2, ceil(log2(n / w0))) with
+    the final w0, so the recursion can go on halving until a piece is narrower
+    than w0 (where it stops anyway); an explicit `eta` override wins.  `h`
+    drives the heavy-slice thresholds 2^(log delta / h); `h_margin` is the
+    allowed number of non-heavy slices (the paper couples both roles in one
+    h(n)).
     """
 
     delta: float
@@ -107,6 +109,9 @@ def schedule(n: int, d: int, D: int, delta: float, profile: str = "paper", **ove
     """Derive the parameter schedule for an n-qubit, depth-d, D-dimensional run."""
     if n < 2 or d < 1 or D < 2 or delta <= 0:
         raise ScheduleError("require n >= 2, d >= 1, D >= 2, delta > 0")
+    unknown = sorted(set(overrides) - {f.name for f in dataclasses.fields(ParameterSchedule)})
+    if unknown:
+        raise ScheduleError(f"unknown schedule override {', '.join(map(repr, unknown))}")
     ln = math.log2(n)
     eps = delta * 2.0 ** (-10.0 * ln * math.log2(max(ln, 1.0)))
     if profile == "paper":
@@ -158,7 +163,7 @@ def schedule(n: int, d: int, D: int, delta: float, profile: str = "paper", **ove
         )
     else:
         raise ScheduleError(f"unknown profile {profile!r}")
-    fields.update({k: v for k, v in overrides.items() if k in fields})
+    fields.update(overrides)
     return ParameterSchedule(**fields)
 
 

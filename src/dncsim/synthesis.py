@@ -24,8 +24,15 @@ conditioned front state factors through the band,
 with W the band-to-front contraction built from the gates in the forward
 light cone of the front region and omega the band state conditioned on zeros
 behind the cut.  All spectral quantities (kappa, projectors, residuals) are
-computed from the band-sized Gram matrix sqrt(omega) W^dagger W sqrt(omega),
-so nothing large is ever diagonalized.
+computed from the band-sized Gram matrix G = sqrt(omega) W^dagger W
+sqrt(omega) = U diag(mu) U^dagger, so nothing large is ever diagonalized.
+
+Every cut applies one operator to its cut state, and `cut_data` decides it
+once, as a weight f(mu) per eigenvalue of G: f = 1 on the kept eigenvalues
+(above tau) and 0 elsewhere in the exact-spectral calculus, the orthogonal
+projector Pi; f = (mu/kappa)^{2K} in the power-encoding calculus, the power
+(rho/kappa)^{2K}.  The left child's sandwich, the right child's input state
+and the front-side projector of an insertion are all built from f.
 
 Nothing large is simulated either.  omega and W^dagger W each depend only on
 the gates in one backward light cone (of the band, the conditioned sites and
@@ -257,7 +264,16 @@ def _front_columns(s: Synthesis, band, cap: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class CutData:
-    """Everything the algorithms need about one cut of one synthesis."""
+    """Everything the algorithms need about one cut of one synthesis.
+
+    `weights` holds the cut operator as f(mu), one weight per eigenvalue of
+    the band Gram U diag(mu) U^dagger (U = `gram_vectors`), and all three
+    forms of the operator are built from it:
+
+        left_op      kappa^2K (W^dag W sqrt(omega)) U diag(f/mu) U^dag (sqrt(omega) W^dag W)
+        right_input  kappa^2K sqrt(omega) U diag(f) U^dag sqrt(omega)
+        front side   sum_j f_j a_j a_j^dag,  a_j = W sqrt(omega) u_j / sqrt(mu_j)
+    """
 
     slice_: Slice
     band: tuple[Coord, ...]
@@ -272,8 +288,8 @@ class CutData:
     right_input: np.ndarray  # band PSD input state for the right child
     gram_vectors: np.ndarray  # eigenvectors of the band Gram (columns)
     m_omega: np.ndarray  # sqrt(omega), omega the band state
+    weights: np.ndarray  # the cut operator f(mu): 0/1 on kept, or (mu/kappa)^2K
     front_columns: Callable[[], np.ndarray] = field(repr=False)  # builds W on the front
-    calculus: CutCalculus = field(default=CutCalculus())
 
     @cached_property
     def amat(self) -> np.ndarray:
@@ -281,19 +297,10 @@ class CutData:
         return self.front_columns() @ self.m_omega
 
     def projector_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(factors, coeffs) of the front-side cut operator Pi (or (rho/kappa)^2K)."""
-        mu = self.eigvals
-        if self.calculus.mode == "exact-spectral":
-            idx = np.nonzero(self.kept)[0]
-            coeffs = np.ones(len(idx))
-        else:
-            idx = np.nonzero(mu > 0)[0]
-            coeffs = (mu[idx] / self.kappa) ** (2 * self.calculus.K)
-        cols = []
-        for j in idx:
-            cols.append(self.amat @ self.gram_vectors[:, j] / np.sqrt(mu[j]))
-        factors = np.stack(cols, axis=1) if cols else np.zeros((self.amat.shape[0], 0))
-        return factors, coeffs
+        """(factors, coeffs) of the front-side cut operator: its eigenvectors
+        with weight f > 0 (orthonormal columns), and those weights."""
+        on = self.weights > 0
+        return self.amat @ self.gram_vectors[:, on] / np.sqrt(self.eigvals[on]), self.weights[on]
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -303,14 +310,18 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def kappa_from_spectrum(eigvals, T: int) -> float:
-    """(sum_j mu_j^{2T})^{1/(2T)} -- the normalization scale of a cut state."""
+    """(sum_j mu_j^{2T})^{1/(2T)} -- the normalization scale of a cut state.
+
+    Computed as mu_max (sum_j (mu_j/mu_max)^{2T})^{1/(2T)}, so that it stays
+    in range for large T and tiny spectra.
+    """
     mu = np.clip(np.asarray(eigvals, dtype=float), 0.0, None)
     if T < 1:
         raise ValueError("T must be >= 1")
-    total = float(np.sum(mu ** (2 * T)))
-    if total <= 0.0:
+    top = float(mu.max(initial=0.0))
+    if top <= 0.0:
         raise CutError("non-heavy slice: cut state has zero trace")
-    return total ** (1.0 / (2 * T))
+    return top * float(np.sum((mu / top) ** (2 * T))) ** (1.0 / (2 * T))
 
 
 def causal_split(s: Synthesis, sl: Slice):
@@ -428,30 +439,22 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
         raise CutError("non-heavy slice: cut state has zero trace")
     kept = mu > calc.tau
     if not kept.any():
-        kept = np.zeros_like(mu, dtype=bool)
         kept[0] = True
     kap = kappa_from_spectrum(mu, calc.T)
 
-    K = calc.K
+    # the cut operator f(mu): the kept eigenprojector Pi, or (rho/kappa)^2K
     if calc.mode == "exact-spectral":
-        # left operator  kappa^2K * W^dag Pi W,  Pi the kept eigenprojector
-        p_tilde = sum(
-            np.outer(gv[:, j], gv[:, j].conj()) / mu[j] for j in np.nonzero(kept)[0]
-        )
-        left_op = (kap ** (2 * K)) * (wtw @ m_omega) @ p_tilde @ (m_omega @ wtw)
-        # right input  kappa^2K * sqrt(omega) P1 sqrt(omega),  W . W^dag = Pi rho Pi
-        p1 = sum(np.outer(gv[:, j], gv[:, j].conj()) for j in np.nonzero(kept)[0])
-        right_input = (kap ** (2 * K)) * m_omega @ p1 @ m_omega
+        f, g_res = kept.astype(float), float(mu[~kept].sum())
     else:
-        # literal powers: left W^dag rho^2K W, right sqrt(omega) G^2K sqrt(omega)
-        gpow = (gv * mu ** (2 * K - 1)) @ gv.conj().T
-        left_op = (wtw @ m_omega) @ gpow @ (m_omega @ wtw)
-        g2k = (gv * mu ** (2 * K)) @ gv.conj().T
-        right_input = m_omega @ g2k @ m_omega
+        f, g_res = (mu / kap) ** (2 * calc.K), 0.0
+    scale = kap ** (2 * calc.K)
+    f_over_mu = np.divide(f, mu, out=np.zeros_like(mu), where=f > 0)
+    # left: kappa^2K W^dag f(rho) W;  right: kappa^2K sqrt(omega) f(G) sqrt(omega)
+    left_op = scale * (wtw @ m_omega) @ ((gv * f_over_mu) @ gv.conj().T) @ (m_omega @ wtw)
+    right_input = scale * m_omega @ ((gv * f) @ gv.conj().T) @ m_omega
     left_op = 0.5 * (left_op + left_op.conj().T)
     right_input = 0.5 * (right_input + right_input.conj().T)
 
-    g_res = float(mu[~kept].sum()) if calc.mode == "exact-spectral" else 0.0
     return CutData(
         slice_=sl,
         band=band,
@@ -466,23 +469,17 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
         right_input=right_input,
         gram_vectors=gv,
         m_omega=m_omega,
+        weights=f,
         front_columns=front_columns,
-        calculus=calc,
     )
 
 
 def slice_weight(s: Synthesis, sl: Slice, cap: int = oracle.DEFAULT_CAP) -> float:
     """tr <0_{M_slice}| phi |0_{M_slice}> -- the post-selected slice weight."""
     slice_sites = _axis_filter(s, sl.lo, sl.hi, sl.axis)
-    roles = {}
-    for q in s.gamma.sites():
-        if q in set(slice_sites):
-            roles[q] = "M"
-        else:
-            roles[q] = "L"
     view = Synthesis(
         gamma=s.gamma,
-        L=tuple(q for q in s.gamma.sites() if roles[q] == "L"),
+        L=tuple(q for q in s.gamma.sites() if not sl.lo <= q[sl.axis] < sl.hi),
         M=tuple(slice_sites),
         N=(),
         declared_axes=s.declared_axes,
@@ -494,46 +491,19 @@ def slice_weight(s: Synthesis, sl: Slice, cap: int = oracle.DEFAULT_CAP) -> floa
 def kappa(s: Synthesis, sl: Slice, T: int, calc: CutCalculus | None = None,
           cap: int = oracle.DEFAULT_CAP) -> float:
     """Normalization constant (tr rho^{2T})^{1/(2T)} of the cut state at `sl`."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    base = calc or CutCalculus()
-    data = cut_data(s, sl, replace(base, T=T), cap=cap)
-    return data.kappa
+    return cut_data(s, sl, replace(calc or CutCalculus(), T=T), cap=cap).kappa
 
 
-def cut_projector(
-    s: Synthesis,
-    sl: Slice,
-    calc: CutCalculus,
-    cap: int = oracle.DEFAULT_CAP,
-    via: str = "auto",
-) -> np.ndarray:
-    """Dense front-side cut operator.
+def cut_projector(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAULT_CAP) -> np.ndarray:
+    """Dense front-side cut operator f(rho), f the weights of `cut_data`.
 
-    exact-spectral: orthogonal projector onto eigenvectors of the cut state
-    with eigenvalue > tau.  power-encoding: (rho/kappa)^{2K}; when the circuit
-    plus the block-encoding register copies fit the dense cap (and `via` is
-    not "dense") the operator is extracted from the literal power encoding,
-    otherwise it is computed from the spectral form (the two agree; the
-    equality is asserted in the block-encoding tests).
+    exact-spectral: the orthogonal projector onto the eigenvectors of the cut
+    state with eigenvalue > tau.  power-encoding: (rho/kappa)^{2K}, which is
+    the block of the literal power encoding of rho^{2K} over kappa^{2K} (the
+    block-encoding tests check the two against each other).
     """
     data = cut_data(s, sl, calc, cap=cap)
     oracle._check_cap(2 * len(data.front_sites), cap)  # dense 2^|F| x 2^|F| output
-    if calc.mode == "power-encoding" and via in ("auto", "encoding"):
-        from . import blockenc
-        from .geomcircuit import cut_regions
-
-        k = 2 * calc.K
-        try:
-            if s.cut_ops:
-                raise CutError("encoding extraction needs a plain synthesis")
-            regions = cut_regions(s.gamma, sl)
-            enc = blockenc.build_rho_power_encoding(s.gamma, regions, k, side="F")
-            block = blockenc.encoding_block(enc, cap=cap)
-            return block / data.kappa**k
-        except (oracle.OracleCapacityError, CutError, ValueError):
-            if via == "encoding":
-                raise
     factors, coeffs = data.projector_factors()
     return (factors * coeffs) @ factors.conj().T
 
@@ -560,9 +530,7 @@ def inserted_value(
     This is the reference decomposition the signed combination approximates;
     each insertion's projector is computed in the context of the plain s.
     """
-    ops = [insertion_op(s, sl, calc, cap=cap) for sl in sorted(slices, key=lambda x: -x.lo)]
-    annotated = replace(s, cut_ops=s.cut_ops + tuple(ops))
-    return oracle.synthesis_value_exact(annotated, cap=cap)
+    return oracle.synthesis_value_exact(PhiDescriptor(s).with_insertions(slices, calc, cap=cap), cap=cap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dncsim import blockenc, geomcircuit as gc, oracle
+from dncsim import blockenc, geomcircuit as gc, oracle, synthesis as syn
 from dncsim.geomcircuit import Gate
 from dncsim.harness import generate_circuit
 
@@ -95,6 +95,19 @@ def test_rho_power_k2_matches_dense_power():
     for side in ("F", "B"):
         enc = blockenc.build_rho_power_encoding(circ, regions, 2, side=side)
         assert blockenc.verify_encoding(enc, cap=24) < 1e-9
+
+
+@pytest.mark.parametrize("n, gates, seed", [(6, "haar", 8), (5, "weak", 9)])
+def test_rho_power_block_over_kappa_is_the_power_encoding_cut_operator(n, gates, seed):
+    # at K = 1 the cut operator (rho/kappa)^2 is the block of the literal
+    # encoding of rho_F^2, over kappa^2
+    circ = seeded_chain(n, 1, seed, gates)
+    s, sl = syn.synthesis_of_circuit(circ), gc.Slice(0, 2, 4)
+    calc = syn.CutCalculus("power-encoding", K=1, T=2)
+    enc = blockenc.build_rho_power_encoding(circ, gc.cut_regions(circ, sl), 2)
+    kappa = syn.cut_data(s, sl, calc).kappa
+    op = syn.cut_projector(s, sl, calc)
+    assert np.abs(blockenc.encoding_block(enc) / kappa**2 - op).max() < 1e-12
 
 
 def test_rho_power_rejects_unsupported_k():

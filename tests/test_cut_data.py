@@ -22,7 +22,8 @@ def weak(dims, depth, seed=7, strength=0.3):
 
 
 def dense_reference(s, sl, calc):
-    """(weight, kappa, eigvals, left_op, right_input, rho_front) from whole-region states."""
+    """(weight, kappa, eigvals, left_op, right_input, rho_front, front cut operator)
+    from whole-region states; the cut operator is Pi or (rho/kappa)^2K."""
     axis, d = sl.axis, s.gamma.depth
     left_ids, cone_ids, band = syn.causal_split(s, sl)
     left_ops, right_ops = syn._partition_ops(s, sl)
@@ -83,21 +84,25 @@ def dense_reference(s, sl, calc):
         p1 = g_vecs[:, g_kept] @ g_vecs[:, g_kept].conj().T
         left_op = kap ** (2 * calc.K) * W.conj().T @ pi @ W
         right_input = kap ** (2 * calc.K) * m @ p1 @ m
+        front_op = pi
     else:
         left_op = W.conj().T @ np.linalg.matrix_power(rho, 2 * calc.K) @ W
         right_input = m @ np.linalg.matrix_power(G, 2 * calc.K) @ m
-    return float(np.real(np.trace(rho))), kap, eigvals, left_op, right_input, rho
+        front_op = np.linalg.matrix_power(rho / kap, 2 * calc.K)
+    return float(np.real(np.trace(rho))), kap, eigvals, left_op, right_input, rho, front_op
 
 
 def assert_matches_reference(s, sl, calc=EXACT):
     data = syn.cut_data(s, sl, calc)
-    weight, kap, eigvals, left_op, right_input, rho = dense_reference(s, sl, calc)
+    weight, kap, eigvals, left_op, right_input, rho, front_op = dense_reference(s, sl, calc)
     assert data.weight == pytest.approx(weight, abs=1e-10)
     assert data.kappa == pytest.approx(kap, abs=1e-10)
     assert np.abs(data.eigvals - eigvals).max() < 1e-10
     assert np.abs(data.left_op - left_op).max() < 1e-10
     assert np.abs(data.right_input - right_input).max() < 1e-10
     assert np.abs(data.amat @ data.amat.conj().T - rho).max() < 1e-10
+    factors, coeffs = data.projector_factors()
+    assert np.abs((factors * coeffs) @ factors.conj().T - front_op).max() < 1e-10
 
 
 def admissible_slices(s, width):

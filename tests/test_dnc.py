@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dncsim import dnc, errmodel, geomcircuit as gc, oracle, synthesis as syn
-from dncsim.harness import generate_circuit
+from dncsim.harness import ExperimentConfig, generate_circuit, run_experiment
 
 
 def make_synth(spec):
@@ -83,6 +83,21 @@ def test_paper_eta_is_unchanged():
 def test_desk_schedule_rejects_a_nonpositive_w0():
     with pytest.raises(dnc.ScheduleError):
         dnc.schedule(16, 1, 3, 0.1, profile="desk", w0=0)
+
+
+def test_schedule_rejects_an_unknown_override():
+    with pytest.raises(dnc.ScheduleError, match="'Detla'"):
+        dnc.schedule(16, 1, 3, 0.1, profile="desk", Detla=3)
+    with pytest.raises(dnc.ScheduleError, match="'foo'"):
+        dnc.schedule(16, 1, 3, 0.1, profile="paper", foo=1)
+    # the overrides of an experiment config reach the same check
+    config = ExperimentConfig.from_json({
+        "circuits": [{"kind": "identity", "dims": [8, 1, 1], "depth": 1}],
+        "deltas": [0.1],
+        "overrides": {"Delta": 1, "Detla": 3},
+    })
+    with pytest.raises(dnc.ScheduleError, match="'Detla'"):
+        run_experiment(config)
 
 
 def test_schedule_eps_never_exceeds_delta():

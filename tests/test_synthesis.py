@@ -92,6 +92,15 @@ def test_kappa_from_spectrum_arithmetic():
     assert syn.kappa_from_spectrum([0.7], 5) == pytest.approx(0.7)
 
 
+def test_kappa_from_spectrum_stays_in_range():
+    # mu^2T underflows here, but kappa lies between mu_max and rank^(1/2T) mu_max
+    assert syn.kappa_from_spectrum([0.6, 0.3], 1000) == pytest.approx(0.6, rel=1e-12)
+    assert syn.kappa_from_spectrum([1e-200], 1) == pytest.approx(1e-200, rel=1e-12)
+    assert syn.kappa_from_spectrum([1e-200, 1e-200], 1) == pytest.approx(np.sqrt(2) * 1e-200, rel=1e-12)
+    with pytest.raises(gc.CutError, match="non-heavy"):
+        syn.kappa_from_spectrum([0.0, 0.0], 1000)
+
+
 def test_kappa_matches_eigenvalue_sum_formula():
     circ = generate_circuit({"kind": "brickwork", "dims": [10], "depth": 2, "seed": 23, "gates": "haar"})
     s = syn.synthesis_of_circuit(circ)
@@ -314,7 +323,7 @@ def test_power_mode_residual_reported_not_asserted(capsys):
     lam = np.sort(np.clip(np.linalg.eigvalsh(rho), 0, None))[::-1]
     rows = []
     for K in (1, 2, 4):
-        power = syn.cut_projector(s, sl, syn.CutCalculus("power-encoding", K=K, T=2), via="dense")
+        power = syn.cut_projector(s, sl, syn.CutCalculus("power-encoding", K=K, T=2))
         resid = float(np.linalg.norm(power @ rho - exact @ rho, 2))
         rows.append((K, resid, float((lam[1] / data.kappa) ** (2 * K))))
     print("power-mode projector residuals (K, measured, (lam2/kappa)^2K):", rows)
