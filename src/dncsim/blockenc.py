@@ -213,23 +213,20 @@ def interleave(enc: BlockEncoding) -> BlockEncoding:
 def encoding_block(enc: BlockEncoding, cap: int = oracle.DEFAULT_CAP) -> np.ndarray:
     """Dense matrix <0_anc| U |0_anc> on the data register.
 
-    Only qubits actually touched by gates (plus the declared registers) are
-    simulated; idle lattice sites factor out exactly.  All data-basis columns
-    are evolved in one pass, as one trailing batch axis of the state tensor.
+    All data-basis columns are evolved in one pass, as one trailing batch
+    axis of the state tensor.  The data axes are held from the start; every
+    other qubit is opened at its first gate and projected on 0 after its
+    last, so idle lattice sites never enter the state.  The cap counts every
+    qubit a gate or register touches.
     """
     used = set(enc.ancilla) | set(enc.data)
     for _, g in enc.circuit.gates():
         used.update(g.qubits)
-    used_list = sorted(used)
-    n = len(used_list)
-    oracle._check_cap(n, cap)
-    index = {q: i for i, q in enumerate(used_list)}
-    data_axes = [index[q] for q in enc.data]
-    nd, dim = len(data_axes), 2 ** len(data_axes)
-    t = oracle.product_state(n, data_axes, np.eye(dim).reshape([2] * nd + [dim]))
-    t = oracle.apply_gates(t, ((g.matrix, [index[q] for q in g.qubits]) for _, g in enc.circuit.gates()))
-    t = np.moveaxis(t, data_axes, range(nd))
-    return t[(slice(None),) * nd + (0,) * (n - nd)].reshape(dim, dim)
+    oracle._check_cap(len(used), cap)
+    nd, dim = len(enc.data), 2 ** len(enc.data)
+    block = np.eye(dim).reshape([2] * nd + [dim])
+    t, live = oracle.apply_gates(block, oracle._pairs(enc.circuit), enc.data, used - set(enc.data))
+    return t.transpose([live.index(q) for q in enc.data] + [nd]).reshape(dim, dim)
 
 
 def _target_operator(t: TargetSpec, cap: int) -> np.ndarray:

@@ -147,7 +147,10 @@ class ExperimentConfig:
         version = data.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema_version {version}")
-        keys = {f for f in cls.__dataclass_fields__}
+        keys = set(cls.__dataclass_fields__)
+        unknown = sorted(set(data) - keys - {"schema_version", "base"})  # `base` is retired, still loads
+        if unknown:
+            raise ValueError(f"unknown experiment config keys: {', '.join(unknown)}")
         return cls(**{k: v for k, v in data.items() if k in keys})
 
 

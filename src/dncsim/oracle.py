@@ -16,6 +16,15 @@ basis column).  The kernels take qubit axes and never flatten;
 qubit order), converted at that boundary.  `circuit_unitary` shares no code
 with the kernels and serves as their independent reference.
 
+`apply_gates` is a sweep that holds only the live qubits.  It runs the gates
+in a causal order along the longest axis of the lattice (`sweep_order`),
+opens a qubit's |0> axis at its first gate, and closes a qubit the caller
+marks (projects it on 0 and drops its axis) right after its last gate.  A
+shallow circuit then never holds more than a frontier a few columns wide:
+`synthesis_value_exact` closes the M and N qubits that no annotation
+touches, and `encoding_block` every qubit but the data register.  The cap
+still counts every qubit, live or not.
+
 Tolerance ladder: 1e-12 for unitarity, 1e-10 for algebraic identities,
 1e-8 of slack for positive semidefiniteness.
 """
@@ -60,35 +69,112 @@ def product_state(n: int, axes=(), block=None) -> np.ndarray:
     return t
 
 
+def _gate(t: np.ndarray, m: np.ndarray, axes, front: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The one gate kernel: multiply m (2^a x 2^len(axes)) into `axes` of t.
+
+    t with `axes` moved first is copied into the work buffer `front` and m
+    multiplied into `out`: the transpose and product np.tensordot forms, so
+    the result is the same to the bit.  It is a view of `out` with m's a
+    output axes first, then t's other axes in their order.
+    """
+    perm = list(axes) + [i for i in range(t.ndim) if i not in axes]
+    moved = front[: t.size].reshape([t.shape[i] for i in perm])
+    np.copyto(moved, t.transpose(perm))
+    rows, cols = m.shape
+    prod = out[: rows * (t.size // cols)].reshape(rows, -1)
+    np.dot(m, moved.reshape(cols, -1), out=prod)
+    return prod.reshape([2] * (rows.bit_length() - 1) + list(moved.shape[len(axes):]))  # rows = 2^a
+
+
 def apply_gate(t: np.ndarray, matrix: np.ndarray, axes: list[int]) -> np.ndarray:
     """Apply a k-qubit gate matrix to the given qubit axes of a state tensor."""
-    return apply_gates(t, [(matrix, axes)])
+    front, out = (np.empty(t.size, np.result_type(t, complex)) for _ in range(2))
+    return np.moveaxis(_gate(t, matrix, axes, front, out), range(len(axes)), axes)
 
 
-def apply_gates(t: np.ndarray, gates) -> np.ndarray:
-    """Apply (matrix, axes) pairs in order to a state tensor.
+def sweep_order(gates) -> list[int]:
+    """Positions of `gates` ((matrix, qubits) pairs in layer order) in the
+    order `apply_gates` runs them.
 
-    Each gate copies the state with its axes moved to the front into one work
-    buffer and multiplies the gate into a second, the same transpose and
-    product np.tensordot forms, so the result is the same to the bit.  Both
-    buffers are allocated once per call, not once per gate: a 22-qubit state
-    is 64 MB, and a fresh pair per gate spends about a third of a dense
-    evaluation faulting in new pages.  The result may be a view of a work
+    A causal order: a gate is ready once every earlier gate on one of its
+    qubits has run.  Of the ready gates, the one with the smallest
+    coordinate along the sweep axis runs first, ties going to the earlier
+    input position.  The sweep axis is the longest axis of the box the gates
+    span, the lowest one if several are equally long.
+    """
+    import heapq  # here, not at the top: `import dncsim` does not load heapq otherwise
+
+    if not gates:
+        return []
+    coords = np.array([q for _, qs in gates for q in qs])
+    axis = int(np.argmax(coords.max(axis=0) - coords.min(axis=0)))
+    waiting = [0] * len(gates)
+    after: list[list[int]] = [[] for _ in gates]
+    latest = {}
+    for i, (_, qs) in enumerate(gates):
+        for q in qs:
+            if q in latest:
+                after[latest[q]].append(i)
+                waiting[i] += 1
+            latest[q] = i
+    key = [min(q[axis] for q in qs) for _, qs in gates]
+    ready = [(key[i], i) for i in range(len(gates)) if not waiting[i]]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        _, i = heapq.heappop(ready)
+        order.append(i)
+        for j in after[i]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                heapq.heappush(ready, (key[j], j))
+    return order
+
+
+def apply_gates(t: np.ndarray, gates, live, close=()) -> tuple[np.ndarray, list]:
+    """Run gates on the live qubits of a state tensor; returns (t, live).
+
+    `t` holds the qubits `live` (lattice coordinates) on its leading axes,
+    in that order, then any batch axes; every other qubit is |0> and not
+    held.  `gates` are (matrix, qubits) pairs in layer order, run in
+    `sweep_order`:
+
+      open   a qubit not yet live gets its axis at its first gate (the gate's
+             columns for input 0 act on the narrower state);
+      close  each qubit in `close` is projected on 0 and dropped right after
+             its last gate (only the gate's rows for output 0 are formed), or
+             before the first gate if it is live and no gate touches it.
+
+    The result holds the returned qubits on its leading axes, then the batch
+    axes.  Every gate goes through the one kernel `_gate` and two work
+    buffers, allocated once per call at the peak live width, which the plan
+    fixes before the loop (a fresh pair per gate spends about a third of a
+    dense evaluation faulting in pages).  The result may be a view of a work
     buffer; the input is never written.
     """
-    front = out = None
-    for matrix, axes in gates:
-        k = len(axes)
-        m = matrix.reshape([2] * (2 * k)).reshape(2**k, 2**k)
-        if front is None:
-            front, out = (np.empty(t.size, np.result_type(t, complex)) for _ in range(2))
-        perm = list(axes) + [i for i in range(t.ndim) if i not in axes]
-        moved = front.reshape([t.shape[i] for i in perm])
-        np.copyto(moved, t.transpose(perm))
-        np.dot(m, moved.reshape(2**k, -1), out=out.reshape(2**k, -1))
-        # the product has the gate's axes first; move them back
-        t = np.moveaxis(out.reshape(moved.shape), list(range(k)), axes)
-    return t
+    gates, close, live = list(gates), set(close), list(live)
+    order = sweep_order(gates)
+    last = {q: step for step, i in enumerate(order) for q in gates[i][1]}
+    idle = [q in close and q not in last for q in live]
+    if any(idle):
+        t = t[tuple(0 if x else slice(None) for x in idle)]
+        live = [q for q, x in zip(live, idle) if not x]
+    batch, peak, plan = t.size >> len(live), len(live), []
+    for step, i in enumerate(order):
+        m, qs = gates[i]
+        opens = [q not in live for q in qs]
+        ends = [q in close and last[q] == step for q in qs]
+        m = m.reshape([2] * (2 * len(qs)))[tuple(0 if x else slice(None) for x in ends + opens)]
+        old = [q for q, o in zip(qs, opens) if not o]
+        keep = [q for q, e in zip(qs, ends) if not e]
+        plan.append((m.reshape(2 ** len(keep), 2 ** len(old)), [live.index(q) for q in old]))
+        live = keep + [q for q in live if q not in old]
+        peak = max(peak, len(live))
+    if plan:
+        front, out = (np.empty(batch << peak, np.result_type(t, complex)) for _ in range(2))
+        for m, axes in plan:
+            t = _gate(t, m, axes, front, out)
+    return t, live
 
 
 def apply_sandwich(t: np.ndarray, op, axes: list[int]) -> np.ndarray:
@@ -180,9 +266,8 @@ def apply_circuit(state: StateVector, circ: LatticeCircuit, cap: int = DEFAULT_C
         for q in g.qubits:
             if q not in index:
                 raise ValueError(f"gate qubit {q} not present in state")
-    t = state.amplitudes.reshape([2] * state.n)
-    t = apply_gates(t, ((g.matrix, [index[q] for q in g.qubits]) for _, g in circ.gates()))
-    psi = t.reshape(-1)
+    t, live = apply_gates(state.amplitudes.reshape([2] * state.n), _pairs(circ), state.qubits)
+    psi = product_state(state.n, [index[q] for q in live], t).reshape(-1)
     nrm = np.linalg.norm(psi)
     if abs(nrm - np.linalg.norm(state.amplitudes)) > 1e-12 * max(1.0, nrm):
         raise AssertionError("statevector norm drifted beyond 1e-12")
@@ -287,14 +372,16 @@ def circuit_unitary(circ: LatticeCircuit, cap: int = 12) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def synthesis_state(s, cap: int = DEFAULT_CAP):
-    """State tensor of a synthesis just before register projections.
+def _pairs(circ: LatticeCircuit) -> list:
+    """The (matrix, qubits) pairs of a circuit's gates, in layer order."""
+    return [(g.matrix, g.qubits) for _, g in circ.gates()]
 
-    Returns (t, qubit order, axis map).  Input-state annotations are loaded
-    through purification ancillas (appended after the lattice sites and later
-    traced with the L register).
-    """
-    sites = list(s.gamma.sites())
+
+def _evolve(s, cap: int, close=()):
+    """The gates of a synthesis run by `apply_gates` on |0> with purified band
+    inputs: returns (t, live, qubits), qubits being the lattice sites and
+    then the purification ancillas.  The bands and ancillas are held from
+    the start; the qubits in `close` are closed after their last gate."""
     anc: list[Coord] = []
     held: list[Coord] = []
     block = np.ones(())
@@ -308,12 +395,22 @@ def synthesis_state(s, cap: int = DEFAULT_CAP):
         # purified vector on band + ancillas: sum_j sqrt(w_j) |e_j>|j>
         w, v = np.linalg.eigh(op.matrix)
         block = np.multiply.outer(block, (v * np.sqrt(np.clip(w, 0.0, None))).reshape([2] * (2 * r)))
-    qubits = sites + anc
+    qubits = list(s.gamma.sites()) + anc
     _check_cap(len(qubits), cap)
+    t, live = apply_gates(block, _pairs(s.gamma), held, close)
+    return t, live, qubits
+
+
+def synthesis_state(s, cap: int = DEFAULT_CAP):
+    """State tensor of a synthesis just before register projections.
+
+    Returns (t, qubit order, axis map), t full width in that order.
+    Input-state annotations are loaded through purification ancillas
+    (appended after the lattice sites and later traced with the L register).
+    """
+    t, live, qubits = _evolve(s, cap)
     index = {q: i for i, q in enumerate(qubits)}
-    t = product_state(len(qubits), [index[q] for q in held], block)
-    t = apply_gates(t, ((g.matrix, [index[q] for q in g.qubits]) for _, g in s.gamma.gates()))
-    return t, qubits, index
+    return product_state(len(qubits), [index[q] for q in live], t), qubits, index
 
 
 def synthesis_value_exact(s, cap: int = DEFAULT_CAP) -> float:
@@ -321,19 +418,26 @@ def synthesis_value_exact(s, cap: int = DEFAULT_CAP) -> float:
 
     Evaluation order: evolve |0> (with purified band inputs), project the M
     register to 0, apply sandwich/insertion annotations, project N to 0, and
-    take the squared norm over the remaining (traced) registers.
+    take the squared norm over the remaining (traced) registers.  An M or N
+    qubit that no annotation touches commutes with everything after its last
+    gate, so the engine closes it there; the cap still counts every qubit.
     """
-    t, _, index = synthesis_state(s, cap=cap)
-    t = project_zero(t, [index[q] for q in s.M])
-    for op in s.cut_ops:
-        if op.kind == "input_state":
-            continue
+    ops = [op for op in s.cut_ops if op.kind != "input_state"]
+    touched = dict.fromkeys(q for op in ops for q in op.project_zero + op.qubits)
+    t, live, _ = _evolve(s, cap, close=[q for q in s.M + s.N if q not in touched])
+    idle = [q for q in touched if q not in live]  # annotated qubits no gate has opened
+    if idle:
+        t = product_state(len(live) + len(idle), range(len(live)), t)
+        live += idle
+    pos = {q: i for i, q in enumerate(live)}
+    t = project_zero(t, [pos[q] for q in s.M if q in pos])
+    for op in ops:
         if op.kind == "insertion":
-            t = project_zero(t, [index[q] for q in op.project_zero])
+            t = project_zero(t, [pos[q] for q in op.project_zero])
         elif op.kind != "sandwich":
             raise ValueError(f"unknown cut-op kind {op.kind!r}")
-        t = apply_sandwich(t, op, [index[q] for q in op.qubits])
-    t = project_zero(t, [index[q] for q in s.N])
+        t = apply_sandwich(t, op, [pos[q] for q in op.qubits])
+    t = project_zero(t, [pos[q] for q in s.N if q in pos])
     return float(np.real(np.vdot(t, t)))
 
 

@@ -247,18 +247,22 @@ def _front_columns(s: Synthesis, band, cap: int) -> np.ndarray:
     sandwich annotations; shape (2^(n - |band|), 2^|band|), rows in site order.
     """
     band_set = set(band)
-    sites = list(band) + [q for q in s.gamma.sites() if q not in band_set]
-    n, nb = len(sites), len(band)
+    rest = [q for q in s.gamma.sites() if q not in band_set]
+    n, nb = len(band) + len(rest), len(band)
     oracle._check_cap(n, cap)
+    # band qubits no sandwich touches are projected on zero after their last gate
+    touched = {q for op in s.cut_ops for q in op.qubits}
+    sites = [q for q in band if q in touched] + rest
     index = {q: i for i, q in enumerate(sites)}
-    cols = np.zeros((2 ** (n - nb), 2**nb), dtype=complex)
+    gates = oracle._pairs(s.gamma)
+    cols = np.zeros((2 ** len(rest), 2**nb), dtype=complex)
     basis = np.eye(2**nb).reshape([2**nb] + [2] * nb)
     for x in range(2**nb):  # one column at a time: a batch would take 2^nb times the memory
-        t = oracle.product_state(n, range(nb), basis[x])  # band axes are the leading axes
-        t = oracle.apply_gates(t, ((g.matrix, [index[q] for q in g.qubits]) for _, g in s.gamma.gates()))
+        t, live = oracle.apply_gates(basis[x], gates, band, band_set - touched)
+        t = oracle.product_state(len(sites), [index[q] for q in live], t)
         for op in s.cut_ops:
             t = oracle.apply_sandwich(t, op, [index[q] for q in op.qubits])
-        cols[:, x] = t[(0,) * nb].reshape(-1)  # the band projected on zero
+        cols[:, x] = t[(0,) * (len(sites) - len(rest))].reshape(-1)  # the rest of the band on zero
     return cols
 
 

@@ -128,6 +128,13 @@ def test_config_schema_version_guard():
         ExperimentConfig.from_json({"schema_version": 99, "circuits": [], "deltas": []})
 
 
+def test_config_rejects_unknown_keys_but_loads_the_retired_base():
+    with pytest.raises(ValueError, match="cpa, profle"):
+        ExperimentConfig.from_json({"circuits": [], "deltas": [0.1], "profle": "paper", "cpa": 10})
+    cfg = ExperimentConfig.from_json({"schema_version": 1, "circuits": [], "deltas": [0.1], "base": "exact"})
+    assert (cfg.profile, cfg.cap) == ("desk", oracle.DEFAULT_CAP)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -1,0 +1,188 @@
+"""The live-width engine (`oracle.apply_gates`) against a full-width evaluation.
+
+The reference holds every qubit for the whole evaluation and runs the gates
+in layer order with np.tensordot, as the engine did before it kept only the
+live qubits; the engine must give the same synthesis values to 1e-12.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dncsim import blockenc, oracle
+from dncsim import geomcircuit as gc
+from dncsim.harness import generate_circuit
+from dncsim.synthesis import CutOp, Synthesis, synthesis_of_circuit
+
+
+def _tensordot(t, m, axes):
+    k = len(axes)
+    t = np.tensordot(m.reshape([2] * (2 * k)), t, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(t, list(range(k)), axes)
+
+
+def _zero(t, axes):
+    t = t.copy()
+    for a in axes:
+        t[(slice(None),) * a + (1,)] = 0.0
+    return t
+
+
+def full_width_value(s) -> float:
+    """<0_N| phi_S |0_N> with every qubit held from the start, gates in layer order."""
+    anc, held, block = [], [], np.ones(())
+    for op in s.cut_ops:
+        if op.kind == "input_state":
+            r = len(op.qubits)
+            a = [(-1 - len(anc) - j,) * len(s.gamma.dims) for j in range(r)]
+            anc += a
+            held += list(op.qubits) + a
+            w, v = np.linalg.eigh(op.matrix)
+            block = np.multiply.outer(block, (v * np.sqrt(np.clip(w, 0.0, None))).reshape([2] * (2 * r)))
+    qubits = list(s.gamma.sites()) + anc
+    index = {q: i for i, q in enumerate(qubits)}
+    t = oracle.product_state(len(qubits), [index[q] for q in held], block)
+    for _, g in s.gamma.gates():
+        t = _tensordot(t, g.matrix, [index[q] for q in g.qubits])
+    t = _zero(t, [index[q] for q in s.M])
+    for op in s.cut_ops:
+        if op.kind == "input_state":
+            continue
+        t = _zero(t, [index[q] for q in op.project_zero])
+        m = op.matrix if op.factors is None else (op.factors * op.coeffs) @ op.factors.conj().T
+        t = _tensordot(t, m, [index[q] for q in op.qubits])
+    t = _zero(t, [index[q] for q in s.N])
+    return float(np.real(np.vdot(t, t)))
+
+
+def _unitary(rng, k):
+    z = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+    return np.linalg.qr(z)[0]
+
+
+def _psd(rng, k):
+    z = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+    m = z @ z.conj().T
+    return m / np.trace(m).real
+
+
+def random_synthesis(rng, dims, depth):
+    """Random gates on all sites but one idle site; random L/M/N roles; an
+    input-state band, dense and low-rank sandwiches, an insertion, and a
+    sandwich on the idle site, each present or not at random."""
+    sites = [tuple(c) for c in np.ndindex(*dims)]
+    idle = sites[rng.integers(len(sites))]
+    layers = []
+    for _ in range(depth):
+        free, layer = [q for q in sites if q != idle], []
+        rng.shuffle(free)
+        while free:
+            q = free.pop()
+            near = [p for p in free if gc.linf(p, q) == 1]
+            if near and rng.random() < 0.7:
+                p = near[rng.integers(len(near))]
+                free.remove(p)
+                layer.append(gc.Gate(_unitary(rng, 2), (q, p)))
+            elif rng.random() < 0.6:
+                layer.append(gc.Gate(_unitary(rng, 1), (q,)))
+        layers.append(layer)
+    circ = gc.circuit(dims, layers)
+    roles = {"L": [], "M": [], "N": []}
+    for q in sites:
+        roles["LMN"[rng.integers(3)]].append(q)
+
+    def pick(k):
+        return tuple(sites[i] for i in rng.choice(len(sites), size=k, replace=False))
+
+    def lowrank(k):
+        f = np.linalg.qr(rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)))[0]
+        r = int(rng.integers(1, 2**k + 1))
+        return f[:, :r], rng.uniform(0.2, 1.0, size=r)
+
+    ops = []
+    if rng.random() < 0.6:
+        k = int(rng.integers(1, 3))
+        ops.append(CutOp("input_state", pick(k), matrix=_psd(rng, k)))
+    if rng.random() < 0.6:
+        k = int(rng.integers(1, 3))
+        ops.append(CutOp("sandwich", pick(k), matrix=_psd(rng, k)))
+    if rng.random() < 0.6:
+        k = int(rng.integers(1, 3))
+        f, c = lowrank(k)
+        ops.append(CutOp("sandwich", pick(k), factors=f, coeffs=c))
+    if rng.random() < 0.6:
+        qs = pick(3)
+        f, c = lowrank(2)
+        ops.append(CutOp("insertion", qs[:2], factors=f, coeffs=c, project_zero=qs[2:]))
+    if rng.random() < 0.5:
+        ops.append(CutOp("sandwich", (idle,), matrix=_psd(rng, 1)))
+    return Synthesis(circ, tuple(roles["L"]), tuple(roles["M"]), tuple(roles["N"]),
+                     tuple(range(len(dims))), cut_ops=tuple(ops))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(5,), (8,), (3, 3), (4, 2), (2, 2, 2), (5, 1, 1)]),
+    depth=st.integers(1, 3),
+)
+def test_synthesis_value_matches_the_full_width_evaluation(seed, dims, depth):
+    # at most 9 sites and 2 purification ancillas
+    s = random_synthesis(np.random.default_rng(seed), dims, depth)
+    assert abs(oracle.synthesis_value_exact(s) - full_width_value(s)) <= 1e-12
+
+
+@pytest.mark.parametrize("dims,depth", [((6,), 3), ((3, 5), 2), ((4, 4), 2), ((2, 3, 2), 2)])
+def test_sweep_order_is_causal_and_the_same_on_every_call(dims, depth):
+    circ = generate_circuit({"kind": "brickwork", "dims": list(dims), "depth": depth, "seed": 2, "gates": "haar"})
+    gates = [(g.matrix, g.qubits) for _, g in circ.gates()]
+    layer = [t for t, _ in circ.gates()]
+    order = oracle.sweep_order(gates)
+    assert sorted(order) == list(range(len(gates)))
+    for q in circ.sites():  # each qubit's gates run in layer order
+        seen = [layer[i] for i in order if q in gates[i][1]]
+        assert seen == sorted(seen)
+    assert oracle.sweep_order(gates) == order
+    again = [(m.copy(), tuple(tuple(c) for c in qs)) for m, qs in gates]
+    assert oracle.sweep_order(again) == order
+    # the sweep runs along the longest axis: its first gate sits at its start
+    axis = int(np.argmax(dims))
+    assert min(q[axis] for q in gates[order[0]][1]) == 0
+
+
+def test_the_cap_counts_every_qubit_not_the_live_width():
+    circ = generate_circuit(
+        {"kind": "brickwork", "dims": [12], "depth": 1, "seed": 3, "gates": "weak", "strength": 0.2}
+    )
+    s = synthesis_of_circuit(circ)
+    assert abs(oracle.synthesis_value_exact(s, cap=12) - full_width_value(s)) <= 1e-12
+    with pytest.raises(oracle.OracleCapacityError, match="12 qubits > cap 4"):
+        oracle.synthesis_value_exact(s, cap=4)
+
+
+def _peak_bytes(fn):
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_synthesis_value_of_a_22_qubit_chain_stays_far_below_one_state():
+    circ = generate_circuit(
+        {"kind": "brickwork", "dims": [22, 1, 1], "depth": 2, "seed": 7, "gates": "weak", "strength": 0.1}
+    )
+    s = synthesis_of_circuit(circ)
+    assert _peak_bytes(lambda: oracle.synthesis_value_exact(s)) <= 16 * 2**22 / 16
+
+
+def test_rho_cubed_encoding_block_stays_far_below_one_state():
+    circ = generate_circuit({"kind": "brickwork", "dims": [4], "depth": 1, "seed": 5, "gates": "haar"})
+    enc = blockenc.build_rho_power_encoding(circ, gc.cut_regions(circ, gc.Slice(0, 1, 3)), 3)
+    used = set(enc.ancilla) | set(enc.data) | {q for _, g in enc.circuit.gates() for q in g.qubits}
+    assert len(used) == 19
+    assert _peak_bytes(lambda: blockenc.encoding_block(enc)) <= 16 * 2**19 / 16

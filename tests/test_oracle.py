@@ -268,34 +268,38 @@ def test_apply_gates_matches_tensordot_to_the_bit_and_leaves_its_input():
         z = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
         return np.linalg.qr(z)[0]
 
-    # five qubit axes and a batch axis of 3; gates on adjacent, distant,
-    # reversed and single axes, one of them given as a transposed view
+    # five qubits (0,)..(4,) and a batch axis of 3; gates on adjacent,
+    # distant, reversed and single qubits, one of them given as a transposed
+    # view; all qubits live, none closed, so no gate is narrowed
     t0 = rng.normal(size=(2,) * 5 + (3,)) + 1j * rng.normal(size=(2,) * 5 + (3,))
-    gates = [(unitary(2), [0, 1]), (unitary(2), [4, 1]), (unitary(1), [3]), (unitary(2).T, [2, 0])]
+    q = [(i,) for i in range(5)]
+    gates = [(unitary(2), [q[0], q[1]]), (unitary(2), [q[4], q[1]]), (unitary(1), [q[3]]), (unitary(2).T, [q[2], q[0]])]
     want = t0
-    for m, axes in gates:
-        k = len(axes)
+    for i in oracle.sweep_order(gates):
+        m, qs = gates[i]
+        k, axes = len(qs), [x for (x,) in qs]
         want = np.tensordot(m.reshape([2] * (2 * k)), want, axes=(list(range(k, 2 * k)), axes))
         want = np.moveaxis(want, list(range(k)), axes)
     before = t0.copy()
-    got = oracle.apply_gates(t0, gates)
+    got, live = oracle.apply_gates(t0, gates, q)
+    got = got.transpose([live.index(x) for x in q] + [5])
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(t0, before)
-    assert oracle.apply_gates(t0, []) is t0
+    assert oracle.apply_gates(t0, [], q)[0] is t0
 
 
-def test_synthesis_value_peak_memory_is_three_states():
-    # the gate loop holds its input and its two work buffers (the transposed
-    # copy and the product); one more state would make it four
+def test_apply_circuit_peak_memory_is_three_states():
+    # every qubit is live from the start, so the gate loop holds its input and
+    # its two work buffers (the transposed copy and the product); one more
+    # state would make it four
     circ = generate_circuit(
         {"kind": "brickwork", "dims": [16, 1, 1], "depth": 2, "seed": 7, "gates": "weak", "strength": 0.3}
     )
-    s = synthesis_of_circuit(circ)
-    oracle.synthesis_value_exact(s)
+    oracle.evolve_zero(circ)
     tracemalloc.start()
     try:
-        oracle.synthesis_value_exact(s)
+        oracle.evolve_zero(circ)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
