@@ -8,7 +8,7 @@ import sys
 
 from . import blockenc, dnc, errmodel, harness, oracle
 from .geomcircuit import Slice, cut_regions, load_circuit, validate
-from .synthesis import CutCalculus, synthesis_of_circuit
+from .synthesis import synthesis_of_circuit
 
 
 def _cmd_validate(args) -> int:
@@ -31,11 +31,7 @@ def _cmd_simulate(args) -> int:
         return 1
     s = synthesis_of_circuit(circ)
     trace = dnc.TraceNode("run", {"file": args.file, "delta": args.delta})
-    cfg = dnc.DncConfig(
-        calc=CutCalculus(mode=args.calculus),
-        profile=args.profile,
-        cap=args.cap,
-    )
+    cfg = dnc.DncConfig(calculus=args.calculus, profile=args.profile, cap=args.cap)
     D = args.dim or len(circ.dims)
     est = dnc.a_full(s, None, args.delta, D, config=cfg, trace=trace)
     print(f"estimate: {est:.12g}")

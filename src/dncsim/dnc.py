@@ -219,10 +219,13 @@ def _jsonable(v):
 
 @dataclass
 class DncConfig:
-    calc: CutCalculus = field(default_factory=CutCalculus)
+    calculus: str = "exact-spectral"  # a CutCalculus mode; K and T come from the schedule
     profile: str = "desk"
     overrides: dict = field(default_factory=dict)
     cap: int = oracle.DEFAULT_CAP
+
+    def __post_init__(self):
+        CutCalculus(self.calculus)  # rejects an unknown mode before any work
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +241,7 @@ def dimension_reduce(s: Synthesis, axis: int | None = None) -> Synthesis:
     """Absorb one declared axis into the site structure (value unchanged).
 
     The circuit, registers, and annotations are untouched; only the declared
-    dimensionality shrinks, with the absorbed width appended to the thickness
-    ledger.
+    dimensionality shrinks.
     """
     if axis is None:
         axis = widest_axis(s)
@@ -247,18 +249,14 @@ def dimension_reduce(s: Synthesis, axis: int | None = None) -> Synthesis:
         raise ValueError(f"axis {axis} is not a declared dimension")
     if len(s.declared_axes) < 2:
         raise ValueError("cannot reduce below one declared dimension")
-    return replace(
-        s,
-        declared_axes=tuple(a for a in s.declared_axes if a != axis),
-        thickness=s.thickness + (s.gamma.dims[axis],),
-    )
+    return replace(s, declared_axes=tuple(a for a in s.declared_axes if a != axis))
 
 
 def slice_weight_synthesis(s: Synthesis, sl: Slice) -> Synthesis:
     """The slice-weight quantity tr <0_M| phi |0_M> as a slab-restricted synthesis.
 
     Only gates in the backward light cone of the slice matter, so the circuit
-    is restricted to a slab of thickness |slice| + 2d around it; the slice is
+    is restricted to a slab |slice| + 2d wide around it; the slice is
     the M register, the rest of the slab is traced, and N is empty.
     """
     d = s.gamma.depth
@@ -405,13 +403,12 @@ def a_full(
     delta: float,
     D: int,
     config: DncConfig | None = None,
-    sched: ParameterSchedule | None = None,
     trace: TraceNode | None = None,
 ) -> float:
     """Driver: delta edge cases, heavy-slice scan, dispatch to the recursion.
 
     `base(s, delta)` solves the D = 2 leaves; None means exact dense
-    evaluation (`oracle.base_exact`) under `config.cap`.
+    evaluation (`oracle.synthesis_value_exact`) under `config.cap`.
     """
     cfg = config or DncConfig()
     n = s.gamma.n_qubits
@@ -424,51 +421,36 @@ def a_full(
         val = 0.5
         node.add("return_half").value = val
     elif D == 2:
-        val = oracle.base_exact(s, delta, cap=cfg.cap) if base is None else base(s, delta)
+        val = oracle.synthesis_value_exact(s, cap=cfg.cap) if base is None else base(s, delta)
         node.add("base").value = val
     else:
-        val = _scan_and_recurse(s, base, delta, D, cfg, sched, node)
+        val = _scan_and_recurse(s, base, delta, D, cfg, node)
     node.value = val
     return val
 
 
-def _scan_and_recurse(s, base, delta, D, cfg, sched, node) -> float:
+def _scan_and_recurse(s, base, delta, D, cfg, node) -> float:
     """`a_full` above the leaves: weigh the slices, then recurse at the heavy ones."""
-    if sched is None:
-        sched = schedule(s.gamma.n_qubits, s.gamma.depth, D, delta, cfg.profile, **cfg.overrides)
+    sched = schedule(s.gamma.n_qubits, s.gamma.depth, D, delta, cfg.profile, **cfg.overrides)
     axis = widest_axis(s)
     slices = enumerate_slices(s.gamma, axis, sched.slice_width, sched.max_gap)
     if not slices:
-        return a_full(dimension_reduce(s, axis), base, delta, D - 1, cfg, None, node)
+        return a_full(dimension_reduce(s, axis), base, delta, D - 1, cfg, node)
 
     def subsolver(wsyn: Synthesis, err: float) -> float:
         reduced = dimension_reduce(wsyn, axis)
-        return a_full(reduced, base, err, D - 1, cfg, None, node)
+        return a_full(reduced, base, err, D - 1, cfg, node)
 
     K_heavy, enough = heavy_slices(s, slices, sched, subsolver, trace=node)
     if not enough:
         node.add("none_heavy").value = 0.0
         return 0.0
-    # the slices were enumerated in the frame of s; a_recursive takes them absolute
-    K_heavy = [_absolute(sl, s) for sl in K_heavy]
     return a_recursive(s, sched, K_heavy, D, base, config=cfg, trace=node)
 
 
-def _localize(K_heavy: list[Slice], s: Synthesis, axis: int) -> list[Slice]:
-    """Translate absolute heavy slices into s's frame, keeping those inside."""
-    off = s.origin[axis] if s.origin else 0
-    length = s.gamma.dims[axis]
-    out = []
-    for sl in K_heavy:
-        lo, hi = sl.lo - off, sl.hi - off
-        if lo >= 0 and hi <= length:
-            out.append(Slice(axis, lo, hi))
-    return out
-
-
-def _absolute(sl: Slice, s: Synthesis) -> Slice:
-    off = s.origin[sl.axis] if s.origin else 0
-    return Slice(sl.axis, sl.lo + off, sl.hi + off)
+def _within(slices: list[Slice], lo: int, hi: int) -> list[Slice]:
+    """The slices inside [lo, hi), shifted by -lo into the frame of that range."""
+    return [Slice(sl.axis, sl.lo - lo, sl.hi - lo) for sl in slices if lo <= sl.lo and sl.hi <= hi]
 
 
 def a_recursive(
@@ -484,7 +466,8 @@ def a_recursive(
     """Recursive subroutine: cut at Delta heavy slices in the central region
     and combine sub-synthesis estimates by signed inclusion-exclusion.
 
-    K_heavy is given in absolute (top-level) coordinates.
+    K_heavy is given in the frame of `s`; each child gets the slices inside
+    it, in its own frame.
     """
     cfg = config or DncConfig()
     if eta is None:
@@ -497,19 +480,16 @@ def a_recursive(
 
     if length < sched.w0 or eta < 1:
         reduced = dimension_reduce(s, axis)
-        val = a_full(reduced, base, sched.eps, D - 1, cfg, None, node)
+        val = a_full(reduced, base, sched.eps, D - 1, cfg, node)
         node.meta["stopped"] = True
         node.value = val
         return val
 
-    local = _localize(K_heavy, s, axis)
-    if not local:
-        raise SpacingError("no heavy slices lie inside this sub-synthesis")
-    region, chosen = select_region_Z(s, sched, local)
+    region, chosen = select_region_Z(s, sched, K_heavy)
     node.meta["region_Z"] = region
     node.meta["chosen"] = [c for c in chosen]
 
-    calc = replace(cfg.calc, K=sched.K, T=sched.T)
+    calc = CutCalculus(cfg.calculus, K=sched.K, T=sched.T)
     Delta = sched.Delta
     data = []
     for sl in chosen:
@@ -529,9 +509,11 @@ def a_recursive(
     for idx, sl in enumerate(chosen):
         sp = split_at_cuts(s, sl, calc, cap=cfg.cap, data=data[idx])
         lnode = node.add("left", slice=sl, parent_width=length, child_width=sp.left.gamma.dims[axis])
-        vL.append(a_recursive(sp.left, sched, K_heavy, D, base, eta - 1, cfg, lnode))
+        left_heavy = _within(K_heavy, 0, sl.hi)
+        vL.append(a_recursive(sp.left, sched, left_heavy, D, base, eta - 1, cfg, lnode))
         rnode = node.add("right", slice=sl, parent_width=length, child_width=sp.right.gamma.dims[axis])
-        vR.append(a_recursive(sp.right, sched, K_heavy, D, base, eta - 1, cfg, rnode))
+        right_heavy = _within(K_heavy, sl.lo, length)
+        vR.append(a_recursive(sp.right, sched, right_heavy, D, base, eta - 1, cfg, rnode))
         lnode.value = vL[-1]
         rnode.value = vR[-1]
 
@@ -545,7 +527,7 @@ def a_recursive(
             )
             phis[(i, j)] = phi
             mnode = node.add("middle", slices=(chosen[i], chosen[j]))
-            vM = a_full(phi.middle, base, sched.eps, D - 1, cfg, None, mnode)
+            vM = a_full(phi.middle, base, sched.eps, D - 1, cfg, mnode)
             mnode.value = vM
             double[(i + 1, j + 1)] = vL[i] * vM * vR[j]
 
@@ -553,12 +535,10 @@ def a_recursive(
     for i in range(Delta):
         for j in range(i + 2, Delta):
             for sigma in nonempty_subsets(range(i + 2, j + 1)):  # 1-based labels
-                picked = [chosen[k - 1] for k in sigma]
-                mid_lo = chosen[i].lo
-                local_slices = [Slice(axis, sl.lo - mid_lo, sl.hi - mid_lo) for sl in picked]
-                annotated = phis[(i, j)].with_insertions(local_slices, calc, cap=cfg.cap)
+                picked = _within([chosen[k - 1] for k in sigma], chosen[i].lo, chosen[j].hi)
+                annotated = phis[(i, j)].with_insertions(picked, calc, cap=cfg.cap)
                 snode = node.add("sigma_term", slices=(chosen[i], chosen[j]), sigma=sigma)
-                val = a_full(annotated, base, errmodel.e3(sched.eps, Delta), D - 1, cfg, None, snode)
+                val = a_full(annotated, base, errmodel.e3(sched.eps, Delta), D - 1, cfg, snode)
                 snode.value = val
                 multi[(i + 1, j + 1, sigma)] = vL[i] * val * vR[j]
 

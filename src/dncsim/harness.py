@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dnc, errmodel, oracle
 from .geomcircuit import Gate, LatticeCircuit, NAMED_GATES, load_circuit, validate
-from .synthesis import CutCalculus, synthesis_of_circuit
+from .synthesis import synthesis_of_circuit
 
 SCHEMA_VERSION = 1
 
@@ -205,7 +205,8 @@ def _load(entry) -> tuple[str, LatticeCircuit]:
 def run_experiment(config: ExperimentConfig) -> Report:
     """Run estimator vs oracle for every circuit and delta in the config."""
     records = []
-    calc = CutCalculus(mode=config.calculus)
+    cfg = dnc.DncConfig(calculus=config.calculus, profile=config.profile,
+                        overrides=dict(config.overrides), cap=config.cap)
     for entry in config.circuits:
         label, circ = _load(entry)
         report = validate(circ)
@@ -215,12 +216,6 @@ def run_experiment(config: ExperimentConfig) -> Report:
         target = oracle.synthesis_value_exact(s, cap=config.cap)
         for delta in config.deltas:
             trace = dnc.TraceNode("run", {"label": label, "delta": delta})
-            cfg = dnc.DncConfig(
-                calc=calc,
-                profile=config.profile,
-                overrides=dict(config.overrides),
-                cap=config.cap,
-            )
             D = config.dim or len(circ.dims)
             t0 = time.perf_counter()
             est = dnc.a_full(s, None, delta, D, config=cfg, trace=trace)

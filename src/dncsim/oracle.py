@@ -3,8 +3,9 @@
 Statevector evolution, density operators, partial trace, post-selection,
 spectral decomposition, and exact evaluation of syntheses.  Everything here
 is double-precision and serves as ground truth for the rest of the package;
-it also doubles as the base-case solver for two-dimensional subproblems
-(`base_exact`), which evaluates a synthesis with zero error.
+`synthesis_value_exact` also doubles as the default base-case solver for
+two-dimensional subproblems (`dnc.a_full` with `base=None`), which evaluates
+a synthesis with zero error.
 
 Every dense evolution in the package (here, in `synthesis.cut_data` and in
 `blockenc.encoding_block`) runs on state tensors through the kernels below:
@@ -440,7 +441,3 @@ def synthesis_value_exact(s, cap: int = DEFAULT_CAP) -> float:
     t = project_zero(t, [pos[q] for q in s.N if q in pos])
     return float(np.real(np.vdot(t, t)))
 
-
-def base_exact(s, delta: float = 0.0, cap: int = DEFAULT_CAP) -> float:
-    """Default base-case solver: exact dense evaluation, zero error."""
-    return synthesis_value_exact(s, cap=cap)

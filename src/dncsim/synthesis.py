@@ -10,11 +10,12 @@ Children produced by cutting carry small *cut-operator annotations* at their
 cut-adjacent bands: an input state on the band for the right-hand child, a
 positive sandwich operator on the band for the left-hand child, and explicit
 projector insertions for the middle pieces of multi-cut terms.  Annotation
-operators are always confined to a band of thickness equal to the circuit
-depth, which is what keeps the recursion compositional.  Every sub-synthesis
-(a child of a cut, a slab of the slice-weight scan, a window of `cut_data`)
-is carved by one builder, `_segment`: a range of sites along one axis,
-shifted to start at 0, with its gates, annotations, roles and `origin`.
+operators are always confined to a band as wide as the circuit depth, which
+is what keeps the recursion compositional.  Every sub-synthesis (a child of
+a cut, a slab of the slice-weight scan, a window of `cut_data`) is carved by
+one builder, `_segment`: a range of sites along one axis, shifted to start
+at 0, with its gates, annotations and roles; its caller moves anything else
+it hands down (heavy slices, say) into that frame.
 
 Cut-state structure exploited throughout: for a slice of width >= 2d the
 conditioned front state factors through the band,
@@ -96,9 +97,8 @@ class Synthesis:
     """Register-tagged circuit; evaluates to <0_N| phi |0_N>.
 
     `declared_axes` lists which coordinate positions count as lattice
-    dimensions (dimension reduction shrinks it); `thickness` records absorbed
-    widths.  `origin` is the absolute coordinate of this synthesis's (0,..,0)
-    site in the top-level lattice, used to match globally-enumerated slices.
+    dimensions (dimension reduction shrinks it).  Coordinates are in the
+    frame of this synthesis: its lattice starts at (0,..,0).
     """
 
     gamma: LatticeCircuit
@@ -106,9 +106,7 @@ class Synthesis:
     M: tuple[Coord, ...]
     N: tuple[Coord, ...]
     declared_axes: tuple[int, ...]
-    thickness: tuple[int, ...] = ()
     cut_ops: tuple[CutOp, ...] = ()
-    origin: tuple[int, ...] = ()
 
     def __post_init__(self):
         sites = set(self.gamma.sites())
@@ -138,7 +136,6 @@ def synthesis_of_circuit(circ: LatticeCircuit) -> Synthesis:
         M=(),
         N=circ.sites(),
         declared_axes=tuple(range(len(circ.dims))),
-        origin=(0,) * len(circ.dims),
     )
 
 
@@ -214,9 +211,9 @@ def _segment(s: Synthesis, axis: int, lo: int, hi: int, gate_ids, ops=(), role=N
 
     It keeps the gates `gate_ids` of s and those annotations of `ops` (given
     in the frame of s) that lie inside.  A site q of s gets the role `role(q)`,
-    or its role in s where `role` is None or returns None.  `origin` moves by
-    lo along `axis`.  Every sub-synthesis is carved here: the children of a
-    cut, the slabs of the slice-weight scan and the windows of `cut_data`.
+    or its role in s where `role` is None or returns None.  Every
+    sub-synthesis is carved here: the children of a cut, the slabs of the
+    slice-weight scan and the windows of `cut_data`.
     """
     m_sites, l_sites = set(s.M), set(s.L)
     roles: dict[str, list[Coord]] = {"L": [], "M": [], "N": []}
@@ -234,9 +231,7 @@ def _segment(s: Synthesis, axis: int, lo: int, hi: int, gate_ids, ops=(), role=N
         M=tuple(roles["M"]),
         N=tuple(roles["N"]),
         declared_axes=s.declared_axes,
-        thickness=s.thickness,
         cut_ops=tuple(op.shifted(axis, -lo) for op in ops if inside(op.extent(axis))),
-        origin=_shift(s.origin or (0,) * len(dims), axis, lo),
     )
 
 

@@ -1,5 +1,5 @@
+import dataclasses
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,13 +222,12 @@ def test_slice_weight_synthesis_matches_full_system_weight():
 def test_slice_weight_synthesis_on_a_child_shifts_origin_and_annotations():
     s, _ = make_synth({"kind": "brickwork", "dims": [16], "depth": 1, "seed": 4, "gates": "weak", "strength": 0.2})
     right = syn.split_at_cuts(s, gc.Slice(0, 2, 4), syn.CutCalculus()).right
-    assert right.origin == (2,)
+    assert right.gamma.dims == (14,)
     far = dnc.slice_weight_synthesis(right, gc.Slice(0, 6, 8))  # slab [5, 9)
     assert far.M == ((1,), (2,)) and far.L == ((0,), (3,))
-    assert far.origin == (2 + 5,)
     assert far.cut_ops == ()  # the input state lies off the slab
     near = dnc.slice_weight_synthesis(right, gc.Slice(0, 2, 4))  # slab [1, 5)
-    assert near.M == ((1,), (2,)) and near.origin == (2 + 1,)
+    assert near.M == ((1,), (2,))
     assert [(op.kind, op.qubits) for op in near.cut_ops] == [("input_state", ((0,),))]
     assert oracle.synthesis_value_exact(near) == pytest.approx(
         syn.slice_weight(right, gc.Slice(0, 2, 4)), abs=1e-12
@@ -339,7 +338,6 @@ def test_dimension_reduce_value_invariant():
     s, _ = make_synth({"kind": "identity", "dims": [2, 2, 2], "depth": 1})
     reduced = dnc.dimension_reduce(s, 2)
     assert reduced.declared_dims == (2, 2)
-    assert reduced.thickness == (2,)
     assert oracle.synthesis_value_exact(reduced) == pytest.approx(1.0, abs=1e-12)
 
     s2, _ = make_synth({"kind": "brickwork", "dims": [6, 2, 1], "depth": 1, "seed": 4, "gates": "haar"})
@@ -391,8 +389,8 @@ def test_a_recursive_delta1_reduces_to_single_product():
     data = syn.cut_data(s, sl, calc)
     sp = syn.split_at_cuts(s, sl, calc, data=data)
     expect = (
-        dnc.a_recursive(sp.left, sched, slices, 3, None, eta=sched.eta - 1)
-        * dnc.a_recursive(sp.right, sched, slices, 3, None, eta=sched.eta - 1)
+        dnc.a_recursive(sp.left, sched, dnc._within(slices, 0, sl.hi), 3, None, eta=sched.eta - 1)
+        * dnc.a_recursive(sp.right, sched, dnc._within(slices, sl.lo, 14), 3, None, eta=sched.eta - 1)
         / data.kappa ** (4 * sched.K + 1)
     )
     got = dnc.a_recursive(s, sched, slices, 3, None)
@@ -439,11 +437,16 @@ def test_end_to_end_two_level_recursion():
 def test_end_to_end_power_encoding_calculus():
     spec = {"kind": "brickwork", "dims": [16, 1, 1], "depth": 1, "seed": 5, "gates": "weak", "strength": 0.15}
     s, circ = make_synth(spec)
-    cfg = dnc.DncConfig(
-        profile="desk", calc=syn.CutCalculus("power-encoding", K=2, T=2), cap=24
-    )
+    cfg = dnc.DncConfig(profile="desk", calculus="power-encoding", cap=24)
     est = dnc.a_full(s, None, 0.05, 3, config=cfg)
     assert abs(est - oracle.synthesis_value_exact(s)) <= 0.05
+
+
+def test_config_names_the_calculus_mode_and_rejects_unknown_ones():
+    # K and T come from the schedule, so the mode is all a run chooses
+    assert [f.name for f in dataclasses.fields(dnc.DncConfig)] == ["calculus", "profile", "overrides", "cap"]
+    with pytest.raises(ValueError, match="unknown calculus mode"):
+        dnc.DncConfig(calculus="power")
 
 
 # ---------------------------------------------------------------------------
@@ -537,17 +540,63 @@ def test_heavy_slices_keep_their_frame_on_a_shifted_synthesis():
         {"kind": "brickwork", "dims": [24, 1, 1], "depth": 1, "seed": 3, "gates": "weak", "strength": 0.1}
     )
     right = syn.split_at_cuts(s, gc.Slice(0, 5, 7), syn.CutCalculus()).right
-    assert right.origin == (5, 0, 0)
-    runs = []
-    for child in (right, replace(right, origin=(0, 0, 0))):
-        trace = dnc.TraceNode("run")
-        est = dnc.a_full(child, None, 0.1, 3, trace=trace)
-        (top,) = trace.children
-        heavy = [n.meta["slice"] for n in top.children if n.kind == "slice_weight" and n.value >= n.meta["midpoint"]]
-        (rec,) = [n for n in top.children if n.kind == "a_recursive"]
-        assert rec.meta["chosen"] and set(rec.meta["chosen"]) <= set(heavy)
-        runs.append((est, rec.meta["chosen"]))
-    assert runs[0] == runs[1]
+    trace = dnc.TraceNode("run")
+    dnc.a_full(right, None, 0.1, 3, trace=trace)
+    (top,) = trace.children
+    heavy = [n.meta["slice"] for n in top.children if n.kind == "slice_weight" and n.value >= n.meta["midpoint"]]
+    (rec,) = [n for n in top.children if n.kind == "a_recursive"]
+    assert set(rec.meta["chosen"]) <= set(heavy)
+    assert rec.meta["chosen"] == [gc.Slice(0, 4, 6), gc.Slice(0, 8, 10)]
+
+
+def test_within_keeps_the_slices_inside_a_range_in_its_frame():
+    sl = lambda lo, hi: gc.Slice(0, lo, hi)
+    slices = [sl(0, 2), sl(3, 5), sl(4, 6), sl(8, 10), sl(9, 11)]
+    # (3, 5) straddles lo and (9, 11) straddles hi; (4, 6) and (8, 10) touch the edges
+    assert dnc._within(slices, 4, 10) == [sl(0, 2), sl(4, 6)]
+    assert dnc._within(slices, 0, 12) == slices
+    assert dnc._within(slices, 6, 8) == []
+    # the children of a cut at (4, 6) of a 12-wide synthesis both keep it
+    cut = sl(4, 6)
+    assert cut in dnc._within(slices, 0, cut.hi)
+    assert sl(0, 2) in dnc._within(slices, cut.lo, 12)
+
+
+def test_every_recursion_node_cuts_in_its_own_frame():
+    # a weak 64-qubit chain recurses three levels deep (eta 3)
+    s, _ = make_synth(
+        {"kind": "brickwork", "dims": [64, 1, 1], "depth": 1, "seed": 1, "gates": "weak", "strength": 0.1}
+    )
+    assert dnc.schedule(64, 1, 3, 0.1, "desk").eta == 3
+    trace = dnc.TraceNode("run")
+    dnc.a_full(s, None, 0.1, 3, trace=trace)
+    (top,) = trace.children
+    weighed = {n.meta["slice"] for n in top.children if n.kind == "slice_weight"}
+    inside = lambda x, width: 0 <= x.lo and x.hi <= width
+
+    def check(rec, offset):
+        # offset: where this node's synthesis starts in the top-level lattice
+        assert rec.kind == "a_recursive"
+        width = rec.meta["width"]
+        if rec.meta.get("stopped"):
+            return
+        assert inside(rec.meta["region_Z"], width)
+        for c in rec.meta["chosen"]:
+            assert inside(c, width)
+            assert gc.Slice(0, c.lo + offset, c.hi + offset) in weighed
+        for side in (n for n in rec.children if n.kind in ("left", "right")):
+            sl = side.meta["slice"]
+            assert sl in rec.meta["chosen"] and side.meta["parent_width"] == width
+            left = side.kind == "left"
+            assert side.meta["child_width"] == (sl.hi if left else width - sl.lo)
+            (child,) = side.children
+            assert child.meta["width"] == side.meta["child_width"]
+            check(child, offset if left else offset + sl.lo)
+
+    (rec,) = [n for n in top.children if n.kind == "a_recursive"]
+    check(rec, 0)
+    internal = [n for n in trace.walk() if n.kind == "a_recursive" and not n.meta.get("stopped")]
+    assert max(n.meta["eta"] for n in internal) - min(n.meta["eta"] for n in internal) == 2
 
 
 def test_expected_node_counts_match_traces():

@@ -196,12 +196,6 @@ def test_synthesis_value_with_input_state_annotation():
     assert oracle.synthesis_value_exact(s) == pytest.approx(0.5)
 
 
-def test_base_exact_is_synthesis_value():
-    circ = generate_circuit({"kind": "brickwork", "dims": [6], "depth": 1, "seed": 1, "gates": "haar"})
-    s = synthesis_of_circuit(circ)
-    assert oracle.base_exact(s, 0.3) == oracle.synthesis_value_exact(s)
-
-
 # ---------------------------------------------------------------------------
 # the state-tensor kernels against circuit_unitary (which shares no code)
 # ---------------------------------------------------------------------------

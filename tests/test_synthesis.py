@@ -187,7 +187,6 @@ def test_split_child_register_roles_and_annotations():
     # right child: band is post-selected (M) and carries an input state
     assert ((1,),) == tuple(sp.right.M)
     assert any(op.kind == "input_state" for op in sp.right.cut_ops)
-    assert sp.right.origin == (4,)
 
 
 def test_two_cut_middle_child_roles_annotations_and_origin():
@@ -197,7 +196,6 @@ def test_two_cut_middle_child_roles_annotations_and_origin():
     data_i, data_j = syn.cut_data(s, i, CALC), syn.cut_data(s, j, CALC)
     mid = syn.middle_between_cuts(s, i, j, CALC, data_i=data_i, data_j=data_j).middle
     assert mid.gamma.dims == (j.hi - i.lo,)
-    assert mid.origin == (i.lo,)
     band_i = tuple((q[0] - i.lo,) for q in data_i.band)  # post-selected, loaded
     band_j = tuple((q[0] - i.lo,) for q in data_j.band)  # traced, sandwiched
     assert band_i == ((1,),) and band_j == ((5,),)
@@ -213,7 +211,7 @@ def test_right_child_split_again_adds_origins_and_shifts_annotations():
     a = syn.split_at_cuts(s, gc.Slice(0, 14, 16), CALC).left  # sandwich on (15,)
     b = syn.split_at_cuts(a, gc.Slice(0, 2, 4), CALC).right
     c = syn.split_at_cuts(b, gc.Slice(0, 4, 6), CALC).right
-    assert a.origin == (0,) and b.origin == (2,) and c.origin == (2 + 4,)
+    assert a.gamma.dims == (16,) and b.gamma.dims == (14,) and c.gamma.dims == (10,)
     (sandwich,) = [op for op in a.cut_ops if op.kind == "sandwich"]
     assert [(op.kind, op.qubits) for op in b.cut_ops] == [("sandwich", ((13,),)), ("input_state", ((1,),))]
     assert [(op.kind, op.qubits) for op in c.cut_ops] == [("sandwich", ((9,),)), ("input_state", ((1,),))]
@@ -228,7 +226,7 @@ def test_segment_carves_sites_gates_roles_and_annotations():
     inside = lambda g: all(1 <= q[0] < 5 for q in g.qubits)
     ids = {(t, gi) for t, layer in enumerate(s.gamma.layers) for gi, g in enumerate(layer) if inside(g)}
     seg = syn._segment(s, 0, 1, 5, ids, s.cut_ops)
-    assert seg.gamma.dims == (4,) and seg.origin == (2 + 1,)
+    assert seg.gamma.dims == (4,)
     assert seg.M == ((0,),) and seg.N == ((1,), (2,), (3,))  # roles of s, shifted
     assert [op.qubits for op in seg.cut_ops] == [((0,),)]
     shifted = [tuple((q[0] - 1,) for q in g.qubits) for _, g in s.gamma.gates() if inside(g)]
