@@ -213,20 +213,28 @@ def interleave(enc: BlockEncoding) -> BlockEncoding:
 def encoding_block(enc: BlockEncoding, cap: int = oracle.DEFAULT_CAP) -> np.ndarray:
     """Dense matrix <0_anc| U |0_anc> on the data register.
 
-    All data-basis columns are evolved in one pass, as one trailing batch
-    axis of the state tensor.  The data axes are held from the start; every
+    A live-width sweep over the operator: each data qubit is opened at its
+    first gate as an identity pair, an output axis and an input axis that
+    no later gate touches (the input axes index the block's columns), and a
+    data qubit that no gate touches contributes an identity factor.  Every
     other qubit is opened at its first gate and projected on 0 after its
-    last, so idle lattice sites never enter the state.  The cap counts every
-    qubit a gate or register touches.
+    last, so the state never holds more than the sweep's frontier and the
+    data columns it has reached.  With no data qubits the block is 1x1.
+    The cap counts every qubit a gate or register touches.
     """
     used = set(enc.ancilla) | set(enc.data)
     for _, g in enc.circuit.gates():
         used.update(g.qubits)
     oracle._check_cap(len(used), cap)
-    nd, dim = len(enc.data), 2 ** len(enc.data)
-    block = np.eye(dim).reshape([2] * nd + [dim])
-    t, live = oracle.apply_gates(block, oracle._pairs(enc.circuit), enc.data, used - set(enc.data))
-    return t.transpose([live.index(q) for q in enc.data] + [nd]).reshape(dim, dim)
+    cols = {q: i for i, q in enumerate(enc.data)}  # an input axis is labelled by its data position
+    t, live = oracle.apply_gates(np.ones(()), oracle._pairs(enc.circuit), [], used - set(enc.data), cols)
+    for q in enc.data:
+        if q not in live:  # no gate touches it
+            t = np.multiply.outer(t, np.eye(2))
+            live += [q, cols[q]]
+    dim = 2 ** len(enc.data)
+    axes = [live.index(q) for q in enc.data] + [live.index(cols[q]) for q in enc.data]
+    return t.transpose(axes).reshape(dim, dim)
 
 
 def _target_operator(t: TargetSpec, cap: int) -> np.ndarray:

@@ -568,11 +568,11 @@ def expected_node_counts(
     def bump(kind, amount=1):
         counts[kind] = counts.get(kind, 0) + amount
 
-    def slices_along(length):
+    def slices_along(axis, length):
         out = []
         lo = 0
         while lo + sched.slice_width <= length:
-            out.append((lo, lo + sched.slice_width))
+            out.append(Slice(axis, lo, lo + sched.slice_width))
             lo += sched.slice_width + sched.max_gap
         return out
 
@@ -589,15 +589,15 @@ def expected_node_counts(
             bump("base")
             return
         axis = min(declared, key=lambda a: (-dims_[a], a))
-        slc = slices_along(dims_[axis])
+        slc = slices_along(axis, dims_[axis])
         if not slc:
             full(dims_, tuple(a for a in declared if a != axis), D_ - 1, delta_)
             return
         reduced = tuple(a for a in declared if a != axis)
-        for lo, hi in slc:
+        for sl in slc:
             bump("slice_weight")
-            slab_lo = max(0, lo - d)
-            slab_hi = min(dims_[axis], hi + d)
+            slab_lo = max(0, sl.lo - d)
+            slab_hi = min(dims_[axis], sl.hi + d)
             slab_dims = tuple(
                 slab_hi - slab_lo if k == axis else w for k, w in enumerate(dims_)
             )
@@ -613,25 +613,23 @@ def expected_node_counts(
         z = min(sched.z_width, length)
         zlo = (length - z) // 2
         zhi = zlo + z
-        inside = [sl for sl in heavy if sl[0] >= zlo and sl[1] <= zhi]
+        inside = [sl for sl in heavy if sl.lo >= zlo and sl.hi <= zhi]
         if len(inside) < sched.Delta:
             raise SpacingError("conformance predictor: too few heavy slices in Z")
         chosen = inside[: sched.Delta]
         bump("kappa", sched.Delta)
-        for lo, hi in chosen:
+        for sl in chosen:  # each child gets the heavy slices inside it, as a_recursive does
             bump("left")
-            left_dims = tuple(hi if k == axis else w for k, w in enumerate(dims_))
-            sub_heavy = [sl for sl in heavy if sl[1] <= hi]
-            recurse(left_dims, declared, axis, sub_heavy, D_, eta - 1)
+            left_dims = tuple(sl.hi if k == axis else w for k, w in enumerate(dims_))
+            recurse(left_dims, declared, axis, _within(heavy, 0, sl.hi), D_, eta - 1)
             bump("right")
-            right_dims = tuple(length - lo if k == axis else w for k, w in enumerate(dims_))
-            sub_heavy = [(a - lo, b - lo) for a, b in heavy if a >= lo]
-            recurse(right_dims, declared, axis, sub_heavy, D_, eta - 1)
+            right_dims = tuple(length - sl.lo if k == axis else w for k, w in enumerate(dims_))
+            recurse(right_dims, declared, axis, _within(heavy, sl.lo, length), D_, eta - 1)
         for i in range(sched.Delta):
             for j in range(i + 1, sched.Delta):
                 bump("middle")
                 mdims = tuple(
-                    chosen[j][1] - chosen[i][0] if k == axis else w for k, w in enumerate(dims_)
+                    chosen[j].hi - chosen[i].lo if k == axis else w for k, w in enumerate(dims_)
                 )
                 full(mdims, declared, D_ - 1, sched.eps)
         for i in range(sched.Delta):
@@ -639,7 +637,7 @@ def expected_node_counts(
                 for _sigma in nonempty_subsets(range(i + 2, j + 1)):
                     bump("sigma_term")
                     mdims = tuple(
-                        chosen[j][1] - chosen[i][0] if k == axis else w
+                        chosen[j].hi - chosen[i].lo if k == axis else w
                         for k, w in enumerate(dims_)
                     )
                     full(mdims, declared, D_ - 1, errmodel.e3(sched.eps, sched.Delta))

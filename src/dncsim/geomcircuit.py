@@ -12,6 +12,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import warnings
@@ -88,7 +89,11 @@ class LatticeCircuit:
         return int(np.prod(self.dims))
 
     def sites(self) -> tuple[Coord, ...]:
-        """All lattice coordinates in row-major order."""
+        """All lattice coordinates in row-major order (one tuple per circuit)."""
+        return self._sites
+
+    @functools.cached_property
+    def _sites(self) -> tuple[Coord, ...]:
         return tuple(tuple(c) for c in np.ndindex(*self.dims))
 
     def gates(self):

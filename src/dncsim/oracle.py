@@ -18,13 +18,16 @@ qubit order), converted at that boundary.  `circuit_unitary` shares no code
 with the kernels and serves as their independent reference.
 
 `apply_gates` is a sweep that holds only the live qubits.  It runs the gates
-in a causal order along the longest axis of the lattice (`sweep_order`),
-opens a qubit's |0> axis at its first gate, and closes a qubit the caller
-marks (projects it on 0 and drops its axis) right after its last gate.  A
-shallow circuit then never holds more than a frontier a few columns wide:
-`synthesis_value_exact` closes the M and N qubits that no annotation
-touches, and `encoding_block` every qubit but the data register.  The cap
-still counts every qubit, live or not.
+in a causal order along the longest axis of the lattice, row by row along
+the next-longest one (`sweep_order`), opens a qubit's |0> axis at its first
+gate, and closes a qubit the caller marks (projects it on 0 and drops its
+axis) right after its last gate.  A qubit the caller pairs is opened instead
+as an identity pair, an output axis and an input axis, so the sweep runs
+over an operator's columns as it reaches them.  A shallow circuit then never
+holds more than a frontier a few columns wide: `synthesis_value_exact`
+closes the M and N qubits that no annotation touches, and `encoding_block`
+pairs the data register and closes every other qubit.  The cap still counts
+every qubit, live or not.
 
 Tolerance ladder: 1e-12 for unitarity, 1e-10 for algebraic identities,
 1e-8 of slack for positive semidefiniteness.
@@ -99,16 +102,18 @@ def sweep_order(gates) -> list[int]:
 
     A causal order: a gate is ready once every earlier gate on one of its
     qubits has run.  Of the ready gates, the one with the smallest
-    coordinate along the sweep axis runs first, ties going to the earlier
-    input position.  The sweep axis is the longest axis of the box the gates
-    span, the lowest one if several are equally long.
+    coordinate along the sweep axis runs first; among equal ones, the one
+    with the smallest coordinate along the next-longest axis (so on a ladder
+    the gates of a column run row 0 before row 1), then the earlier input
+    position.  A gate's coordinates are those of its qubit that comes
+    first in that (sweep, next) order.  The sweep axis is the longest axis
+    of the box the gates span and the next-longest the one after it, the
+    lower axis first among equally long ones.
     """
     import heapq  # here, not at the top: `import dncsim` does not load heapq otherwise
 
-    if not gates:
-        return []
-    coords = np.array([q for _, qs in gates for q in qs])
-    axis = int(np.argmax(coords.max(axis=0) - coords.min(axis=0)))
+    if len(gates) < 2:
+        return list(range(len(gates)))
     waiting = [0] * len(gates)
     after: list[list[int]] = [[] for _ in gates]
     latest = {}
@@ -118,7 +123,15 @@ def sweep_order(gates) -> list[int]:
                 after[latest[q]].append(i)
                 waiting[i] += 1
             latest[q] = i
-    key = [min(q[axis] for q in qs) for _, qs in gates]
+    per_axis = list(zip(*latest))
+    lows = [min(c) for c in per_axis]
+    spans = [max(c) - lo for c, lo in zip(per_axis, lows)]
+    by_length = sorted(range(len(spans)), key=lambda a: (-spans[a], a))
+    axis, nxt = by_length[0], by_length[min(1, len(spans) - 1)]  # nxt = axis on a 1-D lattice
+    # one integer rank per qubit, ordered by the sweep coordinate, then the next one
+    width = spans[nxt] + 1
+    rank = {q: (q[axis] - lows[axis]) * width + q[nxt] - lows[nxt] for q in latest}
+    key = [min(map(rank.__getitem__, qs)) for _, qs in gates]
     ready = [(key[i], i) for i in range(len(gates)) if not waiting[i]]
     heapq.heapify(ready)
     order = []
@@ -132,7 +145,7 @@ def sweep_order(gates) -> list[int]:
     return order
 
 
-def apply_gates(t: np.ndarray, gates, live, close=()) -> tuple[np.ndarray, list]:
+def apply_gates(t: np.ndarray, gates, live, close=(), pairs=None) -> tuple[np.ndarray, list]:
     """Run gates on the live qubits of a state tensor; returns (t, live).
 
     `t` holds the qubits `live` (lattice coordinates) on its leading axes,
@@ -142,18 +155,22 @@ def apply_gates(t: np.ndarray, gates, live, close=()) -> tuple[np.ndarray, list]
 
       open   a qubit not yet live gets its axis at its first gate (the gate's
              columns for input 0 act on the narrower state);
+      pair   a qubit that `pairs` maps to a label is opened instead as an
+             identity pair: the gate's input index for it becomes a new axis,
+             listed under that label, which no later gate touches (the
+             columns of an operator, opened one qubit at a time);
       close  each qubit in `close` is projected on 0 and dropped right after
              its last gate (only the gate's rows for output 0 are formed), or
              before the first gate if it is live and no gate touches it.
 
-    The result holds the returned qubits on its leading axes, then the batch
-    axes.  Every gate goes through the one kernel `_gate` and two work
-    buffers, allocated once per call at the peak live width, which the plan
-    fixes before the loop (a fresh pair per gate spends about a third of a
-    dense evaluation faulting in pages).  The result may be a view of a work
-    buffer; the input is never written.
+    The result holds the returned qubits and labels on its leading axes, then
+    the batch axes.  Every gate goes through the one kernel `_gate` and two
+    work buffers, allocated once per call at the peak live width, which the
+    plan fixes before the loop (a fresh pair per gate spends about a third
+    of a dense evaluation faulting in pages).  The result may be a view of a
+    work buffer; the input is never written.
     """
-    gates, close, live = list(gates), set(close), list(live)
+    gates, close, live, pairs = list(gates), set(close), list(live), pairs or {}
     order = sweep_order(gates)
     last = {q: step for step, i in enumerate(order) for q in gates[i][1]}
     idle = [q in close and q not in last for q in live]
@@ -165,11 +182,17 @@ def apply_gates(t: np.ndarray, gates, live, close=()) -> tuple[np.ndarray, list]
         m, qs = gates[i]
         opens = [q not in live for q in qs]
         ends = [q in close and last[q] == step for q in qs]
-        m = m.reshape([2] * (2 * len(qs)))[tuple(0 if x else slice(None) for x in ends + opens)]
+        cols = [pairs[q] for q, o in zip(qs, opens) if o and q in pairs]
+        zero_in = [o and q not in pairs for q, o in zip(qs, opens)] if cols else opens
+        m = m.reshape([2] * (2 * len(qs)))[tuple(0 if x else slice(None) for x in ends + zero_in)]
         old = [q for q, o in zip(qs, opens) if not o]
         keep = [q for q, e in zip(qs, ends) if not e]
-        plan.append((m.reshape(2 ** len(keep), 2 ** len(old)), [live.index(q) for q in old]))
-        live = keep + [q for q in live if q not in old]
+        if cols:  # the paired input axes move to the rows, after the outputs
+            ins = [o for o, z in zip(opens, zero_in) if not z]  # the inputs left, True if paired
+            src = [len(keep) + j for j, o in enumerate(ins) if o]
+            m = np.moveaxis(m, src, range(len(keep), len(keep) + len(cols)))
+        plan.append((m.reshape(2 ** (len(keep) + len(cols)), 2 ** len(old)), [live.index(q) for q in old]))
+        live = keep + cols + [q for q in live if q not in old]
         peak = max(peak, len(live))
     if plan:
         front, out = (np.empty(batch << peak, np.result_type(t, complex)) for _ in range(2))

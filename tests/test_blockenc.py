@@ -218,3 +218,31 @@ def test_encoding_block_matches_circuit_unitary(kind, side, layout, lo, seed):
     assert enc.circuit.n_qubits <= 10 and len(enc.data) >= 2
     block = blockenc.encoding_block(enc)
     assert np.abs(block - unitary_block(enc)).max() < 1e-12
+
+
+def test_encoding_block_with_no_data_qubits_is_the_vacuum_amplitude():
+    circ = seeded_chain(4, 1, 35)
+    enc = blockenc.build_rho_power_encoding(circ, gc.cut_regions(circ, gc.Slice(0, 0, 2)), 1, side="B")
+    assert enc.data == ()
+    block = blockenc.encoding_block(enc)
+    assert block.shape == (1, 1)
+    assert np.abs(block - unitary_block(enc)).max() < 1e-12
+
+
+def test_encoding_block_gives_an_untouched_data_qubit_an_identity_factor():
+    rng = np.random.default_rng(36)
+    u2 = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    u1 = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    circ = gc.circuit((3,), [[Gate(u2, ((0,), (1,)))], [Gate(u1, ((1,),))]])
+    # the untouched qubit (2,) comes first in the data order
+    enc = blockenc.BlockEncoding(circ, ((0,),), ((2,), (1,)), 1.0, 0.0, None, "stacked")
+    block = blockenc.encoding_block(enc)
+    assert np.abs(block - unitary_block(enc)).max() < 1e-12
+    assert np.abs(block - np.kron(np.eye(2), u1 @ u2[:2, :2])).max() < 1e-12
+
+
+def test_two_axis_sigma_encoding_block_matches_circuit_unitary():
+    circ = generate_circuit({"kind": "brickwork", "dims": [2, 2], "depth": 1, "seed": 37, "gates": "haar"})
+    enc = blockenc.build_sigma_encoding(circ, gc.cut_regions(circ, gc.Slice(0, 0, 2)))
+    assert len(enc.data) == 4 and enc.circuit.n_qubits == 8
+    assert np.abs(blockenc.encoding_block(enc) - unitary_block(enc)).max() < 1e-12

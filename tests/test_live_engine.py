@@ -152,6 +152,18 @@ def test_sweep_order_is_causal_and_the_same_on_every_call(dims, depth):
     assert min(q[axis] for q in gates[order[0]][1]) == 0
 
 
+def test_sweep_order_finishes_row_0_of_a_column_pair_before_row_1():
+    # C then C^dagger on a [4,2] ladder, each layer listing row 1 first
+    circ = generate_circuit({"kind": "brickwork", "dims": [4, 2], "depth": 1, "seed": 2, "gates": "haar"})
+    layer = sorted(circ.layers[0], key=lambda g: -g.qubits[0][1])
+    gates = [(g.matrix, g.qubits) for g in layer] + [(g.matrix.conj().T, g.qubits) for g in layer]
+    order = oracle.sweep_order(gates)
+    for col in (0, 2):
+        rows = [gates[i][1][0][1] for i in order if gates[i][1][0][0] == col]
+        assert rows == [0, 0, 1, 1]
+    assert [gates[i][1][0][0] for i in order] == [0, 0, 0, 0, 2, 2, 2, 2]
+
+
 def test_the_cap_counts_every_qubit_not_the_live_width():
     circ = generate_circuit(
         {"kind": "brickwork", "dims": [12], "depth": 1, "seed": 3, "gates": "weak", "strength": 0.2}
@@ -186,3 +198,12 @@ def test_rho_cubed_encoding_block_stays_far_below_one_state():
     used = set(enc.ancilla) | set(enc.data) | {q for _, g in enc.circuit.gates() for q in g.qubits}
     assert len(used) == 19
     assert _peak_bytes(lambda: blockenc.encoding_block(enc)) <= 16 * 2**19 / 16
+
+
+def test_two_axis_sigma_encoding_block_holds_at_most_18_live_axes():
+    # 16 qubits, 8 of them data: holding every data column from the first
+    # gate needs two 2^20-amplitude work buffers; the operator sweep peaks at 2^18
+    circ = generate_circuit({"kind": "brickwork", "dims": [4, 2], "depth": 1, "seed": 1, "gates": "haar"})
+    enc = blockenc.build_sigma_encoding(circ, gc.cut_regions(circ, gc.Slice(0, 0, 2)))
+    assert len(enc.data) == 8 and enc.circuit.n_qubits == 16
+    assert _peak_bytes(lambda: blockenc.encoding_block(enc)) < 2 * 16 * 2**19
