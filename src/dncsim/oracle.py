@@ -12,10 +12,9 @@ Every dense evolution in the package (here, in `synthesis.cut_data` and in
 `apply_gates` (`apply_gate` for one gate), `apply_sandwich`, `project_zero`
 and `reduce`.  A state tensor of n qubits has one axis of length 2 per qubit,
 axis i for qubit i, optionally followed by batch axes (for example one per
-basis column).  The kernels take qubit axes and never flatten;
-`StateVector.amplitudes` is the only flat form (index bits big-endian in
-qubit order), converted at that boundary.  `circuit_unitary` shares no code
-with the kernels and serves as their independent reference.
+basis column).  The kernels take qubit axes and never flatten.
+`circuit_unitary` shares no code with the kernels and serves as their
+independent reference.
 
 `apply_gates` is a sweep that holds only the live qubits.  It runs the gates
 in a causal order along the longest axis of the lattice, row by row along
@@ -26,8 +25,10 @@ as an identity pair, an output axis and an input axis, so the sweep runs
 over an operator's columns as it reaches them.  A shallow circuit then never
 holds more than a frontier a few columns wide: `synthesis_value_exact`
 closes the M and N qubits that no annotation touches, and `encoding_block`
-pairs the data register and closes every other qubit.  The cap still counts
-every qubit, live or not.
+pairs the data register and closes every other qubit.  `output_probability`
+and `reduced_state` close nothing; they hold every qubit a gate touches, and
+`reduced_state` traces B out of that state with `reduce`.  The cap still
+counts every qubit, live or not.
 
 Tolerance ladder: 1e-12 for unitarity, 1e-10 for algebraic identities,
 1e-8 of slack for positive semidefiniteness.
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geomcircuit import Coord, LatticeCircuit
+from .geomcircuit import Coord, LatticeCircuit, in_lattice
 
 DEFAULT_CAP = 22
 
@@ -71,6 +72,16 @@ def product_state(n: int, axes=(), block=None) -> np.ndarray:
         list(np.argsort(axes)) + list(range(k, block.ndim))
     )
     return t
+
+
+def _open(t: np.ndarray, live: list, qubits) -> tuple[np.ndarray, list]:
+    """Widen a state tensor on `live` by the qubits of `qubits` it does not
+    hold, as |0> axes after the live ones; returns (t, live)."""
+    idle = [q for q in qubits if q not in live]
+    if idle:
+        t = product_state(len(live) + len(idle), range(len(live)), t)
+        live = live + idle
+    return t, live
 
 
 def _gate(t: np.ndarray, m: np.ndarray, axes, front: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -236,23 +247,6 @@ def reduce(t: np.ndarray, keep_axes: list[int]) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class StateVector:
-    amplitudes: np.ndarray
-    qubits: tuple[Coord, ...]
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "qubits", tuple(tuple(q) for q in self.qubits))
-        if amp.shape != (2 ** len(self.qubits),):
-            raise ValueError("amplitude length must be 2^(number of qubits)")
-
-    @property
-    def n(self) -> int:
-        return len(self.qubits)
-
-
-@dataclass(frozen=True, eq=False)
 class DensityOperator:
     matrix: np.ndarray
     qubits: tuple[Coord, ...]
@@ -264,63 +258,65 @@ class DensityOperator:
         dim = 2 ** len(self.qubits)
         if m.shape != (dim, dim):
             raise ValueError("matrix must be 2^m x 2^m for the declared qubits")
-        if np.abs(m - m.conj().T).max() > 1e-10:
+        work = m - m.conj().T
+        if np.abs(work).max() > 1e-10:
             raise ValueError("density operator must be Hermitian to 1e-10")
         tr = float(np.real(np.trace(m)))
         if tr > 1 + 1e-10:
             raise ValueError(f"trace {tr} exceeds 1 + 1e-10")
-        w = np.linalg.eigvalsh(m)
-        if w.min() < -1e-8:
-            raise ValueError(f"matrix not PSD: min eigenvalue {w.min()}")
+        # min eigenvalue >= -1e-8 iff m + 1e-8 I has a Cholesky factor, which
+        # costs a fraction of eigvalsh and, like it, reads the lower triangle;
+        # m + 1e-8 I reuses the difference's array (one matrix fewer to fault in)
+        np.copyto(work, m)
+        work[np.diag_indices(dim)] += 1e-8
+        try:
+            np.linalg.cholesky(work)
+        except np.linalg.LinAlgError:
+            # eigvalsh decides a matrix the factorization's rounding leaves
+            # at the threshold, and gives the eigenvalue for the message
+            w = np.linalg.eigvalsh(m)
+            if w.min() < -1e-8:
+                raise ValueError(f"matrix not PSD: min eigenvalue {w.min()}") from None
 
     @property
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
 
 
-def basis_state(circ: LatticeCircuit) -> StateVector:
-    return StateVector(product_state(circ.n_qubits).reshape(-1), circ.sites())
-
-
-def apply_circuit(state: StateVector, circ: LatticeCircuit, cap: int = DEFAULT_CAP) -> StateVector:
-    """Return C|psi>.  Norm is preserved to 1e-12 per unitary layer."""
-    _check_cap(state.n, cap)
-    index = {q: i for i, q in enumerate(state.qubits)}
+def _circuit_state(circ: LatticeCircuit, cap: int) -> tuple[np.ndarray, list]:
+    """C|0^n> on the qubits its gates touch, as `apply_gates` returns it
+    from a scalar: (t, live).  Every other lattice qubit is |0>.  Raises if
+    the norm drifts from 1 by more than 1e-12."""
+    _check_cap(circ.n_qubits, cap)
     for _, g in circ.gates():
         for q in g.qubits:
-            if q not in index:
-                raise ValueError(f"gate qubit {q} not present in state")
-    t, live = apply_gates(state.amplitudes.reshape([2] * state.n), _pairs(circ), state.qubits)
-    psi = product_state(state.n, [index[q] for q in live], t).reshape(-1)
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - np.linalg.norm(state.amplitudes)) > 1e-12 * max(1.0, nrm):
+            if not in_lattice(q, circ.dims):
+                raise ValueError(f"gate qubit {q} outside the lattice {circ.dims}")
+    t, live = apply_gates(np.ones(()), _pairs(circ), [])
+    if abs(np.linalg.norm(t) - 1.0) > 1e-12:
         raise AssertionError("statevector norm drifted beyond 1e-12")
-    return StateVector(psi, state.qubits)
-
-
-def evolve_zero(circ: LatticeCircuit, cap: int = DEFAULT_CAP) -> StateVector:
-    return apply_circuit(basis_state(circ), circ, cap=cap)
+    return t, live
 
 
 def output_probability(circ: LatticeCircuit, x, cap: int = DEFAULT_CAP) -> float:
-    """Exact |<x|C|0^n>|^2 by statevector evolution; x is a bitstring."""
+    """Exact |<x|C|0^n>|^2 by statevector evolution; x is a bitstring, its
+    bits in `circ.sites()` order."""
     bits = [int(b) for b in x]
     if len(bits) != circ.n_qubits:
         raise ValueError(f"bitstring length {len(bits)} != {circ.n_qubits} qubits")
-    psi = evolve_zero(circ, cap=cap).amplitudes
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    return float(abs(psi[idx]) ** 2)
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError(f"bitstring {x!r} has a bit outside {{0, 1}}")
+    bit = dict(zip(circ.sites(), bits))
+    t, live = _open(*_circuit_state(circ, cap), circ.sites())
+    return float(abs(t[tuple(bit[q] for q in live)]) ** 2)
 
 
 def reduced_state(circ: LatticeCircuit, regions, cap: int = DEFAULT_CAP) -> DensityOperator:
     """sigma on M u F: exact partial trace of C|0><0|C^dagger over B."""
-    state = evolve_zero(circ, cap=cap)
     back = set(regions.back)
-    keep = [i for i, q in enumerate(state.qubits) if q not in back]
-    rho = reduce(state.amplitudes.reshape([2] * state.n), keep)
-    return DensityOperator(rho, tuple(state.qubits[i] for i in keep))
+    kept = [q for q in circ.sites() if q not in back]
+    t, live = _open(*_circuit_state(circ, cap), kept)
+    return DensityOperator(reduce(t, [live.index(q) for q in kept]), tuple(kept))
 
 
 def postselect_zero(op: DensityOperator, register) -> DensityOperator:
@@ -449,10 +445,7 @@ def synthesis_value_exact(s, cap: int = DEFAULT_CAP) -> float:
     ops = [op for op in s.cut_ops if op.kind != "input_state"]
     touched = dict.fromkeys(q for op in ops for q in op.project_zero + op.qubits)
     t, live, _ = _evolve(s, cap, close=[q for q in s.M + s.N if q not in touched])
-    idle = [q for q in touched if q not in live]  # annotated qubits no gate has opened
-    if idle:
-        t = product_state(len(live) + len(idle), range(len(live)), t)
-        live += idle
+    t, live = _open(t, live, touched)  # annotated qubits no gate has opened
     pos = {q: i for i, q in enumerate(live)}
     t = project_zero(t, [pos[q] for q in s.M if q in pos])
     for op in ops:

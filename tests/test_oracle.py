@@ -12,37 +12,68 @@ def bell_circuit():
     return gc.circuit((2,), [[gc.gate("H", [(0,)])], [gc.gate("CNOT", [(0,), (1,)])]])
 
 
+def column(circ):
+    """C|0^n> from `apply_gates`, started from a scalar, as a flat vector in
+    `circ.sites()` order (index bits big-endian), to compare with a column of
+    `circuit_unitary`."""
+    t, live = oracle.apply_gates(np.ones(()), [(g.matrix, g.qubits) for _, g in circ.gates()], [])
+    index = {q: i for i, q in enumerate(circ.sites())}
+    return oracle.product_state(circ.n_qubits, [index[q] for q in live], t).reshape(-1)
+
+
 def test_apply_circuit_hadamard():
     circ = gc.circuit((1,), [[gc.gate("H", [(0,)])]])
-    out = oracle.apply_circuit(oracle.basis_state(circ), circ)
-    assert np.allclose(out.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
+    assert np.allclose(column(circ), [1 / np.sqrt(2), 1 / np.sqrt(2)])
+    assert np.allclose(column(circ), oracle.circuit_unitary(circ)[:, 0], atol=1e-12)
+    for x in "01":
+        assert oracle.output_probability(circ, x) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_apply_circuit_identity_unchanged():
     circ = generate_circuit({"kind": "identity", "dims": [3], "depth": 2})
-    state = oracle.basis_state(circ)
-    out = oracle.apply_circuit(state, circ)
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+    assert np.array_equal(column(circ), oracle.product_state(3).reshape(-1))
+    assert np.array_equal(oracle.circuit_unitary(circ)[:, 0], oracle.product_state(3).reshape(-1))
+    assert oracle.output_probability(circ, "000") == 1.0
+    assert oracle.output_probability(circ, "010") == 0.0
 
 
 def test_apply_circuit_bell():
-    out = oracle.evolve_zero(bell_circuit())
+    circ = bell_circuit()
     expect = np.zeros(4)
     expect[0] = expect[3] = 1 / np.sqrt(2)
-    assert np.allclose(out.amplitudes, expect)
+    assert np.allclose(column(circ), expect)
+    assert np.abs(column(circ) - oracle.circuit_unitary(circ)[:, 0]).max() < 1e-12
+    probs = [oracle.output_probability(circ, x) for x in ("00", "01", "10", "11")]
+    assert np.allclose(probs, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
 
 def test_apply_circuit_norm_preserved():
     circ = generate_circuit({"kind": "brickwork", "dims": [9], "depth": 2, "seed": 12, "gates": "haar"})
-    out = oracle.evolve_zero(circ)
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+    psi = column(circ)
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+    U = oracle.circuit_unitary(circ)
+    assert np.abs(psi - U[:, 0]).max() < 1e-12
+    for x in ("000000000", "101100111", "011010010"):
+        assert abs(oracle.output_probability(circ, x) - abs(U[int(x, 2), 0]) ** 2) < 1e-12
 
 
 def test_apply_circuit_rejects_foreign_qubits():
-    circ = gc.circuit((3,), [[gc.gate("H", [(2,)])]])
-    small = oracle.StateVector(np.array([1, 0], dtype=complex), ((0,),))
-    with pytest.raises(ValueError):
-        oracle.apply_circuit(small, circ)
+    # a gate on (2,) in a two-site lattice
+    circ = gc.circuit((2,), [[gc.gate("H", [(2,)])]])
+    with pytest.raises(ValueError, match="outside the lattice"):
+        oracle.output_probability(circ, "00")
+    regions = gc.CutRegions(((0,),), ((1,),), (), gc.Slice(0, 1, 2))
+    with pytest.raises(ValueError, match="outside the lattice"):
+        oracle.reduced_state(circ, regions)
+
+
+def test_output_probability_rejects_bits_outside_0_1():
+    circ = gc.circuit((2,), [[gc.gate("X", [(1,)])]])
+    assert oracle.output_probability(circ, "01") == 1.0
+    assert oracle.output_probability(circ, [0, 1]) == 1.0
+    for x in ("02", [0, -1], "21", [2, 0]):
+        with pytest.raises(ValueError, match="outside"):
+            oracle.output_probability(circ, x)
 
 
 def test_output_probability_identity():
@@ -69,7 +100,7 @@ def test_two_evaluation_orders_agree_many_seeds():
         circ = generate_circuit(
             {"kind": "brickwork", "dims": [7], "depth": 2, "seed": seed, "gates": "haar"}
         )
-        psi = oracle.evolve_zero(circ).amplitudes
+        psi = column(circ)
         U = oracle.circuit_unitary(circ)
         assert np.abs(psi - U[:, 0]).max() < 1e-10
 
@@ -100,13 +131,115 @@ def test_reduced_state_product_circuit_factorizes():
 def test_reduced_state_against_elementwise_contraction():
     circ = generate_circuit({"kind": "brickwork", "dims": [6], "depth": 1, "seed": 4, "gates": "haar"})
     regions = gc.cut_regions(circ, gc.Slice(0, 2, 4))
+    assert regions.back == ((0,), (1,))
     rho = oracle.reduced_state(circ, regions)
-    psi = oracle.evolve_zero(circ).amplitudes.reshape(2 ** 2, 2 ** 4)
+    psi = oracle.circuit_unitary(circ)[:, 0].reshape(2 ** 2, 2 ** 4)
     brute = np.zeros((16, 16), dtype=complex)
     for b in range(4):
         brute += np.outer(psi[b], psi[b].conj())
     assert np.abs(rho.matrix - brute).max() < 1e-10
     assert rho.trace == pytest.approx(1.0, abs=1e-10)
+
+
+def random_unitary(rng, k):
+    z = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+    return np.linalg.qr(z)[0]
+
+
+def sigma_from_unitary(circ, back):
+    """tr_B of C|0><0|C^dagger from column 0 of `circuit_unitary`, the kept
+    qubits in `circ.sites()` order."""
+    sites = circ.sites()
+    b = [sites.index(q) for q in back]
+    psi = oracle.circuit_unitary(circ)[:, 0].reshape([2] * len(sites))
+    k = len(sites) - len(b)
+    return np.tensordot(psi, psi.conj(), axes=(b, b)).reshape(2**k, 2**k)
+
+
+def chain_with_idle_ends(rng):
+    # (0,) in B and (5,) in F are touched by no gate
+    q = [(i,) for i in range(6)]
+    layers = [
+        [gc.gate(random_unitary(rng, 2), [q[1], q[2]]), gc.gate(random_unitary(rng, 2), [q[3], q[4]])],
+        [gc.gate(random_unitary(rng, 2), [q[2], q[3]]), gc.gate(random_unitary(rng, 1), [q[4]])],
+    ]
+    return gc.circuit((6,), layers), gc.Slice(0, 2, 4)
+
+
+def ladder_with_idle_sites(rng):
+    # (0, 1) in B and (3, 0) in F are touched by no gate; two gates list
+    # their qubits against the sweep order
+    layers = [
+        [gc.gate(random_unitary(rng, 2), [(0, 0), (1, 0)]), gc.gate(random_unitary(rng, 2), [(3, 1), (2, 1)])],
+        [
+            gc.gate(random_unitary(rng, 2), [(1, 1), (1, 0)]),
+            gc.gate(random_unitary(rng, 2), [(2, 0), (2, 1)]),
+            gc.gate(random_unitary(rng, 1), [(0, 0)]),
+        ],
+    ]
+    return gc.circuit((4, 2), layers), gc.Slice(0, 1, 3)
+
+
+@pytest.mark.parametrize("build", [chain_with_idle_ends, ladder_with_idle_sites])
+@pytest.mark.parametrize("swap", [False, True])
+def test_reduced_state_matches_unitary_column_with_idle_qubits(build, swap):
+    circ, sl = build(np.random.default_rng(11))
+    regions = gc.cut_regions(circ, sl, depth=1)
+    if swap:  # trace out F instead, as the B-side encodings do
+        regions = gc.CutRegions(regions.front, regions.middle, regions.back, sl)
+    used = {q for _, g in circ.gates() for q in g.qubits}
+    assert set(regions.back) - used and (set(regions.middle) | set(regions.front)) - used
+    rho = oracle.reduced_state(circ, regions)
+    assert rho.qubits == tuple(q for q in circ.sites() if q not in regions.back)
+    assert np.abs(rho.matrix - sigma_from_unitary(circ, regions.back)).max() < 1e-12
+    assert rho.trace == pytest.approx(1.0, abs=1e-12)
+
+
+def test_reduced_state_cap_counts_every_qubit():
+    # one gate, so the sweep would hold a single qubit; the cap counts all 40
+    circ = gc.circuit((40,), [[gc.gate("H", [(0,)])]])
+    regions = gc.cut_regions(circ, gc.Slice(0, 10, 12))
+    with pytest.raises(oracle.OracleCapacityError, match="40 qubits > cap 22"):
+        oracle.reduced_state(circ, regions)
+    small, sl = chain_with_idle_ends(np.random.default_rng(2))
+    with pytest.raises(oracle.OracleCapacityError, match="6 qubits > cap 5"):
+        oracle.reduced_state(small, gc.cut_regions(small, sl, depth=1), cap=5)
+    with pytest.raises(oracle.OracleCapacityError):
+        oracle.output_probability(small, "0" * 6, cap=5)
+
+
+def hermitian_with_min_eigenvalue(rng, lam):
+    v = random_unitary(rng, 2)
+    m = (v * [lam, 0.1, 0.2, 0.3]) @ v.conj().T
+    return (m + m.conj().T) / 2
+
+
+def test_density_operator_rejects_min_eigenvalue_below_minus_1e_8():
+    m = hermitian_with_min_eigenvalue(np.random.default_rng(1), -2e-8)
+    assert np.abs(m - m.conj().T).max() == 0.0 and np.trace(m).real <= 1.0
+    with pytest.raises(ValueError, match=r"matrix not PSD: min eigenvalue -(1\.9|2\.0)\d*e-08"):
+        oracle.DensityOperator(m, ((0,), (1,)))
+
+
+def test_density_operator_accepts_min_eigenvalue_within_1e_8():
+    m = hermitian_with_min_eigenvalue(np.random.default_rng(1), -5e-9)
+    assert np.linalg.eigvalsh(m).min() < 0
+    oracle.DensityOperator(m, ((0,), (1,)))
+
+
+def test_density_operator_accepts_rank_one_projector_on_8_qubits():
+    rng = np.random.default_rng(4)
+    v = rng.normal(size=256) + 1j * rng.normal(size=256)
+    v /= np.linalg.norm(v)
+    op = oracle.DensityOperator(np.outer(v, v.conj()), [(i,) for i in range(8)])
+    assert op.trace == pytest.approx(1.0, abs=1e-12)
+
+
+def test_density_operator_checks_hermitian_before_psd():
+    # Hermitian from its lower triangle, [[.5, 1], [1, .5]] has eigenvalue -0.5
+    m = np.array([[0.5, 0.0], [1.0, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        oracle.DensityOperator(m, ((0,),))
 
 
 def test_postselect_zero_basics():
@@ -283,18 +416,18 @@ def test_apply_gates_matches_tensordot_to_the_bit_and_leaves_its_input():
     assert oracle.apply_gates(t0, [], q)[0] is t0
 
 
-def test_apply_circuit_peak_memory_is_three_states():
-    # every qubit is live from the start, so the gate loop holds its input and
-    # its two work buffers (the transposed copy and the product); one more
-    # state would make it four
+def test_output_probability_peak_memory_is_two_states():
+    # every qubit of the chain is live by the end, so the sweep holds its two
+    # work buffers at full width and nothing else that size; a third state
+    # (a widened copy, say) would make it three
     circ = generate_circuit(
         {"kind": "brickwork", "dims": [16, 1, 1], "depth": 2, "seed": 7, "gates": "weak", "strength": 0.3}
     )
-    oracle.evolve_zero(circ)
+    oracle.output_probability(circ, "0" * 16)
     tracemalloc.start()
     try:
-        oracle.evolve_zero(circ)
+        oracle.output_probability(circ, "0" * 16)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.2 * 16 * 2**16
+    assert peak <= 2.2 * 16 * 2**16
