@@ -215,8 +215,8 @@ def encoding_block(enc: BlockEncoding, cap: int = oracle.DEFAULT_CAP) -> np.ndar
 
     A live-width sweep over the operator: each data qubit is opened at its
     first gate as an identity pair, an output axis and an input axis that
-    no later gate touches (the input axes index the block's columns), and a
-    data qubit that no gate touches contributes an identity factor.  Every
+    no later gate touches (the input axes index the block's columns); a
+    data qubit that no gate touches is opened as one at the end.  Every
     other qubit is opened at its first gate and projected on 0 after its
     last, so the state never holds more than the sweep's frontier and the
     data columns it has reached.  With no data qubits the block is 1x1.
@@ -228,10 +228,6 @@ def encoding_block(enc: BlockEncoding, cap: int = oracle.DEFAULT_CAP) -> np.ndar
     oracle._check_cap(len(used), cap)
     cols = {q: i for i, q in enumerate(enc.data)}  # an input axis is labelled by its data position
     t, live = oracle.apply_gates(np.ones(()), oracle._pairs(enc.circuit), [], used - set(enc.data), cols)
-    for q in enc.data:
-        if q not in live:  # no gate touches it
-            t = np.multiply.outer(t, np.eye(2))
-            live += [q, cols[q]]
     dim = 2 ** len(enc.data)
     axes = [live.index(q) for q in enc.data] + [live.index(cols[q]) for q in enc.data]
     return t.transpose(axes).reshape(dim, dim)

@@ -232,6 +232,8 @@ def cut_regions(circ: LatticeCircuit, sl: Slice, depth: int | None = None) -> Cu
     gate path connects B and F within the circuit depth.
     """
     d = circ.depth if depth is None else depth
+    if not 0 <= sl.axis < len(circ.dims):
+        raise CutError(f"slice axis {sl.axis} outside a lattice of {len(circ.dims)} axes")
     if sl.width < 2 * d:
         raise CutError(
             f"insufficient light-cone separation: slice width {sl.width} < 2d = {2 * d}"

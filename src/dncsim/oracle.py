@@ -7,14 +7,12 @@ is double-precision and serves as ground truth for the rest of the package;
 two-dimensional subproblems (`dnc.a_full` with `base=None`), which evaluates
 a synthesis with zero error.
 
-Every dense evolution in the package (here, in `synthesis.cut_data` and in
-`blockenc.encoding_block`) runs on state tensors through the kernels below:
-`apply_gates` (`apply_gate` for one gate), `apply_sandwich`, `project_zero`
-and `reduce`.  A state tensor of n qubits has one axis of length 2 per qubit,
-axis i for qubit i, optionally followed by batch axes (for example one per
-basis column).  The kernels take qubit axes and never flatten.
-`circuit_unitary` shares no code with the kernels and serves as their
-independent reference.
+Every dense evolution in the package runs on state tensors through the
+kernels below: `apply_gates` (`apply_gate` for one gate), `apply_sandwich`,
+`project_zero` and `reduce`.  A state tensor holds one axis of length 2 per
+live qubit, listed beside it (`live`), optionally followed by batch axes.
+The kernels take qubit axes and never flatten.  `circuit_unitary` shares no
+code with the kernels and serves as their independent reference.
 
 `apply_gates` is a sweep that holds only the live qubits.  It runs the gates
 in a causal order along the longest axis of the lattice, row by row along
@@ -22,13 +20,19 @@ the next-longest one (`sweep_order`), opens a qubit's |0> axis at its first
 gate, and closes a qubit the caller marks (projects it on 0 and drops its
 axis) right after its last gate.  A qubit the caller pairs is opened instead
 as an identity pair, an output axis and an input axis, so the sweep runs
-over an operator's columns as it reaches them.  A shallow circuit then never
-holds more than a frontier a few columns wide: `synthesis_value_exact`
-closes the M and N qubits that no annotation touches, and `encoding_block`
-pairs the data register and closes every other qubit.  `output_probability`
-and `reduced_state` close nothing; they hold every qubit a gate touches, and
-`reduced_state` traces B out of that state with `reduce`.  The cap still
-counts every qubit, live or not.
+over an operator's columns as it reaches them; a paired qubit no gate
+touches is opened at the end.  A shallow circuit then never holds more than
+a frontier a few columns wide.
+
+A synthesis has one evaluation, `synthesis_state`: the sweep from |0> (the
+M and N qubits that no annotation touches closed), the M projection, the
+annotations and the N projection, at live width.  Its squared norm is
+`synthesis_value_exact`; `synthesis.cut_data` reduces it to the band state
+omega, and with the band paired as N it is the front contraction W.
+`encoding_block` pairs the data register and closes every other qubit.
+`output_probability` and `reduced_state` close nothing; they hold every
+qubit a gate touches, and `reduced_state` traces B out of that state with
+`reduce`.  The cap still counts every qubit, live or not.
 
 Tolerance ladder: 1e-12 for unitarity, 1e-10 for algebraic identities,
 1e-8 of slack for positive semidefiniteness.
@@ -174,6 +178,10 @@ def apply_gates(t: np.ndarray, gates, live, close=(), pairs=None) -> tuple[np.nd
              its last gate (only the gate's rows for output 0 are formed), or
              before the first gate if it is live and no gate touches it.
 
+    A paired qubit that no gate touches is opened after the last gate, on
+    the leading axes: as an identity pair (its output axis, then its label),
+    or, if it is also closed, as its |0> row [1, 0] under its label alone.
+
     The result holds the returned qubits and labels on its leading axes, then
     the batch axes.  Every gate goes through the one kernel `_gate` and two
     work buffers, allocated once per call at the peak live width, which the
@@ -184,6 +192,7 @@ def apply_gates(t: np.ndarray, gates, live, close=(), pairs=None) -> tuple[np.nd
     gates, close, live, pairs = list(gates), set(close), list(live), pairs or {}
     order = sweep_order(gates)
     last = {q: step for step, i in enumerate(order) for q in gates[i][1]}
+    idle_pairs = [q for q in pairs if q not in last and q not in live]
     idle = [q in close and q not in last for q in live]
     if any(idle):
         t = t[tuple(0 if x else slice(None) for x in idle)]
@@ -209,6 +218,11 @@ def apply_gates(t: np.ndarray, gates, live, close=(), pairs=None) -> tuple[np.nd
         front, out = (np.empty(batch << peak, np.result_type(t, complex)) for _ in range(2))
         for m, axes in plan:
             t = _gate(t, m, axes, front, out)
+    for q in idle_pairs:  # no gate touches it: an identity pair, or its |0> row if closed
+        if q in close:
+            t, live = np.multiply.outer(np.eye(2)[0], t), [pairs[q]] + live
+        else:
+            t, live = np.multiply.outer(np.eye(2), t), [q, pairs[q]] + live
     return t, live
 
 
@@ -397,11 +411,18 @@ def _pairs(circ: LatticeCircuit) -> list:
     return [(g.matrix, g.qubits) for _, g in circ.gates()]
 
 
-def _evolve(s, cap: int, close=()):
-    """The gates of a synthesis run by `apply_gates` on |0> with purified band
-    inputs: returns (t, live, qubits), qubits being the lattice sites and
-    then the purification ancillas.  The bands and ancillas are held from
-    the start; the qubits in `close` are closed after their last gate."""
+def synthesis_state(s, cap: int = DEFAULT_CAP, pairs=None) -> tuple[np.ndarray, list]:
+    """The one evaluation of a synthesis, at live width: (t, live) as
+    `apply_gates` returns them.
+
+    The sweep starts from |0> with the input states purified on ancillas,
+    held from the start; then M is projected on 0, the sandwiches and
+    insertions are applied, and N is projected on 0.  L and the ancillas
+    stay live, so the squared norm of t is the synthesis value and `reduce`
+    traces over them.  An M or N qubit no annotation touches is closed after
+    its last gate (it commutes with the rest); `pairs` goes to `apply_gates`.
+    The cap counts every lattice qubit and ancilla, live or not.
+    """
     anc: list[Coord] = []
     held: list[Coord] = []
     block = np.ones(())
@@ -415,36 +436,11 @@ def _evolve(s, cap: int, close=()):
         # purified vector on band + ancillas: sum_j sqrt(w_j) |e_j>|j>
         w, v = np.linalg.eigh(op.matrix)
         block = np.multiply.outer(block, (v * np.sqrt(np.clip(w, 0.0, None))).reshape([2] * (2 * r)))
-    qubits = list(s.gamma.sites()) + anc
-    _check_cap(len(qubits), cap)
-    t, live = apply_gates(block, _pairs(s.gamma), held, close)
-    return t, live, qubits
-
-
-def synthesis_state(s, cap: int = DEFAULT_CAP):
-    """State tensor of a synthesis just before register projections.
-
-    Returns (t, qubit order, axis map), t full width in that order.
-    Input-state annotations are loaded through purification ancillas
-    (appended after the lattice sites and later traced with the L register).
-    """
-    t, live, qubits = _evolve(s, cap)
-    index = {q: i for i, q in enumerate(qubits)}
-    return product_state(len(qubits), [index[q] for q in live], t), qubits, index
-
-
-def synthesis_value_exact(s, cap: int = DEFAULT_CAP) -> float:
-    """Exact <0_N| phi_S |0_N> for a synthesis (cut-operator annotations included).
-
-    Evaluation order: evolve |0> (with purified band inputs), project the M
-    register to 0, apply sandwich/insertion annotations, project N to 0, and
-    take the squared norm over the remaining (traced) registers.  An M or N
-    qubit that no annotation touches commutes with everything after its last
-    gate, so the engine closes it there; the cap still counts every qubit.
-    """
+    _check_cap(len(s.gamma.sites()) + len(anc), cap)
     ops = [op for op in s.cut_ops if op.kind != "input_state"]
     touched = dict.fromkeys(q for op in ops for q in op.project_zero + op.qubits)
-    t, live, _ = _evolve(s, cap, close=[q for q in s.M + s.N if q not in touched])
+    close = [q for q in s.M + s.N if q not in touched]
+    t, live = apply_gates(block, _pairs(s.gamma), held, close, pairs)
     t, live = _open(t, live, touched)  # annotated qubits no gate has opened
     pos = {q: i for i, q in enumerate(live)}
     t = project_zero(t, [pos[q] for q in s.M if q in pos])
@@ -454,6 +450,12 @@ def synthesis_value_exact(s, cap: int = DEFAULT_CAP) -> float:
         elif op.kind != "sandwich":
             raise ValueError(f"unknown cut-op kind {op.kind!r}")
         t = apply_sandwich(t, op, [pos[q] for q in op.qubits])
-    t = project_zero(t, [pos[q] for q in s.N if q in pos])
-    return float(np.real(np.vdot(t, t)))
+    return project_zero(t, [pos[q] for q in s.N if q in pos]), live
 
+
+def synthesis_value_exact(s, cap: int = DEFAULT_CAP) -> float:
+    """Exact <0_N| phi_S |0_N> for a synthesis (cut-operator annotations
+    included): the squared norm of `synthesis_state`, which leaves the
+    traced registers (L and the purification ancillas) to be summed here."""
+    t, _ = synthesis_state(s, cap)
+    return float(np.real(np.vdot(t, t)))

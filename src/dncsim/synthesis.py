@@ -240,25 +240,19 @@ def _front_columns(s: Synthesis, band, cap: int) -> np.ndarray:
 
     Column x is <0_band| S V |x_band, 0_rest> with V the gates of s and S its
     sandwich annotations; shape (2^(n - |band|), 2^|band|), rows in site order.
+    One operator sweep: `oracle.synthesis_state` with the band as the N
+    register, each band qubit paired with its position as the label of its
+    input axis, and the rest as L.  A band qubit a sandwich touches stays
+    live through the N projection and is read at 0 here.
     """
     band_set = set(band)
     rest = [q for q in s.gamma.sites() if q not in band_set]
-    n, nb = len(band) + len(rest), len(band)
-    oracle._check_cap(n, cap)
-    # band qubits no sandwich touches are projected on zero after their last gate
-    touched = {q for op in s.cut_ops for q in op.qubits}
-    sites = [q for q in band if q in touched] + rest
-    index = {q: i for i, q in enumerate(sites)}
-    gates = oracle._pairs(s.gamma)
-    cols = np.zeros((2 ** len(rest), 2**nb), dtype=complex)
-    basis = np.eye(2**nb).reshape([2**nb] + [2] * nb)
-    for x in range(2**nb):  # one column at a time: a batch would take 2^nb times the memory
-        t, live = oracle.apply_gates(basis[x], gates, band, band_set - touched)
-        t = oracle.product_state(len(sites), [index[q] for q in live], t)
-        for op in s.cut_ops:
-            t = oracle.apply_sandwich(t, op, [index[q] for q in op.qubits])
-        cols[:, x] = t[(0,) * (len(sites) - len(rest))].reshape(-1)  # the rest of the band on zero
-    return cols
+    view = replace(s, L=tuple(rest), M=(), N=tuple(band))
+    t, live = oracle.synthesis_state(view, cap, pairs={q: x for x, q in enumerate(band)})
+    t, live = oracle._open(t, live, rest)
+    t = t[tuple(0 if q in band_set else slice(None) for q in live)]  # band outputs on zero
+    live = [q for q in live if q not in band_set]
+    return t.transpose([live.index(q) for q in rest + list(range(len(band)))]).reshape(2 ** len(rest), -1)
 
 
 @dataclass(eq=False)
@@ -329,14 +323,18 @@ def causal_split(s: Synthesis, sl: Slice):
     Cone gates are the forward light cone of the front region; the circuit
     equals (cone gates, in layer order) applied after (remaining gates).
     The cone acts only on the band (last d sites of the slice) and the front.
+    Every cut path starts here, so a slice off the lattice raises SplitError.
     """
-    d = s.gamma.depth
+    dims, axis, d = s.gamma.dims, sl.axis, s.gamma.depth
+    if not 0 <= axis < len(dims):
+        raise SplitError(f"slice {sl} on an axis outside the synthesis lattice {dims}")
+    if not (0 <= sl.lo and sl.hi <= dims[axis]):
+        raise SplitError(f"slice {sl} outside the synthesis lattice {dims}")
     if sl.width < 2 * d:
         raise CutError(
             f"insufficient light-cone separation: slice width {sl.width} < 2d = {2 * d}"
         )
-    axis = sl.axis
-    front = _axis_filter(s, sl.hi, s.gamma.dims[axis], axis)
+    front = _axis_filter(s, sl.hi, dims[axis], axis)
     band = _axis_filter(s, sl.hi - d, sl.hi, axis)
     cone, reached = cone_gates(s.gamma, front, "forward")
     allowed = set(front) | set(band)
@@ -368,14 +366,16 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     everything but the band traced out.  Only the backward light cone of the
     band, C and the left annotations acts on it, and the sites that cone
     reaches split along the cut axis into windows that evolve independently:
-    the window holding the band gives omega, through oracle.synthesis_state,
-    and every other window only a scalar factor, its exact synthesis value
-    with its part of C as M.  The band-sized W^dagger W comes the same way
-    from the backward cone of the band and the front sandwich annotations
-    within the front gates.  So the dense states of a cut span a few windows,
-    however long the lattice.  The front matrix W sqrt(omega) (`amat`, dense
-    on the front sites) is built, and checked against the cap, only when a
-    front-side projector is asked for.
+    every window is one oracle.synthesis_state sweep with its part of C as M
+    and the rest as L.  The window holding the band gives omega, the band's
+    reduced state of that sweep, and every other window only a scalar
+    factor, its exact synthesis value.  The band-sized W^dagger W comes the
+    same way from the backward cone of the band and the front sandwich
+    annotations within the front gates, its band window giving W as one
+    operator sweep (`_front_columns`).  So the dense states of a cut span a
+    few windows, however long the lattice.  The front matrix W sqrt(omega)
+    (`amat`, dense on the front sites) is built, and checked against the
+    cap, only when a front-side projector is asked for.
     """
     axis, d = sl.axis, s.gamma.depth
     left_ids, cone_ids, band = causal_split(s, sl)
@@ -400,12 +400,9 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
         if not inside(lo, hi):
             scale *= oracle.synthesis_value_exact(view, cap=cap)
             continue
-        t, _, index = oracle.synthesis_state(view, cap=cap)
-        for op in view.cut_ops:
-            if op.kind == "sandwich":
-                t = oracle.apply_sandwich(t, op, [index[q] for q in op.qubits])
-        t = oracle.project_zero(t, [index[q] for q in view.M])
-        omega = oracle.reduce(t, [index[_shift(q, axis, -lo)] for q in band])
+        local = [_shift(q, axis, -lo) for q in band]
+        t, live = oracle._open(*oracle.synthesis_state(view, cap), local)  # a band no gate touches
+        omega = oracle.reduce(t, [live.index(q) for q in local])
     omega = scale * omega
 
     # --- W^dagger W from the backward cone of band and front sandwiches
@@ -568,11 +565,6 @@ def _band_input(data: CutData) -> CutOp:
     return CutOp(kind="input_state", qubits=data.band, matrix=data.right_input)
 
 
-def _check_inside(s: Synthesis, sl: Slice) -> None:
-    if not (0 <= sl.lo and sl.hi <= s.gamma.dims[sl.axis]):
-        raise SplitError(f"slice {sl} outside the synthesis lattice")
-
-
 def split_at_cuts(
     s: Synthesis,
     sl: Slice,
@@ -587,7 +579,6 @@ def split_at_cuts(
     state.  Both children keep the annotations of `s` on their side.
     """
     axis = sl.axis
-    _check_inside(s, sl)
     left_ids, cone, _ = causal_split(s, sl)
     left_ops, right_ops = _partition_ops(s, sl)
     if data is None:
@@ -616,8 +607,6 @@ def middle_between_cuts(
     the children of the one-cut splits at i and at j.
     """
     axis = i.axis
-    _check_inside(s, i)
-    _check_inside(s, j)
     if j.axis != axis:
         raise SplitError("slices must share an axis")
     if j.lo < i.hi:

@@ -1,9 +1,12 @@
 """The light-cone cut_data against a dense reference, and at lengths it alone reaches.
 
-The reference builds the cut state the direct way: the whole region behind
-the slice's upper edge as one dense state (through oracle.synthesis_state)
-for omega, and one column per band basis state through all front gates for
-W.  cut_data builds the same quantities from small light-cone windows.
+The reference builds the cut state the direct way, at full width with one
+`oracle.apply_gate` call per gate: the whole region behind the slice's upper
+edge as one dense state for omega, and one column per band basis state
+through all front gates for W.  cut_data builds the same quantities from
+small light-cone windows, each one `oracle.synthesis_state` sweep: omega is
+the band's reduced state of the window's projected state, and W one operator
+sweep with the band's inputs left open.
 """
 import numpy as np
 import pytest
@@ -21,6 +24,47 @@ def weak(dims, depth, seed=7, strength=0.3):
     )
 
 
+def full_width_state(circ, ops):
+    """circ on |0> with the input states of `ops` purified on ancillas, every
+    site and ancilla held from the start and the gates run one at a time in
+    layer order: (t, axis of each qubit)."""
+    anc, held, block = [], [], np.ones(())
+    for op in ops:
+        if op.kind == "input_state":
+            r = len(op.qubits)
+            a = [(-1 - len(anc) - j,) * len(circ.dims) for j in range(r)]
+            anc += a
+            held += list(op.qubits) + a
+            w, v = np.linalg.eigh(op.matrix)
+            block = np.multiply.outer(block, (v * np.sqrt(np.clip(w, 0.0, None))).reshape([2] * (2 * r)))
+    index = {q: i for i, q in enumerate(list(circ.sites()) + anc)}
+    t = oracle.product_state(len(index), [index[q] for q in held], block)
+    for _, g in circ.gates():
+        t = oracle.apply_gate(t, g.matrix, [index[q] for q in g.qubits])
+    return t, index
+
+
+def column_reference(gates, band, rest, ops):
+    """W one column at a time at full width: column x is <0_band| S V
+    |x_band, 0_rest>, V the gates and S the sandwiches of `ops`, with its
+    rows over `rest` in that order."""
+    sites = list(band) + list(rest)
+    ridx = {q: i for i, q in enumerate(sites)}
+    nb, nr = len(band), len(sites)
+    W = np.zeros((2 ** len(rest), 2**nb), dtype=complex)
+    for x in range(2**nb):
+        col = np.zeros(2**nr, dtype=complex)
+        col[x << len(rest)] = 1.0
+        col = col.reshape([2] * nr)
+        for g in gates:
+            col = oracle.apply_gate(col, g.matrix, [ridx[q] for q in g.qubits])
+        for op in ops:
+            if op.kind == "sandwich":
+                col = oracle.apply_sandwich(col, op, [ridx[q] for q in op.qubits])
+        W[:, x] = col.reshape(2**nb, -1)[0]
+    return W
+
+
 def dense_reference(s, sl, calc):
     """(weight, kappa, eigvals, left_op, right_input, rho_front, front cut operator)
     from whole-region states; the cut operator is Pi or (rho/kappa)^2K."""
@@ -31,15 +75,7 @@ def dense_reference(s, sl, calc):
     left_dims = tuple(sl.hi if k == axis else w for k, w in enumerate(s.gamma.dims))
     left_circ = syn._restrict_layers(s.gamma, left_ids, axis, 0, left_dims)
     m_sites = set(s.M)
-    left = syn.Synthesis(
-        gamma=left_circ,
-        L=tuple(q for q in left_circ.sites() if q not in m_sites),
-        M=tuple(q for q in left_circ.sites() if q in m_sites),
-        N=(),
-        declared_axes=s.declared_axes,
-        cut_ops=tuple(left_ops),
-    )
-    t, _, index = oracle.synthesis_state(left, cap=30)
+    t, index = full_width_state(left_circ, left_ops)
     for op in left_ops:
         if op.kind == "sandwich":
             t = oracle.apply_sandwich(t, op, [index[q] for q in op.qubits])
@@ -48,22 +84,10 @@ def dense_reference(s, sl, calc):
     omega = oracle.reduce(t, [index[q] for q in band])
 
     front = [q for q in s.gamma.sites() if q[axis] >= sl.hi]
-    sites = list(band) + front
-    ridx = {q: i for i, q in enumerate(sites)}
-    nb, nr = len(band), len(sites)
     gates = [g for t, layer in enumerate(s.gamma.layers) for gi, g in enumerate(layer) if (t, gi) in cone_ids]
-    W = np.zeros((2 ** len(front), 2**nb), dtype=complex)
-    for x in range(2**nb):
-        col = np.zeros(2**nr, dtype=complex)
-        col[x << len(front)] = 1.0
-        col = col.reshape([2] * nr)
-        for g in gates:
-            col = oracle.apply_gate(col, g.matrix, [ridx[q] for q in g.qubits])
-        for op in right_ops:
-            if op.kind == "sandwich":
-                col = oracle.apply_sandwich(col, op, [ridx[q] for q in op.qubits])
-        W[:, x] = col.reshape(2**nb, -1)[0]
+    W = column_reference(gates, band, front, right_ops)
 
+    nb = len(band)
     rho = W @ omega @ W.conj().T
     lam, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
     lam, vecs = np.clip(lam[::-1], 0.0, None), vecs[:, ::-1]
@@ -152,6 +176,33 @@ def test_cut_data_of_children_matches_dense_reference(dims, depth, i, j):
         for sl in slices:
             assert_matches_reference(child, sl, EXACT)
         assert_matches_reference(child, slices[-1], POWER)
+
+
+def test_front_columns_with_a_band_qubit_no_gate_touches():
+    # band (0,), (1,), (2,) on a [5] window: no gate or sandwich touches (0,),
+    # only a sandwich touches (1,), and (2,) has gates; of the rest, (3,) has
+    # gates and (4,) only a low-rank sandwich
+    rng = np.random.default_rng(4)
+    circ = weak((5,), 1)
+    layers = [[g for g in layer if (0,) not in g.qubits and (1,) not in g.qubits] for layer in circ.layers]
+    layers.append([gc.Gate(np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0], ((2,), (3,)))])
+    circ = gc.circuit((5,), layers)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    f = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0][:, :1]
+    ops = (
+        syn.CutOp("sandwich", ((1,), (3,)), matrix=z @ z.conj().T),
+        syn.CutOp("sandwich", ((4,),), factors=f, coeffs=np.array([0.7])),
+    )
+    sites = circ.sites()
+    s = syn.Synthesis(circ, L=sites, M=(), N=(), declared_axes=(0,), cut_ops=ops)
+    band, rest = sites[:3], sites[3:]
+    assert not any(q in g.qubits for _, g in circ.gates() for q in band[:2] + rest[1:])
+    want = column_reference([g for _, g in circ.gates()], band, rest, ops)
+    got = syn._front_columns(s, band, cap=8)
+    assert got.shape == want.shape == (4, 8)
+    assert np.abs(got - want).max() < 1e-12
+    assert not want[:, 4:].any()  # input 1 on (0,) meets <0| on its output
+    assert np.abs(want[:, 2:4]).max() > 0.1  # input 1 on the sandwiched (1,) reaches the rows
 
 
 def test_cut_data_rejects_a_slice_on_the_input_band():

@@ -97,6 +97,14 @@ def test_cut_regions_boundary_empty_back():
     assert len(regions.front) == 8
 
 
+@pytest.mark.parametrize("axis", [5, -1])
+def test_cut_regions_rejects_an_axis_outside_the_lattice(axis):
+    # axis 5 raised IndexError, and axis -1 quietly cut axis 1
+    circ = generate_circuit({"kind": "brickwork", "dims": [4, 2], "depth": 1, "seed": 1, "gates": "weak"})
+    with pytest.raises(gc.CutError, match="outside a lattice of 2 axes"):
+        gc.cut_regions(circ, gc.Slice(axis, 0, 2))
+
+
 def test_cut_regions_rejects_narrow_slice():
     circ = generate_circuit({"kind": "brickwork", "dims": [10], "depth": 2, "seed": 1, "gates": "haar"})
     with pytest.raises(gc.CutError, match="insufficient light-cone separation"):

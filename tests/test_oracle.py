@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -334,17 +335,31 @@ def test_synthesis_value_with_input_state_annotation():
 # ---------------------------------------------------------------------------
 
 
+def traced_state(s):
+    """synthesis_state of s with every site in L, widened to every site:
+    (t, live), the sites first in `s.gamma.sites()` order, then the
+    purification ancillas."""
+    sites = list(s.gamma.sites())
+    t, live = oracle._open(*oracle.synthesis_state(replace(s, L=tuple(sites), M=(), N=())), sites)
+    anc = [q for q in live if q not in set(sites)]
+    return t.transpose([live.index(q) for q in sites + anc]), sites + anc
+
+
 @pytest.mark.parametrize(
     "dims,depth",
     [((8,), 2), ((4, 2), 2), ((3, 3), 1), ((2, 2, 2), 2), ((5, 1, 1), 3)],
 )
 def test_synthesis_state_matches_unitary_column(dims, depth):
     circ = generate_circuit({"kind": "brickwork", "dims": list(dims), "depth": depth, "seed": 5, "gates": "haar"})
-    t, qubits, index = oracle.synthesis_state(synthesis_of_circuit(circ))
+    s = synthesis_of_circuit(circ)
+    t, qubits = traced_state(s)
     assert t.shape == (2,) * circ.n_qubits
-    assert list(qubits) == list(circ.sites())
+    assert qubits == list(circ.sites())
     U = oracle.circuit_unitary(circ, cap=10)
     assert np.abs(t.reshape(-1) - U[:, 0]).max() < 1e-12
+    # with the sites in N the state is projected on 0: the amplitude <0|C|0>
+    t, _ = oracle.synthesis_state(s)
+    assert abs(np.vdot(t, t) - abs(U[0, 0]) ** 2) < 1e-12
 
 
 def test_synthesis_state_with_input_state_matches_unitary():
@@ -357,8 +372,8 @@ def test_synthesis_state_with_input_state_matches_unitary():
     (op,) = [op for op in right.cut_ops if op.kind == "input_state"]
     sites = right.gamma.sites()
     ns, nb = len(sites), len(op.qubits)
-    t, qubits, _ = oracle.synthesis_state(right)
-    assert list(qubits[:ns]) == list(sites) and len(qubits) == ns + nb
+    t, qubits = traced_state(right)
+    assert qubits[:ns] == list(sites) and len(qubits) == ns + nb
     m = t.reshape(2**ns, -1)
     rho = m @ m.conj().T
 
@@ -414,6 +429,30 @@ def test_apply_gates_matches_tensordot_to_the_bit_and_leaves_its_input():
     assert np.array_equal(got, want)
     assert np.array_equal(t0, before)
     assert oracle.apply_gates(t0, [], q)[0] is t0
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_apply_gates_opens_a_paired_qubit_no_gate_touches(closed):
+    # qubits (0,), (1,) carry one gate; (2,) is paired but no gate touches
+    # it, so it is opened after the gates: an identity pair, or, closed, the
+    # row <0| under its label alone; a batch axis of 3 stays last
+    rng = np.random.default_rng(11)
+    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    batch = rng.normal(size=3)
+    q0, q1, q2 = (0,), (1,), (2,)
+    t, live = oracle.apply_gates(batch, [(u, (q0, q1))], [], [q2] if closed else [], {q0: "a", q2: "b"})
+    # u's columns for input 0 on the unpaired (1,), indexed [out0, out1, in0]
+    block = u.reshape(2, 2, 2, 2)[:, :, :, 0]
+    if closed:
+        assert live[0] == "b" and q2 not in live
+        want = np.einsum("xyi,j,z->xyijz", block, [1.0, 0.0], batch)
+        got = t.transpose([live.index(x) for x in (q0, q1, "a", "b")] + [4])
+    else:
+        assert live[:2] == [q2, "b"]
+        want = np.einsum("xyi,wj,z->xywijz", block, np.eye(2), batch)
+        got = t.transpose([live.index(x) for x in (q0, q1, q2, "a", "b")] + [5])
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-15
 
 
 def test_output_probability_peak_memory_is_two_states():

@@ -255,6 +255,30 @@ def test_split_rejects_bad_slices():
         syn.middle_between_cuts(s, gc.Slice(0, 4, 6), gc.Slice(0, 10, 14), CALC)  # outside
 
 
+OFF_LATTICE = [gc.Slice(0, 7, 9), gc.Slice(1, 0, 2), gc.Slice(0, 9, 11), gc.Slice(0, -1, 1)]
+
+
+@pytest.mark.parametrize("sl", OFF_LATTICE, ids=str)
+def test_every_cut_path_rejects_a_slice_off_the_lattice(sl):
+    # before the check in causal_split these raised IndexError or TypeError,
+    # or, for [-1, 1), gave the weight 0.997 of a slice hanging off the chain
+    s = syn.synthesis_of_circuit(weak_chain(8, seed=1, strength=0.1))
+    inside = gc.Slice(0, 2, 4)
+    with pytest.raises(syn.SplitError, match="outside the synthesis lattice"):
+        syn.cut_data(s, sl, CALC)
+    with pytest.raises(syn.SplitError, match="outside the synthesis lattice"):
+        syn.kappa(s, sl, 2, CALC)
+    with pytest.raises(syn.SplitError, match="outside the synthesis lattice"):
+        syn.cut_projector(s, sl, CALC)
+    with pytest.raises(syn.SplitError, match="outside the synthesis lattice"):
+        syn.insertion_op(s, sl, CALC)
+    with pytest.raises(syn.SplitError, match="outside the synthesis lattice"):
+        syn.split_at_cuts(s, sl, CALC)
+    if sl.axis == 0 and sl.lo > inside.hi:
+        with pytest.raises(syn.SplitError, match="outside the synthesis lattice"):
+            syn.middle_between_cuts(s, inside, sl, CALC)
+
+
 def test_two_cut_middle_matches_inserted_term():
     circ = weak_chain(14, seed=9)
     s = syn.synthesis_of_circuit(circ)
