@@ -217,17 +217,13 @@ def encoding_block(enc: BlockEncoding, cap: int = oracle.DEFAULT_CAP) -> np.ndar
     first gate as an identity pair, an output axis and an input axis that
     no later gate touches (the input axes index the block's columns); a
     data qubit that no gate touches is opened as one at the end.  Every
-    other qubit is opened at its first gate and projected on 0 after its
+    ancilla is opened at its first gate and projected on 0 after its
     last, so the state never holds more than the sweep's frontier and the
     data columns it has reached.  With no data qubits the block is 1x1.
-    The cap counts every qubit a gate or register touches.
+    The cap bounds the sweep's width (`oracle.apply_gates`), not the registers.
     """
-    used = set(enc.ancilla) | set(enc.data)
-    for _, g in enc.circuit.gates():
-        used.update(g.qubits)
-    oracle._check_cap(len(used), cap)
     cols = {q: i for i, q in enumerate(enc.data)}  # an input axis is labelled by its data position
-    t, live = oracle.apply_gates(np.ones(()), oracle._pairs(enc.circuit), [], used - set(enc.data), cols)
+    t, live = oracle.apply_gates(np.ones(()), oracle._pairs(enc.circuit), [], enc.ancilla, cols, cap)
     dim = 2 ** len(enc.data)
     axes = [live.index(q) for q in enc.data] + [live.index(cols[q]) for q in enc.data]
     return t.transpose(axes).reshape(dim, dim)

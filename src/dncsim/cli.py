@@ -5,10 +5,11 @@ import argparse
 import json
 import sys
 
-
 from . import blockenc, dnc, errmodel, harness, oracle
 from .geomcircuit import Slice, cut_regions, load_circuit, validate
 from .synthesis import synthesis_of_circuit
+
+CAP_HELP = "qubits of the widest dense tensor a sweep may hold: its live width, not the circuit's size"
 
 
 def _cmd_validate(args) -> int:
@@ -123,14 +124,14 @@ def main(argv=None) -> int:
     s.add_argument("--calculus", choices=("exact-spectral", "power-encoding"), default="exact-spectral")
     s.add_argument("--trace", default=None)
     s.add_argument("--oracle", action="store_true", help="also print the dense value")
-    s.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+    s.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP, help=CAP_HELP)
     s.set_defaults(func=_cmd_simulate)
 
     e = sub.add_parser("verify-encodings", help="check block-encoding identities at a cut")
     e.add_argument("file")
     e.add_argument("--cut", required=True, metavar="axis:lo:hi")
     e.add_argument("--k", type=int, default=2)
-    e.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+    e.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP, help=CAP_HELP)
     e.set_defaults(func=_cmd_verify_encodings)
 
     x = sub.add_parser("experiment", help="run an experiment config (JSON)")

@@ -159,9 +159,6 @@ class Report:
     schema_version: int
     records: list[dict]
 
-    def max_error(self) -> float:
-        return max((r["abs_error"] for r in self.records), default=0.0)
-
     def all_within_delta(self) -> bool:
         return all(r["abs_error"] <= r["delta"] + 1e-12 for r in self.records)
 

@@ -29,10 +29,12 @@ M and N qubits that no annotation touches closed), the M projection, the
 annotations and the N projection, at live width.  Its squared norm is
 `synthesis_value_exact`; `synthesis.cut_data` reduces it to the band state
 omega, and with the band paired as N it is the front contraction W.
-`encoding_block` pairs the data register and closes every other qubit.
+`encoding_block` pairs the data register and closes the ancillas.
 `output_probability` and `reduced_state` close nothing; they hold every
 qubit a gate touches, and `reduced_state` traces B out of that state with
-`reduce`.  The cap still counts every qubit, live or not.
+`reduce`.  The cap bounds the widest tensor the engine holds, not the
+qubits a circuit has: `apply_gates` checks its plan's peak and `_open` the
+widened tensor, each before it allocates; `reduced_state` checks its output.
 
 Tolerance ladder: 1e-12 for unitarity, 1e-10 for algebraic identities,
 1e-8 of slack for positive semidefiniteness.
@@ -45,7 +47,7 @@ import numpy as np
 
 from .geomcircuit import Coord, LatticeCircuit, in_lattice
 
-DEFAULT_CAP = 22
+DEFAULT_CAP = 22  # qubits of the widest tensor a sweep may hold (live, paired and batch axes)
 
 
 class OracleCapacityError(RuntimeError):
@@ -78,11 +80,12 @@ def product_state(n: int, axes=(), block=None) -> np.ndarray:
     return t
 
 
-def _open(t: np.ndarray, live: list, qubits) -> tuple[np.ndarray, list]:
+def _open(t: np.ndarray, live: list, qubits, cap: int = DEFAULT_CAP) -> tuple[np.ndarray, list]:
     """Widen a state tensor on `live` by the qubits of `qubits` it does not
-    hold, as |0> axes after the live ones; returns (t, live)."""
+    hold, as |0> axes after the live ones, within the cap; returns (t, live)."""
     idle = [q for q in qubits if q not in live]
     if idle:
+        _check_cap(len(live) + len(idle) + ((t.size >> len(live)) - 1).bit_length(), cap)
         t = product_state(len(live) + len(idle), range(len(live)), t)
         live = live + idle
     return t, live
@@ -160,7 +163,7 @@ def sweep_order(gates) -> list[int]:
     return order
 
 
-def apply_gates(t: np.ndarray, gates, live, close=(), pairs=None) -> tuple[np.ndarray, list]:
+def apply_gates(t: np.ndarray, gates, live, close=(), pairs=None, cap: int = DEFAULT_CAP) -> tuple[np.ndarray, list]:
     """Run gates on the live qubits of a state tensor; returns (t, live).
 
     `t` holds the qubits `live` (lattice coordinates) on its leading axes,
@@ -187,7 +190,9 @@ def apply_gates(t: np.ndarray, gates, live, close=(), pairs=None) -> tuple[np.nd
     work buffers, allocated once per call at the peak live width, which the
     plan fixes before the loop (a fresh pair per gate spends about a third
     of a dense evaluation faulting in pages).  The result may be a view of a
-    work buffer; the input is never written.
+    work buffer; the input is never written.  The cap bounds the peak, or
+    the result if the untouched pairs make it wider, with the batch axes
+    counted as qubits, and is checked before the buffers are allocated.
     """
     gates, close, live, pairs = list(gates), set(close), list(live), pairs or {}
     order = sweep_order(gates)
@@ -214,6 +219,8 @@ def apply_gates(t: np.ndarray, gates, live, close=(), pairs=None) -> tuple[np.nd
         plan.append((m.reshape(2 ** (len(keep) + len(cols)), 2 ** len(old)), [live.index(q) for q in old]))
         live = keep + cols + [q for q in live if q not in old]
         peak = max(peak, len(live))
+    end = len(live) + sum(2 - (q in close) for q in idle_pairs)  # with the untouched pairs opened
+    _check_cap(max(peak, end) + (batch - 1).bit_length(), cap)
     if plan:
         front, out = (np.empty(batch << peak, np.result_type(t, complex)) for _ in range(2))
         for m, axes in plan:
@@ -301,35 +308,38 @@ def _circuit_state(circ: LatticeCircuit, cap: int) -> tuple[np.ndarray, list]:
     """C|0^n> on the qubits its gates touch, as `apply_gates` returns it
     from a scalar: (t, live).  Every other lattice qubit is |0>.  Raises if
     the norm drifts from 1 by more than 1e-12."""
-    _check_cap(circ.n_qubits, cap)
     for _, g in circ.gates():
         for q in g.qubits:
             if not in_lattice(q, circ.dims):
                 raise ValueError(f"gate qubit {q} outside the lattice {circ.dims}")
-    t, live = apply_gates(np.ones(()), _pairs(circ), [])
+    t, live = apply_gates(np.ones(()), _pairs(circ), [], cap=cap)
     if abs(np.linalg.norm(t) - 1.0) > 1e-12:
         raise AssertionError("statevector norm drifted beyond 1e-12")
     return t, live
 
 
 def output_probability(circ: LatticeCircuit, x, cap: int = DEFAULT_CAP) -> float:
-    """Exact |<x|C|0^n>|^2 by statevector evolution; x is a bitstring, its
-    bits in `circ.sites()` order."""
+    """Exact |<x|C|0^n>|^2 at live width; x is a bitstring, its bits in
+    `circ.sites()` order, and a 1 on a qubit no gate touches gives 0."""
     bits = [int(b) for b in x]
     if len(bits) != circ.n_qubits:
         raise ValueError(f"bitstring length {len(bits)} != {circ.n_qubits} qubits")
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"bitstring {x!r} has a bit outside {{0, 1}}")
     bit = dict(zip(circ.sites(), bits))
-    t, live = _open(*_circuit_state(circ, cap), circ.sites())
+    t, live = _circuit_state(circ, cap)
+    if any(b for q, b in bit.items() if q not in live):
+        return 0.0
     return float(abs(t[tuple(bit[q] for q in live)]) ** 2)
 
 
 def reduced_state(circ: LatticeCircuit, regions, cap: int = DEFAULT_CAP) -> DensityOperator:
-    """sigma on M u F: exact partial trace of C|0><0|C^dagger over B."""
+    """sigma on M u F: exact partial trace of C|0><0|C^dagger over B.  The
+    cap bounds the sweep and the dense 2^|M u F| x 2^|M u F| output."""
     back = set(regions.back)
     kept = [q for q in circ.sites() if q not in back]
-    t, live = _open(*_circuit_state(circ, cap), kept)
+    _check_cap(2 * len(kept), cap)  # dense 2^|kept| x 2^|kept| output
+    t, live = _open(*_circuit_state(circ, cap), kept, cap)
     return DensityOperator(reduce(t, [live.index(q) for q in kept]), tuple(kept))
 
 
@@ -339,18 +349,10 @@ def postselect_zero(op: DensityOperator, register) -> DensityOperator:
     missing = reg - set(op.qubits)
     if missing:
         raise ValueError(f"register coordinates {sorted(missing)} not in operator")
-    n = len(op.qubits)
-    keep_axes = [i for i, q in enumerate(op.qubits) if q not in reg]
-    drop_axes = [i for i, q in enumerate(op.qubits) if q in reg]
-    t = op.matrix.reshape([2] * (2 * n))
-    for a in sorted(drop_axes, reverse=True):
-        # bra-side axis first so earlier axis numbers stay valid
-        t = np.take(t, 0, axis=n + a)
-        t = np.take(t, 0, axis=a)
-        n -= 1
+    at = tuple(0 if q in reg else slice(None) for q in op.qubits)  # ket axes, then bra axes
     keep = [q for q in op.qubits if q not in reg]
     dim = 2 ** len(keep)
-    return DensityOperator(t.reshape(dim, dim), tuple(keep))
+    return DensityOperator(op.matrix.reshape([2] * (2 * len(at)))[at + at].reshape(dim, dim), tuple(keep))
 
 
 def spectral(op: DensityOperator) -> list[tuple[float, np.ndarray]]:
@@ -420,8 +422,8 @@ def synthesis_state(s, cap: int = DEFAULT_CAP, pairs=None) -> tuple[np.ndarray, 
     insertions are applied, and N is projected on 0.  L and the ancillas
     stay live, so the squared norm of t is the synthesis value and `reduce`
     traces over them.  An M or N qubit no annotation touches is closed after
-    its last gate (it commutes with the rest); `pairs` goes to `apply_gates`.
-    The cap counts every lattice qubit and ancilla, live or not.
+    its last gate (it commutes with the rest); `pairs` and the cap go to
+    `apply_gates`, so the cap bounds the sweep's width, not the lattice.
     """
     anc: list[Coord] = []
     held: list[Coord] = []
@@ -436,12 +438,11 @@ def synthesis_state(s, cap: int = DEFAULT_CAP, pairs=None) -> tuple[np.ndarray, 
         # purified vector on band + ancillas: sum_j sqrt(w_j) |e_j>|j>
         w, v = np.linalg.eigh(op.matrix)
         block = np.multiply.outer(block, (v * np.sqrt(np.clip(w, 0.0, None))).reshape([2] * (2 * r)))
-    _check_cap(len(s.gamma.sites()) + len(anc), cap)
     ops = [op for op in s.cut_ops if op.kind != "input_state"]
     touched = dict.fromkeys(q for op in ops for q in op.project_zero + op.qubits)
     close = [q for q in s.M + s.N if q not in touched]
-    t, live = apply_gates(block, _pairs(s.gamma), held, close, pairs)
-    t, live = _open(t, live, touched)  # annotated qubits no gate has opened
+    t, live = apply_gates(block, _pairs(s.gamma), held, close, pairs, cap)
+    t, live = _open(t, live, touched, cap)  # annotated qubits no gate has opened
     pos = {q: i for i, q in enumerate(live)}
     t = project_zero(t, [pos[q] for q in s.M if q in pos])
     for op in ops:

@@ -249,7 +249,7 @@ def _front_columns(s: Synthesis, band, cap: int) -> np.ndarray:
     rest = [q for q in s.gamma.sites() if q not in band_set]
     view = replace(s, L=tuple(rest), M=(), N=tuple(band))
     t, live = oracle.synthesis_state(view, cap, pairs={q: x for x, q in enumerate(band)})
-    t, live = oracle._open(t, live, rest)
+    t, live = oracle._open(t, live, rest, cap)
     t = t[tuple(0 if q in band_set else slice(None) for q in live)]  # band outputs on zero
     live = [q for q in live if q not in band_set]
     return t.transpose([live.index(q) for q in rest + list(range(len(band)))]).reshape(2 ** len(rest), -1)
@@ -401,7 +401,7 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
             scale *= oracle.synthesis_value_exact(view, cap=cap)
             continue
         local = [_shift(q, axis, -lo) for q in band]
-        t, live = oracle._open(*oracle.synthesis_state(view, cap), local)  # a band no gate touches
+        t, live = oracle._open(*oracle.synthesis_state(view, cap), local, cap)  # a band no gate touches
         omega = oracle.reduce(t, [live.index(q) for q in local])
     omega = scale * omega
 

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,13 @@ from hypothesis import strategies as st
 
 from dncsim import dnc, errmodel, geomcircuit as gc, oracle, synthesis as syn
 from dncsim.harness import ExperimentConfig, generate_circuit, run_experiment
+
+# perfbench's dense-free reference values, loaded by path (perfbench is not a package)
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_references", Path(__file__).resolve().parents[1] / "perfbench" / "references.py"
+)
+references = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(references)
 
 
 def make_synth(spec):
@@ -139,12 +148,33 @@ def test_a_full_d2_delegates_to_base_verbatim():
 
 
 def test_a_full_d2_default_base_honours_the_cap():
+    # the cap counts what the sweep holds: a depth-1 chain closes each pair
+    # right after its gate, so its 10 qubits pass at cap 8
     circ = generate_circuit({"kind": "brickwork", "dims": [10, 1], "depth": 1, "seed": 3, "gates": "weak"})
     s = syn.synthesis_of_circuit(circ)
-    with pytest.raises(oracle.OracleCapacityError, match="10 qubits > cap 8"):
-        dnc.a_full(s, None, 0.1, 2, config=dnc.DncConfig(cap=8))
     exact = oracle.synthesis_value_exact(s)
-    assert dnc.a_full(s, None, 0.1, 2, config=dnc.DncConfig(cap=10)) == exact
+    assert abs(exact - references.probability_sweep(circ)) <= 1e-12
+    assert dnc.a_full(s, None, 0.1, 2, config=dnc.DncConfig(cap=8)) == exact
+    # a depth-2 ladder's sweep holds 4
+    ladder = generate_circuit({"kind": "brickwork", "dims": [10, 2], "depth": 2, "seed": 3, "gates": "weak"})
+    s = syn.synthesis_of_circuit(ladder)
+    with pytest.raises(oracle.OracleCapacityError, match="4 qubits > cap 3"):
+        dnc.a_full(s, None, 0.1, 2, config=dnc.DncConfig(cap=3))
+    exact = oracle.synthesis_value_exact(s)
+    assert abs(exact - references.probability_sweep(ladder)) <= 1e-12
+    assert dnc.a_full(s, None, 0.1, 2, config=dnc.DncConfig(cap=4)) == exact
+
+
+@pytest.mark.parametrize("dims", [[32, 1, 1], [128, 1, 1], [48, 2, 1]])
+def test_a_full_weak_depth_2_chains_fit_the_desk_cap(dims):
+    # leaves of 26-52 qubits whose sweeps hold at most 12; the count of every
+    # qubit refused them at cap 24
+    circ = generate_circuit(
+        {"kind": "brickwork", "dims": dims, "depth": 2, "seed": dims[0], "gates": "weak", "strength": 0.1}
+    )
+    cfg = dnc.DncConfig(profile="desk", cap=24)
+    est = dnc.a_full(syn.synthesis_of_circuit(circ), None, 0.1, 3, config=cfg)
+    assert abs(est - references.probability_sweep(circ)) <= 0.1
 
 
 def test_a_full_identity_small_lattice():

@@ -5,6 +5,7 @@ in layer order with np.tensordot, as the engine did before it kept only the
 live qubits; the engine must give the same synthesis values to 1e-12.
 """
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,14 +165,19 @@ def test_sweep_order_finishes_row_0_of_a_column_pair_before_row_1():
     assert [gates[i][1][0][0] for i in order] == [0, 0, 0, 0, 2, 2, 2, 2]
 
 
-def test_the_cap_counts_every_qubit_not_the_live_width():
+def test_the_cap_counts_the_live_width_not_every_qubit():
     circ = generate_circuit(
         {"kind": "brickwork", "dims": [12], "depth": 1, "seed": 3, "gates": "weak", "strength": 0.2}
     )
     s = synthesis_of_circuit(circ)
-    assert abs(oracle.synthesis_value_exact(s, cap=12) - full_width_value(s)) <= 1e-12
-    with pytest.raises(oracle.OracleCapacityError, match="12 qubits > cap 4"):
-        oracle.synthesis_value_exact(s, cap=4)
+    # every qubit is N and closed right after its one gate
+    assert abs(oracle.synthesis_value_exact(s, cap=4) - full_width_value(s)) <= 1e-12
+    # traced (L) qubits stay live to the final norm: the right half holds 6
+    sites = circ.sites()
+    half = replace(s, L=sites[6:], N=sites[:6])
+    with pytest.raises(oracle.OracleCapacityError, match="6 qubits > cap 4"):
+        oracle.synthesis_value_exact(half, cap=4)
+    assert abs(oracle.synthesis_value_exact(half, cap=6) - full_width_value(half)) <= 1e-12
 
 
 def _peak_bytes(fn):
@@ -198,6 +204,33 @@ def test_rho_cubed_encoding_block_stays_far_below_one_state():
     used = set(enc.ancilla) | set(enc.data) | {q for _, g in enc.circuit.gates() for q in g.qubits}
     assert len(used) == 19
     assert _peak_bytes(lambda: blockenc.encoding_block(enc)) <= 16 * 2**19 / 16
+
+
+def test_a_sweep_wider_than_the_cap_raises_before_it_allocates():
+    # depth-6 brickwork on [16,4,4]: the sweep would hold 36 qubits, 2^36
+    # amplitudes in each work buffer; one 2^24 state is 256 MiB
+    circ = generate_circuit(
+        {"kind": "brickwork", "dims": [16, 4, 4], "depth": 6, "seed": 16, "gates": "weak", "strength": 0.1}
+    )
+    s = synthesis_of_circuit(circ)
+
+    def evaluate():
+        with pytest.raises(oracle.OracleCapacityError, match="36 qubits > cap 24"):
+            oracle.synthesis_value_exact(s, cap=24)
+
+    assert _peak_bytes(evaluate) <= 16 * 2**24 / 256
+
+
+def test_encoding_block_counts_the_data_qubits_no_gate_touches():
+    # one H on the ancilla; the 3 data qubits are opened at the end as identity
+    # pairs, 6 axes, though the circuit has 4 qubits
+    circ = gc.circuit((4,), [[gc.gate("H", [(0,)])]])
+    regions = gc.cut_regions(circ, gc.Slice(0, 1, 3))
+    target = blockenc.TargetSpec("sigma", circ, regions, 1, "F")
+    enc = blockenc.BlockEncoding(circ, ((0,),), ((1,), (2,), (3,)), 1.0, 0.0, target, "stacked")
+    with pytest.raises(oracle.OracleCapacityError, match="6 qubits > cap 5"):
+        blockenc.encoding_block(enc, cap=5)
+    assert np.abs(blockenc.encoding_block(enc, cap=6) - np.eye(8) / np.sqrt(2)).max() < 1e-12
 
 
 def test_two_axis_sigma_encoding_block_holds_at_most_18_live_axes():

@@ -196,17 +196,34 @@ def test_reduced_state_matches_unitary_column_with_idle_qubits(build, swap):
     assert rho.trace == pytest.approx(1.0, abs=1e-12)
 
 
-def test_reduced_state_cap_counts_every_qubit():
-    # one gate, so the sweep would hold a single qubit; the cap counts all 40
+def test_reduced_state_and_output_probability_cap_the_width_they_hold():
+    # sigma on 10 of 40 qubits: the sweep holds (0,), widened by the 10 kept qubits
     circ = gc.circuit((40,), [[gc.gate("H", [(0,)])]])
-    regions = gc.cut_regions(circ, gc.Slice(0, 10, 12))
+    rho = oracle.reduced_state(circ, gc.cut_regions(circ, gc.Slice(0, 30, 32)))
+    zero = np.zeros((2**10, 2**10))
+    zero[0, 0] = 1.0
+    assert np.abs(rho.matrix - zero).max() < 1e-12
+    # 20 kept qubits: a 2^20 x 2^20 dense output
     with pytest.raises(oracle.OracleCapacityError, match="40 qubits > cap 22"):
-        oracle.reduced_state(circ, regions)
-    small, sl = chain_with_idle_ends(np.random.default_rng(2))
-    with pytest.raises(oracle.OracleCapacityError, match="6 qubits > cap 5"):
-        oracle.reduced_state(small, gc.cut_regions(small, sl, depth=1), cap=5)
-    with pytest.raises(oracle.OracleCapacityError):
-        oracle.output_probability(small, "0" * 6, cap=5)
+        oracle.reduced_state(circ, gc.cut_regions(circ, gc.Slice(0, 20, 22)))
+    # 15 live qubits in B, widened by the 11 kept ones
+    wide = gc.circuit((30,), [[gc.gate("H", [(i,)]) for i in range(15)]])
+    with pytest.raises(oracle.OracleCapacityError, match="26 qubits > cap 22"):
+        oracle.reduced_state(wide, gc.cut_regions(wide, gc.Slice(0, 19, 21)))
+    # output_probability holds 4 of 6 qubits
+    small, _ = chain_with_idle_ends(np.random.default_rng(2))
+    with pytest.raises(oracle.OracleCapacityError, match="4 qubits > cap 3"):
+        oracle.output_probability(small, "0" * 6, cap=3)
+    u00 = oracle.circuit_unitary(small)[0, 0]
+    assert oracle.output_probability(small, "0" * 6, cap=4) == pytest.approx(abs(u00) ** 2, abs=1e-12)
+
+
+def test_output_probability_reads_the_amplitude_at_live_width():
+    # the sweep holds the one qubit H touches; the 39 others are |0>
+    circ = gc.circuit((40,), [[gc.gate("H", [(0,)])]])
+    assert oracle.output_probability(circ, "1" + "0" * 39) == pytest.approx(0.5, abs=1e-12)
+    assert oracle.output_probability(circ, "0" * 39 + "1") == 0.0
+    assert oracle.output_probability(circ, "1" * 40) == 0.0
 
 
 def hermitian_with_min_eigenvalue(rng, lam):
@@ -315,9 +332,15 @@ def test_synthesis_value_in_unit_interval_for_unitary_gamma():
 
 
 def test_synthesis_value_capacity_error():
+    # the identity circuit has no gates, so its sweep holds none of its 8 qubits
     circ = generate_circuit({"kind": "identity", "dims": [8], "depth": 1})
-    with pytest.raises(oracle.OracleCapacityError, match="capacity"):
-        oracle.synthesis_value_exact(synthesis_of_circuit(circ), cap=4)
+    assert oracle.synthesis_value_exact(synthesis_of_circuit(circ), cap=4) == 1.0
+    # with every site traced (L), a brickwork chain's sweep holds all 8 to the end
+    chain = generate_circuit({"kind": "brickwork", "dims": [8], "depth": 1, "seed": 1, "gates": "haar"})
+    traced = replace(synthesis_of_circuit(chain), L=chain.sites(), N=())
+    with pytest.raises(oracle.OracleCapacityError, match="8 qubits > cap 4"):
+        oracle.synthesis_value_exact(traced, cap=4)
+    assert oracle.synthesis_value_exact(traced, cap=8) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_synthesis_value_with_input_state_annotation():
