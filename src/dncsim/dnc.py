@@ -10,6 +10,19 @@ inclusion-exclusion.
 Every run can be instrumented with a TraceNode tree whose per-node child
 counts are deterministic functions of the schedule and lattice geometry
 (see expected_node_counts).
+
+Each estimate solves each distinct recursive subproblem once.  On a chain
+most of the ~4^eta calls of `a_recursive` repeat one that another call has
+already solved: the cuts' annotations come from their band windows alone
+(`synthesis.cut_data`), so equal pieces carry equal annotations to the bit.
+`a_full` creates one table per estimate and passes it down; `a_recursive`
+looks each call up before doing any work, keyed on the piece's lattice,
+roles, gates (their qubits and the identity of their matrix objects, which
+every piece shares with the root), the exact bytes of its annotations, its
+heavy slices, eta, D and the schedule.  A hit returns the stored value and
+attaches the stored trace subtree under the caller's node; that subtree is
+shared and never changed, so the trace reads as if the call had run.
+Nothing is kept from one estimate to the next.
 """
 from __future__ import annotations
 
@@ -404,13 +417,18 @@ def a_full(
     D: int,
     config: DncConfig | None = None,
     trace: TraceNode | None = None,
+    memo: dict | None = None,
 ) -> float:
     """Driver: delta edge cases, heavy-slice scan, dispatch to the recursion.
 
     `base(s, delta)` solves the D = 2 leaves; None means exact dense
-    evaluation (`oracle.synthesis_value_exact`) under `config.cap`.
+    evaluation (`oracle.synthesis_value_exact`) under `config.cap`.  `memo`
+    is the estimate's table of recursive calls; a call without one starts a
+    new table, so a repeated subproblem is solved (and `base` called for its
+    leaves) once per estimate.
     """
     cfg = config or DncConfig()
+    memo = {} if memo is None else memo
     n = s.gamma.n_qubits
     node = _trace_child(trace, "a_full", dims=s.declared_dims, D=D, delta=delta)
 
@@ -424,33 +442,51 @@ def a_full(
         val = oracle.synthesis_value_exact(s, cap=cfg.cap) if base is None else base(s, delta)
         node.add("base").value = val
     else:
-        val = _scan_and_recurse(s, base, delta, D, cfg, node)
+        val = _scan_and_recurse(s, base, delta, D, cfg, node, memo)
     node.value = val
     return val
 
 
-def _scan_and_recurse(s, base, delta, D, cfg, node) -> float:
+def _scan_and_recurse(s, base, delta, D, cfg, node, memo) -> float:
     """`a_full` above the leaves: weigh the slices, then recurse at the heavy ones."""
     sched = schedule(s.gamma.n_qubits, s.gamma.depth, D, delta, cfg.profile, **cfg.overrides)
     axis = widest_axis(s)
     slices = enumerate_slices(s.gamma, axis, sched.slice_width, sched.max_gap)
     if not slices:
-        return a_full(dimension_reduce(s, axis), base, delta, D - 1, cfg, node)
+        return a_full(dimension_reduce(s, axis), base, delta, D - 1, cfg, node, memo)
 
     def subsolver(wsyn: Synthesis, err: float) -> float:
         reduced = dimension_reduce(wsyn, axis)
-        return a_full(reduced, base, err, D - 1, cfg, node)
+        return a_full(reduced, base, err, D - 1, cfg, node, memo)
 
     K_heavy, enough = heavy_slices(s, slices, sched, subsolver, trace=node)
     if not enough:
         node.add("none_heavy").value = 0.0
         return 0.0
-    return a_recursive(s, sched, K_heavy, D, base, config=cfg, trace=node)
+    return a_recursive(s, sched, K_heavy, D, base, config=cfg, trace=node, memo=memo)
 
 
 def _within(slices: list[Slice], lo: int, hi: int) -> list[Slice]:
     """The slices inside [lo, hi), shifted by -lo into the frame of that range."""
     return [Slice(sl.axis, sl.lo - lo, sl.hi - lo) for sl in slices if lo <= sl.lo and sl.hi <= hi]
+
+
+def _call_key(s: Synthesis, sched: ParameterSchedule, K_heavy: list[Slice], D: int, eta: int) -> tuple:
+    """Everything an `a_recursive` call depends on besides `base` and the
+    config, which one estimate shares: equal keys mean equal calls.
+
+    A gate is keyed on its qubits and the identity of its matrix object
+    (cheap, and exact while the objects live: the table holds each keyed
+    synthesis), an annotation on the exact bytes of its arrays.
+    """
+    g = s.gamma
+    gates = tuple(tuple((id(x.matrix), x.qubits) for x in layer) for layer in g.layers)
+    ops = tuple(
+        (op.kind, op.qubits, op.project_zero)
+        + tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in (op.matrix, op.factors, op.coeffs))
+        for op in s.cut_ops
+    )
+    return g.dims, g.depth, s.L, s.M, s.N, s.declared_axes, gates, ops, tuple(K_heavy), eta, D, sched
 
 
 def a_recursive(
@@ -462,27 +498,37 @@ def a_recursive(
     eta: int | None = None,
     config: DncConfig | None = None,
     trace: TraceNode | None = None,
+    memo: dict | None = None,
 ) -> float:
     """Recursive subroutine: cut at Delta heavy slices in the central region
     and combine sub-synthesis estimates by signed inclusion-exclusion.
 
     K_heavy is given in the frame of `s`; each child gets the slices inside
-    it, in its own frame.
+    it, in its own frame.  `memo` is the estimate's table of calls (see the
+    module docstring); a call without one starts a new table.
     """
     cfg = config or DncConfig()
     if eta is None:
         eta = sched.eta
     if not K_heavy:
         raise SpacingError("K_heavy is empty")
+    memo = {} if memo is None else memo
+    key = _call_key(s, sched, K_heavy, D, eta)
+    if key in memo:
+        val, node, _ = memo[key]
+        if trace is not None:
+            trace.children.append(node)  # shared, and never changed once stored
+        return val
     axis = K_heavy[0].axis
     length = s.gamma.dims[axis]
     node = _trace_child(trace, "a_recursive", width=length, eta=eta, D=D, dims=s.declared_dims)
 
     if length < sched.w0 or eta < 1:
         reduced = dimension_reduce(s, axis)
-        val = a_full(reduced, base, sched.eps, D - 1, cfg, node)
+        val = a_full(reduced, base, sched.eps, D - 1, cfg, node, memo)
         node.meta["stopped"] = True
         node.value = val
+        memo[key] = (val, node, s)
         return val
 
     region, chosen = select_region_Z(s, sched, K_heavy)
@@ -510,10 +556,10 @@ def a_recursive(
         sp = split_at_cuts(s, sl, calc, cap=cfg.cap, data=data[idx])
         lnode = node.add("left", slice=sl, parent_width=length, child_width=sp.left.gamma.dims[axis])
         left_heavy = _within(K_heavy, 0, sl.hi)
-        vL.append(a_recursive(sp.left, sched, left_heavy, D, base, eta - 1, cfg, lnode))
+        vL.append(a_recursive(sp.left, sched, left_heavy, D, base, eta - 1, cfg, lnode, memo))
         rnode = node.add("right", slice=sl, parent_width=length, child_width=sp.right.gamma.dims[axis])
         right_heavy = _within(K_heavy, sl.lo, length)
-        vR.append(a_recursive(sp.right, sched, right_heavy, D, base, eta - 1, cfg, rnode))
+        vR.append(a_recursive(sp.right, sched, right_heavy, D, base, eta - 1, cfg, rnode, memo))
         lnode.value = vL[-1]
         rnode.value = vR[-1]
 
@@ -527,7 +573,7 @@ def a_recursive(
             )
             phis[(i, j)] = phi
             mnode = node.add("middle", slices=(chosen[i], chosen[j]))
-            vM = a_full(phi.middle, base, sched.eps, D - 1, cfg, mnode)
+            vM = a_full(phi.middle, base, sched.eps, D - 1, cfg, mnode, memo)
             mnode.value = vM
             double[(i + 1, j + 1)] = vL[i] * vM * vR[j]
 
@@ -538,13 +584,14 @@ def a_recursive(
                 picked = _within([chosen[k - 1] for k in sigma], chosen[i].lo, chosen[j].hi)
                 annotated = phis[(i, j)].with_insertions(picked, calc, cap=cfg.cap)
                 snode = node.add("sigma_term", slices=(chosen[i], chosen[j]), sigma=sigma)
-                val = a_full(annotated, base, errmodel.e3(sched.eps, Delta), D - 1, cfg, snode)
+                val = a_full(annotated, base, errmodel.e3(sched.eps, Delta), D - 1, cfg, snode, memo)
                 snode.value = val
                 multi[(i + 1, j + 1, sigma)] = vL[i] * val * vR[j]
 
     kappas = [cd.kappa for cd in data]
     total = inclusion_exclusion_combine(single, double, multi, kappas, sched.K, Delta)
     node.value = total
+    memo[key] = (total, node, s)
     return total
 
 

@@ -34,7 +34,7 @@ omega, and with the band paired as N it is the front contraction W.
 qubit a gate touches, and `reduced_state` traces B out of that state with
 `reduce`.  The cap bounds the widest tensor the engine holds, not the
 qubits a circuit has: `apply_gates` checks its plan's peak and `_open` the
-widened tensor, each before it allocates; `reduced_state` checks its output.
+widened tensor, each before it allocates; `reduce` checks its dense output.
 
 Tolerance ladder: 1e-12 for unitarity, 1e-10 for algebraic identities,
 1e-8 of slack for positive semidefiniteness.
@@ -255,9 +255,11 @@ def project_zero(t: np.ndarray, axes: list[int]) -> np.ndarray:
     return t
 
 
-def reduce(t: np.ndarray, keep_axes: list[int]) -> np.ndarray:
-    """Density operator on keep_axes obtained by tracing out all other axes."""
+def reduce(t: np.ndarray, keep_axes: list[int], cap: int = DEFAULT_CAP) -> np.ndarray:
+    """Density operator on keep_axes obtained by tracing out all other axes.
+    The cap bounds its dense 2^k x 2^k output (2k qubits), checked first."""
     k = len(keep_axes)
+    _check_cap(2 * k, cap)
     m = np.moveaxis(t, keep_axes, range(k)).reshape(2**k, -1)
     return m @ m.conj().T
 
@@ -335,12 +337,11 @@ def output_probability(circ: LatticeCircuit, x, cap: int = DEFAULT_CAP) -> float
 
 def reduced_state(circ: LatticeCircuit, regions, cap: int = DEFAULT_CAP) -> DensityOperator:
     """sigma on M u F: exact partial trace of C|0><0|C^dagger over B.  The
-    cap bounds the sweep and the dense 2^|M u F| x 2^|M u F| output."""
+    cap bounds the sweep and the dense 2^|M u F| x 2^|M u F| output (`reduce`)."""
     back = set(regions.back)
     kept = [q for q in circ.sites() if q not in back]
-    _check_cap(2 * len(kept), cap)  # dense 2^|kept| x 2^|kept| output
     t, live = _open(*_circuit_state(circ, cap), kept, cap)
-    return DensityOperator(reduce(t, [live.index(q) for q in kept]), tuple(kept))
+    return DensityOperator(reduce(t, [live.index(q) for q in kept], cap), tuple(kept))
 
 
 def postselect_zero(op: DensityOperator, register) -> DensityOperator:

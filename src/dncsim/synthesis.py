@@ -42,6 +42,12 @@ along the cut axis with the full cross-section, that evolve independently:
 the window holding the band is simulated densely, and every other window
 contributes a scalar factor, its exact synthesis value.  So the cost of a cut
 depends on the depth and the cross-section, not on the length of the lattice.
+The factors are carried beside the cut data, not multiplied into it: omega,
+W^dagger W, kappa and the children's annotations come from the band windows
+alone and stay O(1) however long the lattice, and the factors cancel in
+every term of the signed combination.  Equal subproblems therefore get
+annotations equal to the bit, which the estimator's table of recursive calls
+relies on.
 The front matrix W sqrt(omega), dense on all front sites, is built only on
 first use, when a front-side projector is asked for (`CutData.amat`).
 """
@@ -259,29 +265,43 @@ def _front_columns(s: Synthesis, band, cap: int) -> np.ndarray:
 class CutData:
     """Everything the algorithms need about one cut of one synthesis.
 
-    `weights` holds the cut operator as f(mu), one weight per eigenvalue of
-    the band Gram U diag(mu) U^dagger (U = `gram_vectors`), and all three
-    forms of the operator are built from it:
+    omega and W^dagger W are taken from the band windows alone (see
+    `cut_data`): the true ones are `omega_scale` omega and `front_scale`
+    W^dagger W, the two scales being the products of the exact values of
+    every other window on each side.  So the Gram U diag(mu) U^dagger
+    (U = `gram_vectors`), kappa, and the operators below are free of those
+    scales; the cut state's true spectrum is omega_scale front_scale mu, and
+    `weight`, `e_residual`, `g_residual` and the choice of `kept` are at that
+    true scale.  `weights` holds the cut operator as f(mu), one weight per
+    eigenvalue, and all three forms of the operator are built from it:
 
         left_op      kappa^2K (W^dag W sqrt(omega)) U diag(f/mu) U^dag (sqrt(omega) W^dag W)
         right_input  kappa^2K sqrt(omega) U diag(f) U^dag sqrt(omega)
-        front side   sum_j f_j a_j a_j^dag,  a_j = W sqrt(omega) u_j / sqrt(mu_j)
+        front side   sum_j f_j a_j a_j^dag,  a_j = W sqrt(omega) u_j / sqrt(front_scale mu_j)
+
+    with omega, W^dagger W and mu those of the band windows, and W on the
+    front at true scale (`amat`).  The true left_op and right_input would
+    carry (omega_scale front_scale)^2K times front_scale and omega_scale;
+    in every term of the signed combination those factors and the one on
+    kappa^(4K+1) cancel exactly, so the combine divides by this kappa.
     """
 
     slice_: Slice
     band: tuple[Coord, ...]
     front_sites: tuple[Coord, ...]
     weight: float  # trace of the cut state
-    kappa: float
-    eigvals: np.ndarray  # nonzero spectrum of the cut state (descending)
-    kept: np.ndarray  # boolean mask of eigenvalues above tau
+    kappa: float  # of the band windows' spectrum mu
+    eigvals: np.ndarray  # mu: the band windows' spectrum of the cut state (descending)
+    kept: np.ndarray  # boolean mask of true eigenvalues above tau
     e_residual: float  # 1 - weight (slice residual)
     g_residual: float  # spectral mass dropped by the projector
     left_op: np.ndarray  # band PSD operator for the left child (pre-sqrt)
     right_input: np.ndarray  # band PSD input state for the right child
     gram_vectors: np.ndarray  # eigenvectors of the band Gram (columns)
-    m_omega: np.ndarray  # sqrt(omega), omega the band state
+    m_omega: np.ndarray  # sqrt(omega), omega the band window's state
     weights: np.ndarray  # the cut operator f(mu): 0/1 on kept, or (mu/kappa)^2K
+    omega_scale: float  # exact values of the omega side's other windows, multiplied
+    front_scale: float  # exact values of the W^dagger W side's other windows, multiplied
     front_columns: Callable[[], np.ndarray] = field(repr=False)  # builds W on the front
 
     @cached_property
@@ -289,11 +309,22 @@ class CutData:
         """W sqrt(omega) on the front sites; dense on the front, so built on first use."""
         return self.front_columns() @ self.m_omega
 
+    @cached_property
+    def sandwich(self) -> CutOp:
+        """The left-hand side's cut operator sqrt(left_op), on the band."""
+        return CutOp(kind="sandwich", qubits=self.band, matrix=_psd_sqrt(self.left_op))
+
+    @cached_property
+    def input_state(self) -> CutOp:
+        """The right-hand side's input state, on the band."""
+        return CutOp(kind="input_state", qubits=self.band, matrix=self.right_input)
+
     def projector_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """(factors, coeffs) of the front-side cut operator: its eigenvectors
         with weight f > 0 (orthonormal columns), and those weights."""
         on = self.weights > 0
-        return self.amat @ self.gram_vectors[:, on] / np.sqrt(self.eigvals[on]), self.weights[on]
+        norms = np.sqrt(self.front_scale * self.eigvals[on])
+        return self.amat @ self.gram_vectors[:, on] / norms, self.weights[on]
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -373,15 +404,28 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     same way from the backward cone of the band and the front sandwich
     annotations within the front gates, its band window giving W as one
     operator sweep (`_front_columns`).  So the dense states of a cut span a
-    few windows, however long the lattice.  The front matrix W sqrt(omega)
-    (`amat`, dense on the front sites) is built, and checked against the
-    cap, only when a front-side projector is asked for.
+    few windows, however long the lattice.
+
+    The scalar factors are not multiplied in: omega, W^dagger W, and so
+    mu, kappa, `left_op` and `right_input`, come from the band windows
+    alone, and the products of the factors are kept as `omega_scale` and
+    `front_scale` (see CutData).  The children's annotations therefore do
+    not shrink with the lattice, and equal windows give equal annotations
+    to the bit, wherever the cut lies.  The weight, the residuals and the
+    kept eigenvalues are decided at the true scale.
+
+    omega, W^dagger W and the Gram are dense 2^|band| x 2^|band| matrices,
+    so 2|band| is checked against the cap before any window is swept.  The
+    front matrix W sqrt(omega) (`amat`, dense on the front sites) is built,
+    and checked against the cap, only when a front-side projector is asked
+    for.
     """
     axis, d = sl.axis, s.gamma.depth
     left_ids, cone_ids, band = causal_split(s, sl)
     left_ops, right_ops = _partition_ops(s, sl)
     if any(op.kind == "insertion" for op in s.cut_ops):
         raise SplitError("cannot split through a synthesis with insertion operators")
+    oracle._check_cap(2 * len(band), cap)  # the dense band matrices
     inside = lambda lo, hi: lo <= band[0][axis] < hi
 
     # --- band state omega from the backward cone of band, C and left annotations
@@ -394,30 +438,28 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
         raise SplitError("the cut band is post-selected; the slice overlaps an input band")
     seed = cond | set(band) | {q for op in left_ops for q in op.qubits}
     conditioned = lambda q: "M" if q in cond else "L"
-    omega, scale = None, 1.0
+    omega, omega_scale = None, 1.0
     for lo, hi, ids in _light_cone_windows(s.gamma, left_ids, seed, axis):
         view = _segment(s, axis, lo, hi, ids, left_ops, conditioned)
         if not inside(lo, hi):
-            scale *= oracle.synthesis_value_exact(view, cap=cap)
+            omega_scale *= oracle.synthesis_value_exact(view, cap=cap)
             continue
         local = [_shift(q, axis, -lo) for q in band]
         t, live = oracle._open(*oracle.synthesis_state(view, cap), local, cap)  # a band no gate touches
-        omega = oracle.reduce(t, [live.index(q) for q in local])
-    omega = scale * omega
+        omega = oracle.reduce(t, [live.index(q) for q in local], cap)
 
     # --- W^dagger W from the backward cone of band and front sandwiches
     sandwiches = [op for op in right_ops if op.kind == "sandwich"]
     seed = set(band) | {q for op in sandwiches for q in op.qubits}
     traced = lambda q: "L"
-    wtw, scale = None, 1.0
+    wtw, front_scale = None, 1.0
     for lo, hi, ids in _light_cone_windows(s.gamma, cone_ids, seed, axis):
         view = _segment(s, axis, lo, hi, ids, sandwiches, traced)
         if not inside(lo, hi):
-            scale *= oracle.synthesis_value_exact(view, cap=cap)
+            front_scale *= oracle.synthesis_value_exact(view, cap=cap)
             continue
         cols = _front_columns(view, [_shift(q, axis, -lo) for q in band], cap)
         wtw = cols.conj().T @ cols
-    wtw = scale * wtw
 
     def front_columns() -> np.ndarray:
         lo = sl.hi - d
@@ -430,24 +472,25 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     mu, gv = np.linalg.eigh(gram)
     order = np.argsort(mu)[::-1]
     mu, gv = np.clip(mu[order], 0.0, None), gv[:, order]
-    weight = float(mu.sum())
+    scale = omega_scale * front_scale  # the true spectrum is scale * mu
+    weight = scale * float(mu.sum())
     if weight <= 0.0:
         raise CutError("non-heavy slice: cut state has zero trace")
-    kept = mu > calc.tau
+    kept = scale * mu > calc.tau
     if not kept.any():
         kept[0] = True
     kap = kappa_from_spectrum(mu, calc.T)
 
     # the cut operator f(mu): the kept eigenprojector Pi, or (rho/kappa)^2K
     if calc.mode == "exact-spectral":
-        f, g_res = kept.astype(float), float(mu[~kept].sum())
+        f, g_res = kept.astype(float), scale * float(mu[~kept].sum())
     else:
         f, g_res = (mu / kap) ** (2 * calc.K), 0.0
-    scale = kap ** (2 * calc.K)
+    power = kap ** (2 * calc.K)
     f_over_mu = np.divide(f, mu, out=np.zeros_like(mu), where=f > 0)
     # left: kappa^2K W^dag f(rho) W;  right: kappa^2K sqrt(omega) f(G) sqrt(omega)
-    left_op = scale * (wtw @ m_omega) @ ((gv * f_over_mu) @ gv.conj().T) @ (m_omega @ wtw)
-    right_input = scale * m_omega @ ((gv * f) @ gv.conj().T) @ m_omega
+    left_op = power * (wtw @ m_omega) @ ((gv * f_over_mu) @ gv.conj().T) @ (m_omega @ wtw)
+    right_input = power * m_omega @ ((gv * f) @ gv.conj().T) @ m_omega
     left_op = 0.5 * (left_op + left_op.conj().T)
     right_input = 0.5 * (right_input + right_input.conj().T)
 
@@ -466,6 +509,8 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
         gram_vectors=gv,
         m_omega=m_omega,
         weights=f,
+        omega_scale=omega_scale,
+        front_scale=front_scale,
         front_columns=front_columns,
     )
 
@@ -486,8 +531,10 @@ def slice_weight(s: Synthesis, sl: Slice, cap: int = oracle.DEFAULT_CAP) -> floa
 
 def kappa(s: Synthesis, sl: Slice, T: int, calc: CutCalculus | None = None,
           cap: int = oracle.DEFAULT_CAP) -> float:
-    """Normalization constant (tr rho^{2T})^{1/(2T)} of the cut state at `sl`."""
-    return cut_data(s, sl, replace(calc or CutCalculus(), T=T), cap=cap).kappa
+    """Normalization constant (tr rho^{2T})^{1/(2T)} of the cut state at `sl`,
+    at true scale (CutData.kappa leaves out the other windows' factors)."""
+    data = cut_data(s, sl, replace(calc or CutCalculus(), T=T), cap=cap)
+    return data.omega_scale * data.front_scale * data.kappa
 
 
 def cut_projector(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAULT_CAP) -> np.ndarray:
@@ -555,16 +602,6 @@ class SplitResult:
     data: CutData
 
 
-def _band_sandwich(data: CutData) -> CutOp:
-    """The left-hand side's cut operator, on the band of the cut."""
-    return CutOp(kind="sandwich", qubits=data.band, matrix=_psd_sqrt(data.left_op))
-
-
-def _band_input(data: CutData) -> CutOp:
-    """The right-hand side's input state, on the band of the cut."""
-    return CutOp(kind="input_state", qubits=data.band, matrix=data.right_input)
-
-
 def split_at_cuts(
     s: Synthesis,
     sl: Slice,
@@ -584,9 +621,9 @@ def split_at_cuts(
     if data is None:
         data = cut_data(s, sl, calc, cap=cap)
     band = data.band
-    left = _segment(s, axis, 0, sl.hi, left_ids, left_ops + [_band_sandwich(data)],
+    left = _segment(s, axis, 0, sl.hi, left_ids, left_ops + [data.sandwich],
                     lambda q: "L" if q in band else None)
-    right = _segment(s, axis, sl.lo, s.gamma.dims[axis], cone, right_ops + [_band_input(data)],
+    right = _segment(s, axis, sl.lo, s.gamma.dims[axis], cone, right_ops + [data.input_state],
                      lambda q: "M" if q in band else None)
     return SplitResult(left, right, data)
 
@@ -622,6 +659,6 @@ def middle_between_cuts(
     if data_j is None:
         data_j = cut_data(s, j, calc, cap=cap)
     band_i, band_j = data_i.band, data_j.band
-    middle = _segment(s, axis, i.lo, j.hi, cone_i - cone_j, [_band_input(data_i), _band_sandwich(data_j)],
+    middle = _segment(s, axis, i.lo, j.hi, cone_i - cone_j, [data_i.input_state, data_j.sandwich],
                       lambda q: "L" if q in band_j else "M" if q in band_i else None)
     return PhiDescriptor(middle)

@@ -119,14 +119,19 @@ def dense_reference(s, sl, calc):
 def assert_matches_reference(s, sl, calc=EXACT):
     data = syn.cut_data(s, sl, calc)
     weight, kap, eigvals, left_op, right_input, rho, front_op = dense_reference(s, sl, calc)
+    # cut_data carries the other windows' factors beside its spectrum and
+    # operators; multiplied back in, they give the whole-region quantities
+    a, b = data.omega_scale, data.front_scale
+    power = (a * b) ** (2 * calc.K)
     assert data.weight == pytest.approx(weight, abs=1e-10)
-    assert data.kappa == pytest.approx(kap, abs=1e-10)
-    assert np.abs(data.eigvals - eigvals).max() < 1e-10
-    assert np.abs(data.left_op - left_op).max() < 1e-10
-    assert np.abs(data.right_input - right_input).max() < 1e-10
-    assert np.abs(data.amat @ data.amat.conj().T - rho).max() < 1e-10
+    assert a * b * data.kappa == pytest.approx(kap, abs=1e-10)
+    assert np.abs(a * b * data.eigvals - eigvals).max() < 1e-10
+    assert np.abs(power * b * data.left_op - left_op).max() < 1e-10
+    assert np.abs(power * a * data.right_input - right_input).max() < 1e-10
+    assert np.abs(a * data.amat @ data.amat.conj().T - rho).max() < 1e-10
     factors, coeffs = data.projector_factors()
     assert np.abs((factors * coeffs) @ factors.conj().T - front_op).max() < 1e-10
+    return data
 
 
 def admissible_slices(s, width):
@@ -174,7 +179,9 @@ def test_cut_data_of_children_matches_dense_reference(dims, depth, i, j):
         slices = admissible_slices(child, 2 * depth)
         assert slices
         for sl in slices:
-            assert_matches_reference(child, sl, EXACT)
+            factors, _ = assert_matches_reference(child, sl, EXACT).projector_factors()
+            # an insertion applies them as an orthogonal projector
+            assert np.abs(factors.conj().T @ factors - np.eye(factors.shape[1])).max() < 1e-10
         assert_matches_reference(child, slices[-1], POWER)
 
 

@@ -177,6 +177,76 @@ def test_a_full_weak_depth_2_chains_fit_the_desk_cap(dims):
     assert abs(est - references.probability_sweep(circ)) <= 0.1
 
 
+@pytest.mark.parametrize("depth, overrides", [(1, {}), (2, {"z_width": 8, "w0": 13, "Delta": 1})])
+def test_a_full_on_1024_qubit_chains_keeps_kappa_in_range(depth, overrides):
+    # the cut annotations leave out the other windows' factors, so kappa no
+    # longer carries the probability of the whole left region; with them it
+    # fell to 5.3e-48 (d1) and 1.4e-76 (d2) and the combine raised ScheduleError
+    circ = generate_circuit(
+        {"kind": "brickwork", "dims": [1024, 1, 1], "depth": depth, "seed": 1024, "gates": "weak", "strength": 0.1}
+    )
+    cfg = dnc.DncConfig(profile="desk", cap=24, overrides=overrides)
+    trace = dnc.TraceNode("run")
+    est = dnc.a_full(syn.synthesis_of_circuit(circ), None, 0.1, 3, config=cfg, trace=trace)
+    assert abs(est - references.probability_sweep(circ)) <= 0.1
+    assert min(n.value for n in trace.walk() if n.kind == "kappa") > 0.5
+
+
+class _NoHits(dict):
+    """A table of recursive calls that never finds one: every call is solved."""
+
+    def __contains__(self, key):
+        return False
+
+
+def test_a_full_solves_each_distinct_recursive_call_once(monkeypatch):
+    circ = generate_circuit(
+        {"kind": "brickwork", "dims": [128, 1, 1], "depth": 1, "seed": 128, "gates": "weak", "strength": 0.1}
+    )
+    s = syn.synthesis_of_circuit(circ)
+    cfg = dnc.DncConfig(profile="desk", cap=24)
+    cuts = []
+    cut_data = syn.cut_data
+    monkeypatch.setattr(dnc, "cut_data", lambda *args, **kw: cuts.append(1) or cut_data(*args, **kw))
+    runs = []
+    for memo in (None, _NoHits()):
+        cuts.clear()
+        trace = dnc.TraceNode("run")
+        est = dnc.a_full(s, None, 0.1, 3, config=cfg, trace=trace, memo=memo)
+        calls = [n for n in trace.walk() if n.kind == "a_recursive"]
+        runs.append((est, trace.to_dict(), len(cuts), len(calls), len({id(n) for n in calls})))
+    (est, tree, cuts_once, nodes, distinct), (est_all, tree_all, cuts_all, nodes_all, _) = runs
+    # the table changes the work, not the value or the trace
+    assert est == est_all and tree == tree_all
+    assert nodes == nodes_all == 341
+    assert distinct == 129
+    assert (cuts_once, cuts_all) == (98, 170)
+    exact = float(np.prod([abs(g.matrix[0, 0]) ** 2 for g in circ.layers[0]]))
+    assert abs(est - exact) <= 0.1
+
+
+@pytest.mark.parametrize(
+    "depth, seed, strength, overrides", [(2, 64, 0.1, {}), (1, 5, 0.3, {"slice_width": 2, "max_gap": 1})]
+)
+def test_the_table_of_calls_keys_on_the_annotations(depth, seed, strength, overrides):
+    # pieces with the same sites, gates and heavy slices can carry different
+    # annotations; a key without their bytes moves these estimates (by about
+    # 1e-11 and 1e-16)
+    circ = generate_circuit(
+        {"kind": "brickwork", "dims": [64, 1, 1], "depth": depth, "seed": seed, "gates": "weak", "strength": strength}
+    )
+    s = syn.synthesis_of_circuit(circ)
+    cfg = dnc.DncConfig(profile="desk", cap=24, overrides=overrides)
+    runs = []
+    for memo in (None, _NoHits()):
+        trace = dnc.TraceNode("run")
+        runs.append((dnc.a_full(s, None, 0.1, 3, config=cfg, trace=trace, memo=memo), trace))
+    (est, trace), (est_all, trace_all) = runs
+    assert est == est_all and trace.to_dict() == trace_all.to_dict()
+    calls = [n for n in trace.walk() if n.kind == "a_recursive"]
+    assert len({id(n) for n in calls}) < len(calls)  # the table was used
+
+
 def test_a_full_identity_small_lattice():
     s, _ = make_synth({"kind": "identity", "dims": [2, 2, 2], "depth": 1})
     assert dnc.a_full(s, None, 0.1, 3) == pytest.approx(1.0, abs=0.1)

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dncsim import blockenc, oracle
+from dncsim import blockenc, dnc, oracle
 from dncsim import geomcircuit as gc
+from dncsim import synthesis as syn
 from dncsim.harness import generate_circuit
 from dncsim.synthesis import CutOp, Synthesis, synthesis_of_circuit
 
@@ -219,6 +220,33 @@ def test_a_sweep_wider_than_the_cap_raises_before_it_allocates():
             oracle.synthesis_value_exact(s, cap=24)
 
     assert _peak_bytes(evaluate) <= 16 * 2**24 / 256
+
+
+def test_the_band_matrices_of_a_cut_are_capped_before_any_window_is_swept():
+    # depth-4 brickwork on [64,4,1]: the band of Slice(0,16,24) has 16 qubits,
+    # so omega, W^dagger W and the Gram would be 2^16 x 2^16 (64 GiB each);
+    # the window's sweep holds 24 qubits, which the cap allows
+    circ = generate_circuit(
+        {"kind": "brickwork", "dims": [64, 4, 1], "depth": 4, "seed": 64, "gates": "weak", "strength": 0.1}
+    )
+    s = synthesis_of_circuit(circ)
+
+    def cut():
+        with pytest.raises(oracle.OracleCapacityError, match="32 qubits > cap 24"):
+            syn.cut_data(s, gc.Slice(0, 16, 24), syn.CutCalculus(), cap=24)
+
+    assert _peak_bytes(cut) <= 16 * 2**24 / 256
+    # the estimate reaches that cut after its slice-weight scan
+    with pytest.raises(oracle.OracleCapacityError, match="32 qubits > cap 24"):
+        dnc.a_full(s, None, 0.1, 3, config=dnc.DncConfig(profile="desk", cap=24))
+
+
+def test_reduce_checks_its_dense_output_against_the_cap():
+    t = np.random.default_rng(3).normal(size=[2] * 8)
+    with pytest.raises(oracle.OracleCapacityError, match="12 qubits > cap 11"):
+        oracle.reduce(t, [0, 2, 4, 6, 7, 1], cap=11)
+    want = np.einsum("abcdefgh,abCDefgh->cdCD", t, t.conj()).reshape(4, 4)
+    assert np.abs(oracle.reduce(t, [2, 3], cap=4) - want).max() < 1e-12
 
 
 def test_encoding_block_counts_the_data_qubits_no_gate_touches():
