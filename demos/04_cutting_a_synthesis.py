@@ -4,7 +4,9 @@ A single cut factorizes the value into a left product and a right product,
 up to a residual controlled by the sub-dominant spectrum of the cut state.
 The right child carries the cut data as a small input state on its boundary
 band; the left child carries a small sandwich operator -- both band-local,
-which is what lets the recursion cut children again.
+which is what lets the recursion cut children again.  `cut_data` decides a
+cut once; the children and the middle between two cuts are built from the
+CutData it returns.
 """
 from dncsim import geomcircuit as gc, oracle, synthesis as syn
 from dncsim.harness import generate_circuit
@@ -20,7 +22,7 @@ for label, spec in [
     s = syn.synthesis_of_circuit(circ)
     sl = gc.Slice(0, 4, 4 + 2 * circ.depth)
     data = syn.cut_data(s, sl, calc)
-    sp = syn.split_at_cuts(s, sl, calc, data=data)
+    sp = syn.split_at_cuts(data)
     vL = oracle.synthesis_value_exact(sp.left)
     vR = oracle.synthesis_value_exact(sp.right)
     est = vL * vR / data.kappa ** (4 * calc.K + 1)
@@ -35,10 +37,11 @@ for label, spec in [
 circ = generate_circuit({"kind": "brickwork", "dims": [14], "depth": 1, "seed": 9, "gates": "weak", "strength": 0.15})
 s = syn.synthesis_of_circuit(circ)
 i, j = gc.Slice(0, 4, 6), gc.Slice(0, 8, 10)
-at_i, at_j = syn.split_at_cuts(s, i, calc), syn.split_at_cuts(s, j, calc)
-middle = syn.middle_between_cuts(s, i, j, calc, data_i=at_i.data, data_j=at_j.data).middle
-vL, vM, vR = (oracle.synthesis_value_exact(x) for x in (at_i.left, middle, at_j.right))
-est = vL * vM * vR / (at_i.data.kappa * at_j.data.kappa) ** (4 * calc.K + 1)
+data_i, data_j = syn.cut_data(s, i, calc), syn.cut_data(s, j, calc)
+middle = syn.middle_between_cuts(data_i, data_j).middle
+left, right = syn.split_at_cuts(data_i).left, syn.split_at_cuts(data_j).right
+vL, vM, vR = (oracle.synthesis_value_exact(x) for x in (left, middle, right))
+est = vL * vM * vR / (data_i.kappa * data_j.kappa) ** (4 * calc.K + 1)
 print(f"\ntwo-cut product = {est:.6f} vs value {oracle.synthesis_value_exact(s):.6f}")
 print(f"middle child annotations: {[op.kind for op in middle.cut_ops]}")
 

@@ -83,7 +83,7 @@ def _cmd_experiment(args) -> int:
     report = harness.run_experiment(config)
     report.write(config.output_json, config.output_csv)
     for r in report.records:
-        status = "ok" if r["abs_error"] <= r["delta"] else "FAIL"
+        status = "ok" if harness.within_delta(r) else "FAIL"
         print(
             f"{status}: {r['label']} delta={r['delta']} oracle={r['oracle']:.6g} "
             f"estimate={r['estimate']:.6g} |err|={r['abs_error']:.3e}"

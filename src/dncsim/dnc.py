@@ -59,7 +59,7 @@ class ParameterSchedule:
 
     Paper profile derives every field from (n, d, D, delta); the desk profile
     starts from small validated defaults.  Either takes overrides, each naming
-    a field (`schedule` rejects any other key).  The desk recursion depth
+    a field (`check_overrides` rejects any other key).  The desk recursion depth
     grows with n, as the paper's does: eta = max(2, ceil(log2(n / w0))) with
     the final w0, so the recursion can go on halving until a piece is narrower
     than w0 (where it stops anyway); an explicit `eta` override wins.  `h`
@@ -118,13 +118,18 @@ class ParameterSchedule:
         )
 
 
+def check_overrides(overrides) -> None:
+    """Raise ScheduleError unless every key of `overrides` names a ParameterSchedule field."""
+    unknown = sorted(set(overrides) - {f.name for f in dataclasses.fields(ParameterSchedule)})
+    if unknown:
+        raise ScheduleError(f"unknown schedule override {', '.join(map(repr, unknown))}")
+
+
 def schedule(n: int, d: int, D: int, delta: float, profile: str = "paper", **overrides) -> ParameterSchedule:
     """Derive the parameter schedule for an n-qubit, depth-d, D-dimensional run."""
     if n < 2 or d < 1 or D < 2 or delta <= 0:
         raise ScheduleError("require n >= 2, d >= 1, D >= 2, delta > 0")
-    unknown = sorted(set(overrides) - {f.name for f in dataclasses.fields(ParameterSchedule)})
-    if unknown:
-        raise ScheduleError(f"unknown schedule override {', '.join(map(repr, unknown))}")
+    check_overrides(overrides)
     ln = math.log2(n)
     eps = delta * 2.0 ** (-10.0 * ln * math.log2(max(ln, 1.0)))
     if profile == "paper":
@@ -239,6 +244,7 @@ class DncConfig:
 
     def __post_init__(self):
         CutCalculus(self.calculus)  # rejects an unknown mode before any work
+        check_overrides(self.overrides)  # and an unknown override, even where no schedule is built
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +559,7 @@ def a_recursive(
     vL: list[float] = []
     vR: list[float] = []
     for idx, sl in enumerate(chosen):
-        sp = split_at_cuts(s, sl, calc, cap=cfg.cap, data=data[idx])
+        sp = split_at_cuts(data[idx])
         lnode = node.add("left", slice=sl, parent_width=length, child_width=sp.left.gamma.dims[axis])
         left_heavy = _within(K_heavy, 0, sl.hi)
         vL.append(a_recursive(sp.left, sched, left_heavy, D, base, eta - 1, cfg, lnode, memo))
@@ -568,9 +574,7 @@ def a_recursive(
     phis = {}
     for i in range(Delta):
         for j in range(i + 1, Delta):
-            phi = middle_between_cuts(
-                s, chosen[i], chosen[j], calc, cap=cfg.cap, data_i=data[i], data_j=data[j]
-            )
+            phi = middle_between_cuts(data[i], data[j])
             phis[(i, j)] = phi
             mnode = node.add("middle", slices=(chosen[i], chosen[j]))
             vM = a_full(phi.middle, base, sched.eps, D - 1, cfg, mnode, memo)

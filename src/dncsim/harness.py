@@ -154,13 +154,19 @@ class ExperimentConfig:
         return cls(**{k: v for k, v in data.items() if k in keys})
 
 
+def within_delta(record: dict) -> bool:
+    """Whether a run's estimate lies within its delta of the oracle value
+    (with 1e-12 of slack for rounding)."""
+    return record["abs_error"] <= record["delta"] + 1e-12
+
+
 @dataclass
 class Report:
     schema_version: int
     records: list[dict]
 
     def all_within_delta(self) -> bool:
-        return all(r["abs_error"] <= r["delta"] + 1e-12 for r in self.records)
+        return all(map(within_delta, self.records))
 
     def to_json(self) -> dict:
         return {"schema_version": self.schema_version, "records": self.records}

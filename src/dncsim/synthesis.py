@@ -35,6 +35,12 @@ projector Pi; f = (mu/kappa)^{2K} in the power-encoding calculus, the power
 (rho/kappa)^{2K}.  The left child's sandwich, the right child's input state
 and the front-side projector of an insertion are all built from f.
 
+`cut_data` also partitions the cut once, the gates (`causal_split`) and the
+annotations, and its CutData is the one record of the cut: every piece reads
+it.  `split_at_cuts(data)` gives the left and right children,
+`middle_between_cuts(data_i, data_j)` the middle between two cuts of one
+synthesis, and `CutData.insertion` the annotation of a sigma term.
+
 Nothing large is simulated either.  omega and W^dagger W each depend only on
 the gates in one backward light cone (of the band, the conditioned sites and
 the annotations).  The sites a cone reaches fall into windows, maximal runs
@@ -53,9 +59,8 @@ first use, when a front-side projector is asked for (`CutData.amat`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -130,9 +135,6 @@ class Synthesis:
     def depth(self) -> int:
         return self.gamma.depth
 
-    def width(self, axis: int) -> int:
-        return self.gamma.dims[axis]
-
 
 def synthesis_of_circuit(circ: LatticeCircuit) -> Synthesis:
     """Trivial synthesis: L = M = empty, N = all qubits."""
@@ -189,26 +191,34 @@ def _restrict_layers(circ: LatticeCircuit, keep_ids, axis: int, delta: int, new_
     return LatticeCircuit(tuple(new_dims), circ.depth, tuple(layers))
 
 
-def _light_cone_windows(circ: LatticeCircuit, gate_ids, seed, axis: int):
-    """Backward light cone of `seed` through the gates `gate_ids` of `circ`,
-    split into windows that evolve independently.
+def _band_windows(s: Synthesis, axis: int, band, gate_ids, seed, ops, role, cap: int, read):
+    """The backward light cone of the band and `seed` through the gates
+    `gate_ids` of `s`, swept window by window.
 
     The sites the cone reaches are grouped into maximal runs of consecutive
     coordinates along `axis`; a window is one run with the full cross-section,
     together with the cone gates inside it (a gate spans at most two adjacent
-    coordinates, so none links two windows).  Returns [(lo, hi, gate ids)].
+    coordinates, so none links two windows), carved by `_segment` with the
+    annotations `ops` and the roles `role`.  The window holding the band gives
+    `read(window, band in its frame)`; every other window only its exact
+    value.  Returns (that result, the product of those values).
     """
-    ids, reached = cone_gates(circ, seed, "backward", among=gate_ids)
+    ids, reached = cone_gates(s.gamma, set(band) | seed, "backward", among=gate_ids)
     runs: list[list[int]] = []
     for x in sorted({q[axis] for q in reached}):
         if runs and x == runs[-1][1]:
             runs[-1][1] = x + 1
         else:
             runs.append([x, x + 1])
-    return [
-        (lo, hi, {(t, gi) for t, gi in ids if lo <= circ.layers[t][gi].qubits[0][axis] < hi})
-        for lo, hi in runs
-    ]
+    out, scale = None, 1.0
+    for lo, hi in runs:
+        inside = {(t, gi) for t, gi in ids if lo <= s.gamma.layers[t][gi].qubits[0][axis] < hi}
+        view = _segment(s, axis, lo, hi, inside, ops, role)
+        if lo <= band[0][axis] < hi:
+            out = read(view, [_shift(q, axis, -lo) for q in band])
+        else:
+            scale *= oracle.synthesis_value_exact(view, cap=cap)
+    return out, scale
 
 
 def _segment(s: Synthesis, axis: int, lo: int, hi: int, gate_ids, ops=(), role=None) -> Synthesis:
@@ -284,8 +294,16 @@ class CutData:
     carry (omega_scale front_scale)^2K times front_scale and omega_scale;
     in every term of the signed combination those factors and the one on
     kappa^(4K+1) cancel exactly, so the combine divides by this kappa.
+
+    It is also the one record of the cut: the synthesis cut (`source`), its
+    gate partition from `causal_split` (`left_ids`, `cone_ids`), its
+    annotation partition (`left_ops`, `right_ops`) and the `cap`.  The
+    pieces of the cut (`split_at_cuts`, `middle_between_cuts`) and its
+    front-side operators (`amat`, `insertion`) are built from this record,
+    so a cut is partitioned once.
     """
 
+    source: Synthesis
     slice_: Slice
     band: tuple[Coord, ...]
     front_sites: tuple[Coord, ...]
@@ -302,12 +320,19 @@ class CutData:
     weights: np.ndarray  # the cut operator f(mu): 0/1 on kept, or (mu/kappa)^2K
     omega_scale: float  # exact values of the omega side's other windows, multiplied
     front_scale: float  # exact values of the W^dagger W side's other windows, multiplied
-    front_columns: Callable[[], np.ndarray] = field(repr=False)  # builds W on the front
+    left_ids: set  # gate ids behind the cut
+    cone_ids: set  # gate ids of the forward light cone of the front
+    left_ops: tuple[CutOp, ...]  # annotations of source behind the cut
+    right_ops: tuple[CutOp, ...]  # annotations of source from the band on
+    cap: int  # the cap cut_data ran under, which `amat` keeps
 
     @cached_property
     def amat(self) -> np.ndarray:
         """W sqrt(omega) on the front sites; dense on the front, so built on first use."""
-        return self.front_columns() @ self.m_omega
+        s, axis, lo = self.source, self.slice_.axis, self.slice_.hi - self.source.depth
+        sandwiches = [op for op in self.right_ops if op.kind == "sandwich"]
+        view = _segment(s, axis, lo, s.gamma.dims[axis], self.cone_ids, sandwiches, lambda q: "L")
+        return _front_columns(view, [_shift(q, axis, -lo) for q in self.band], self.cap) @ self.m_omega
 
     @cached_property
     def sandwich(self) -> CutOp:
@@ -318,6 +343,14 @@ class CutData:
     def input_state(self) -> CutOp:
         """The right-hand side's input state, on the band."""
         return CutOp(kind="input_state", qubits=self.band, matrix=self.right_input)
+
+    @cached_property
+    def insertion(self) -> CutOp:
+        """|0><0| on the slice, then the front-side cut operator."""
+        factors, coeffs = self.projector_factors()
+        sl = self.slice_
+        return CutOp(kind="insertion", qubits=self.front_sites, factors=factors, coeffs=coeffs,
+                     project_zero=tuple(_axis_filter(self.source, sl.lo, sl.hi, sl.axis)))
 
     def projector_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """(factors, coeffs) of the front-side cut operator: its eigenvectors
@@ -385,7 +418,7 @@ def _partition_ops(s: Synthesis, sl: Slice):
             right_ops.append(op)
         else:
             raise SplitError(f"cut operator on {op.qubits} straddles the slice")
-    return left_ops, right_ops
+    return tuple(left_ops), tuple(right_ops)
 
 
 def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAULT_CAP) -> CutData:
@@ -426,7 +459,6 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     if any(op.kind == "insertion" for op in s.cut_ops):
         raise SplitError("cannot split through a synthesis with insertion operators")
     oracle._check_cap(2 * len(band), cap)  # the dense band matrices
-    inside = lambda lo, hi: lo <= band[0][axis] < hi
 
     # --- band state omega from the backward cone of band, C and left annotations
     m_sites = set(s.M)
@@ -436,35 +468,24 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     }
     if cond & set(band):
         raise SplitError("the cut band is post-selected; the slice overlaps an input band")
-    seed = cond | set(band) | {q for op in left_ops for q in op.qubits}
-    conditioned = lambda q: "M" if q in cond else "L"
-    omega, omega_scale = None, 1.0
-    for lo, hi, ids in _light_cone_windows(s.gamma, left_ids, seed, axis):
-        view = _segment(s, axis, lo, hi, ids, left_ops, conditioned)
-        if not inside(lo, hi):
-            omega_scale *= oracle.synthesis_value_exact(view, cap=cap)
-            continue
-        local = [_shift(q, axis, -lo) for q in band]
+
+    def band_state(view, local):
         t, live = oracle._open(*oracle.synthesis_state(view, cap), local, cap)  # a band no gate touches
-        omega = oracle.reduce(t, [live.index(q) for q in local], cap)
+        return oracle.reduce(t, [live.index(q) for q in local], cap)
+
+    omega, omega_scale = _band_windows(
+        s, axis, band, left_ids, cond | {q for op in left_ops for q in op.qubits}, left_ops,
+        lambda q: "M" if q in cond else "L", cap, band_state)
 
     # --- W^dagger W from the backward cone of band and front sandwiches
-    sandwiches = [op for op in right_ops if op.kind == "sandwich"]
-    seed = set(band) | {q for op in sandwiches for q in op.qubits}
-    traced = lambda q: "L"
-    wtw, front_scale = None, 1.0
-    for lo, hi, ids in _light_cone_windows(s.gamma, cone_ids, seed, axis):
-        view = _segment(s, axis, lo, hi, ids, sandwiches, traced)
-        if not inside(lo, hi):
-            front_scale *= oracle.synthesis_value_exact(view, cap=cap)
-            continue
-        cols = _front_columns(view, [_shift(q, axis, -lo) for q in band], cap)
-        wtw = cols.conj().T @ cols
+    def gram_of_columns(view, local):
+        cols = _front_columns(view, local, cap)
+        return cols.conj().T @ cols
 
-    def front_columns() -> np.ndarray:
-        lo = sl.hi - d
-        view = _segment(s, axis, lo, s.gamma.dims[axis], cone_ids, sandwiches, traced)
-        return _front_columns(view, [_shift(q, axis, -lo) for q in band], cap)
+    sandwiches = [op for op in right_ops if op.kind == "sandwich"]
+    wtw, front_scale = _band_windows(
+        s, axis, band, cone_ids, {q for op in sandwiches for q in op.qubits}, sandwiches,
+        lambda q: "L", cap, gram_of_columns)
 
     m_omega = _psd_sqrt(omega)
     gram = m_omega @ wtw @ m_omega  # (W sqrt(omega))^dagger (W sqrt(omega))
@@ -495,6 +516,7 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     right_input = 0.5 * (right_input + right_input.conj().T)
 
     return CutData(
+        source=s,
         slice_=sl,
         band=band,
         front_sites=tuple(_axis_filter(s, sl.hi, s.gamma.dims[axis], axis)),
@@ -511,7 +533,11 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
         weights=f,
         omega_scale=omega_scale,
         front_scale=front_scale,
-        front_columns=front_columns,
+        left_ids=left_ids,
+        cone_ids=cone_ids,
+        left_ops=left_ops,
+        right_ops=right_ops,
+        cap=cap,
     )
 
 
@@ -551,20 +577,6 @@ def cut_projector(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.
     return (factors * coeffs) @ factors.conj().T
 
 
-def insertion_op(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAULT_CAP) -> CutOp:
-    """|0><0| on the slice then the cut operator on the front, as a CutOp."""
-    data = cut_data(s, sl, calc, cap=cap)
-    factors, coeffs = data.projector_factors()
-    slice_sites = tuple(_axis_filter(s, sl.lo, sl.hi, sl.axis))
-    return CutOp(
-        kind="insertion",
-        qubits=data.front_sites,
-        factors=factors,
-        coeffs=coeffs,
-        project_zero=slice_sites,
-    )
-
-
 def inserted_value(
     s: Synthesis, slices: list[Slice], calc: CutCalculus, cap: int = oracle.DEFAULT_CAP
 ) -> float:
@@ -588,77 +600,54 @@ class PhiDescriptor:
     middle: Synthesis
 
     def with_insertions(self, slices, calc: CutCalculus, cap: int = oracle.DEFAULT_CAP) -> Synthesis:
-        ops = [
-            insertion_op(self.middle, sl, calc, cap=cap)
-            for sl in sorted(slices, key=lambda x: -x.lo)
-        ]
-        return replace(self.middle, cut_ops=self.middle.cut_ops + tuple(ops))
+        ops = tuple(cut_data(self.middle, sl, calc, cap=cap).insertion
+                    for sl in sorted(slices, key=lambda x: -x.lo))
+        return replace(self.middle, cut_ops=self.middle.cut_ops + ops)
 
 
 @dataclass(frozen=True, eq=False)
 class SplitResult:
     left: Synthesis
     right: Synthesis
-    data: CutData
 
 
-def split_at_cuts(
-    s: Synthesis,
-    sl: Slice,
-    calc: CutCalculus,
-    cap: int = oracle.DEFAULT_CAP,
-    data: CutData | None = None,
-) -> SplitResult:
-    """Cut `s` at slice `sl` into a left and a right sub-synthesis.
+def split_at_cuts(data: CutData) -> SplitResult:
+    """Cut `data.source` at `data.slice_` into a left and a right sub-synthesis.
 
     The band of the cut is traced (L) in the left child, which carries the
     sandwich, and post-selected (M) in the right child, which loads the input
-    state.  Both children keep the annotations of `s` on their side.
+    state.  Both children keep the annotations of the source on their side,
+    and their gates are the two sides of the partition `cut_data` recorded.
     """
-    axis = sl.axis
-    left_ids, cone, _ = causal_split(s, sl)
-    left_ops, right_ops = _partition_ops(s, sl)
-    if data is None:
-        data = cut_data(s, sl, calc, cap=cap)
-    band = data.band
-    left = _segment(s, axis, 0, sl.hi, left_ids, left_ops + [data.sandwich],
+    s, sl, band = data.source, data.slice_, data.band
+    left = _segment(s, sl.axis, 0, sl.hi, data.left_ids, data.left_ops + (data.sandwich,),
                     lambda q: "L" if q in band else None)
-    right = _segment(s, axis, sl.lo, s.gamma.dims[axis], cone, right_ops + [data.input_state],
-                     lambda q: "M" if q in band else None)
-    return SplitResult(left, right, data)
+    right = _segment(s, sl.axis, sl.lo, s.gamma.dims[sl.axis], data.cone_ids,
+                     data.right_ops + (data.input_state,), lambda q: "M" if q in band else None)
+    return SplitResult(left, right)
 
 
-def middle_between_cuts(
-    s: Synthesis,
-    i: Slice,
-    j: Slice,
-    calc: CutCalculus,
-    cap: int = oracle.DEFAULT_CAP,
-    data_i: CutData | None = None,
-    data_j: CutData | None = None,
-) -> PhiDescriptor:
-    """The middle segment of `s` between cuts i and j (j right of i).
+def middle_between_cuts(data_i: CutData, data_j: CutData) -> PhiDescriptor:
+    """The middle segment of a synthesis between its cuts i and j (j right of i).
 
-    It spans [i.lo, j.hi), loads cut i's input state on i's band (M) and
-    carries cut j's sandwich on j's band (L); the left and right pieces are
-    the children of the one-cut splits at i and at j.
+    Both cuts must come from the same `cut_data` source.  The middle spans
+    [i.lo, j.hi), keeps the gates of cut i's front cone outside cut j's,
+    loads cut i's input state on i's band (M) and carries cut j's sandwich
+    on j's band (L); the left and right pieces are the children of the
+    one-cut splits at i and at j.
     """
+    s, i, j = data_i.source, data_i.slice_, data_j.slice_
+    if data_j.source is not s:
+        raise SplitError("the two cuts come from different syntheses")
     axis = i.axis
     if j.axis != axis:
         raise SplitError("slices must share an axis")
     if j.lo < i.hi:
         raise SplitError("slices overlap or j is not right of i")
-    for op in s.cut_ops:
-        lo, hi = op.extent(axis)
-        if lo >= i.hi - s.gamma.depth and hi < j.lo:
-            raise SplitError("cut operator inside the middle segment")
-    _, cone_i, _ = causal_split(s, i)
-    _, cone_j, _ = causal_split(s, j)
-    if data_i is None:
-        data_i = cut_data(s, i, calc, cap=cap)
-    if data_j is None:
-        data_j = cut_data(s, j, calc, cap=cap)
+    if set(data_i.right_ops) & set(data_j.left_ops):
+        raise SplitError("cut operator inside the middle segment")
     band_i, band_j = data_i.band, data_j.band
-    middle = _segment(s, axis, i.lo, j.hi, cone_i - cone_j, [data_i.input_state, data_j.sandwich],
+    middle = _segment(s, axis, i.lo, j.hi, data_i.cone_ids - data_j.cone_ids,
+                      [data_i.input_state, data_j.sandwich],
                       lambda q: "L" if q in band_j else "M" if q in band_i else None)
     return PhiDescriptor(middle)

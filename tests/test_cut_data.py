@@ -172,9 +172,10 @@ def test_cut_data_of_children_matches_dense_reference(dims, depth, i, j):
     # left children carry a sandwich, right children an input state on an M
     # band, and middle children both
     s = syn.synthesis_of_circuit(weak(dims, depth))
-    left = syn.split_at_cuts(s, gc.Slice(0, *i), EXACT).left
-    middle = syn.middle_between_cuts(s, gc.Slice(0, *i), gc.Slice(0, *j), EXACT).middle
-    right = syn.split_at_cuts(s, gc.Slice(0, *j), EXACT).right
+    data_i, data_j = syn.cut_data(s, gc.Slice(0, *i), EXACT), syn.cut_data(s, gc.Slice(0, *j), EXACT)
+    left = syn.split_at_cuts(data_i).left
+    middle = syn.middle_between_cuts(data_i, data_j).middle
+    right = syn.split_at_cuts(data_j).right
     for child in (left, middle, right):
         slices = admissible_slices(child, 2 * depth)
         assert slices
@@ -214,7 +215,7 @@ def test_front_columns_with_a_band_qubit_no_gate_touches():
 
 def test_cut_data_rejects_a_slice_on_the_input_band():
     s = syn.synthesis_of_circuit(weak((12,), 1))
-    right = syn.split_at_cuts(s, gc.Slice(0, 4, 6), EXACT).right
+    right = syn.split_at_cuts(syn.cut_data(s, gc.Slice(0, 4, 6), EXACT)).right
     with pytest.raises(syn.SplitError, match="post-selected"):
         syn.cut_data(right, gc.Slice(0, 0, 2), EXACT)
 
@@ -233,14 +234,36 @@ def test_cut_data_at_the_middle_of_a_long_chain_fits_a_small_cap():
 def test_cut_data_far_from_the_input_band_of_a_right_child():
     circ = weak((96, 1, 1), 1, seed=96, strength=0.1)
     s = syn.synthesis_of_circuit(circ)
-    sp = syn.split_at_cuts(s, gc.Slice(0, 8, 10), EXACT)
+    parent = syn.cut_data(s, gc.Slice(0, 8, 10), EXACT)
+    sp = syn.split_at_cuts(parent)
     right = sp.right  # starts at site 8, input state on its site 1
     data = syn.cut_data(right, gc.Slice(0, 50, 52), EXACT, cap=8)
     # the input band is post-selected on 0, and the pair (58, 59) of the
     # parent ends at the slice: both factor out of the cut state
     (g,) = [g for g in circ.layers[0] if g.qubits[0][0] == 58]
-    expected = np.real(sp.data.right_input[0, 0]) * abs(g.matrix[0, 0]) ** 2
+    expected = np.real(parent.right_input[0, 0]) * abs(g.matrix[0, 0]) ** 2
     assert data.weight == pytest.approx(expected, rel=1e-10)
+
+
+def test_each_cut_is_partitioned_once_per_estimate(monkeypatch):
+    # split_at_cuts and middle_between_cuts read the partition cut_data made,
+    # so causal_split runs once per cut_data call and nowhere else
+    calls = {"causal_split": 0, "cut_data": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(syn, "causal_split", counted("causal_split", syn.causal_split))
+    cut = counted("cut_data", syn.cut_data)
+    monkeypatch.setattr(syn, "cut_data", cut)
+    monkeypatch.setattr(dnc, "cut_data", cut)
+    s = syn.synthesis_of_circuit(weak((64, 1, 1), 1, seed=64, strength=0.1))
+    dnc.a_full(s, None, 0.1, 3, config=dnc.DncConfig(profile="desk", cap=24))
+    assert calls["cut_data"] > 0
+    assert calls["causal_split"] == calls["cut_data"]
 
 
 def test_a_full_on_a_48_qubit_chain_is_within_delta_of_the_pair_product():

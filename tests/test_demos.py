@@ -1,6 +1,7 @@
 """Every demo script runs to the end.
 
-The demos call the public API (split_at_cuts, CutData fields, inserted_value,
+The demos call the public API (cut_data, and split_at_cuts and
+middle_between_cuts on its CutData, CutData fields, inserted_value,
 expected_node_counts, ...), so a renamed or removed name shows up here rather
 than in a reader's terminal.  Each script runs in-process, as `__main__`, with
 its output captured; none of them writes files.

@@ -109,6 +109,15 @@ def test_schedule_rejects_an_unknown_override():
         run_experiment(config)
 
 
+def test_dnc_config_rejects_an_unknown_override_when_constructed():
+    # at delta = 0.6 a_full returns 0.5 before any schedule is built, so the
+    # check that schedule() makes never ran for this config
+    with pytest.raises(dnc.ScheduleError, match="'bogus'"):
+        dnc.DncConfig(overrides={"bogus": 1})
+    s = syn.synthesis_of_circuit(generate_circuit({"kind": "identity", "dims": [8, 1, 1], "depth": 1}))
+    assert dnc.a_full(s, None, 0.6, 3, config=dnc.DncConfig(overrides={"Delta": 1})) == 0.5
+
+
 def test_schedule_eps_never_exceeds_delta():
     for n in (4, 8, 16, 64):
         for delta in (0.5, 0.1, 1e-3):
@@ -321,7 +330,7 @@ def test_slice_weight_synthesis_matches_full_system_weight():
 
 def test_slice_weight_synthesis_on_a_child_shifts_origin_and_annotations():
     s, _ = make_synth({"kind": "brickwork", "dims": [16], "depth": 1, "seed": 4, "gates": "weak", "strength": 0.2})
-    right = syn.split_at_cuts(s, gc.Slice(0, 2, 4), syn.CutCalculus()).right
+    right = syn.split_at_cuts(syn.cut_data(s, gc.Slice(0, 2, 4), syn.CutCalculus())).right
     assert right.gamma.dims == (14,)
     far = dnc.slice_weight_synthesis(right, gc.Slice(0, 6, 8))  # slab [5, 9)
     assert far.M == ((1,), (2,)) and far.L == ((0,), (3,))
@@ -487,7 +496,7 @@ def test_a_recursive_delta1_reduces_to_single_product():
     sl = chosen[0]
     calc = syn.CutCalculus("exact-spectral", K=sched.K, T=sched.T)
     data = syn.cut_data(s, sl, calc)
-    sp = syn.split_at_cuts(s, sl, calc, data=data)
+    sp = syn.split_at_cuts(data)
     expect = (
         dnc.a_recursive(sp.left, sched, dnc._within(slices, 0, sl.hi), 3, None, eta=sched.eta - 1)
         * dnc.a_recursive(sp.right, sched, dnc._within(slices, sl.lo, 14), 3, None, eta=sched.eta - 1)
@@ -639,7 +648,7 @@ def test_heavy_slices_keep_their_frame_on_a_shifted_synthesis():
     s, _ = make_synth(
         {"kind": "brickwork", "dims": [24, 1, 1], "depth": 1, "seed": 3, "gates": "weak", "strength": 0.1}
     )
-    right = syn.split_at_cuts(s, gc.Slice(0, 5, 7), syn.CutCalculus()).right
+    right = syn.split_at_cuts(syn.cut_data(s, gc.Slice(0, 5, 7), syn.CutCalculus())).right
     trace = dnc.TraceNode("run")
     dnc.a_full(right, None, 0.1, 3, trace=trace)
     (top,) = trace.children
@@ -739,11 +748,11 @@ def test_oracle_substitution_residual_bounded():
     data = [syn.cut_data(s, sl, calc) for sl in chosen]
     vL, vR = [], []
     for k, sl in enumerate(chosen):
-        sp = syn.split_at_cuts(s, sl, calc, data=data[k])
+        sp = syn.split_at_cuts(data[k])
         vL.append(oracle.synthesis_value_exact(sp.left))
         vR.append(oracle.synthesis_value_exact(sp.right))
     single = [vL[k] * vR[k] for k in range(len(chosen))]
-    phi = syn.middle_between_cuts(s, chosen[0], chosen[1], calc, data_i=data[0], data_j=data[1])
+    phi = syn.middle_between_cuts(data[0], data[1])
     double = {(1, 2): vL[0] * oracle.synthesis_value_exact(phi.middle) * vR[1]}
     combined = dnc.inclusion_exclusion_combine(
         single, double, {}, [d.kappa for d in data], K=sched.K, Delta=2

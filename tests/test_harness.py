@@ -197,6 +197,24 @@ def test_cli_experiment_exit_code(tmp_path, capsys):
     assert (tmp_path / "r.json").exists() and (tmp_path / "r.csv").exists()
 
 
+def synthetic_record(label, delta, abs_error):
+    return {"label": label, "delta": delta, "oracle": 0.5, "estimate": 0.5 + abs_error, "abs_error": abs_error}
+
+
+def test_cli_experiment_status_and_exit_code_share_one_predicate(tmp_path, capsys, monkeypatch):
+    # a record 1e-13 over delta is inside the 1e-12 slack: it prints ok, and only a record past it fails
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"circuits": [], "deltas": []}))
+    edge = synthetic_record("edge", 0.1, 0.1 + 1e-13)
+    for records, statuses, code in [
+        ([edge, synthetic_record("in", 0.1, 0.05)], ["ok", "ok"], 0),
+        ([edge, synthetic_record("out", 0.1, 0.1 + 1e-9)], ["ok", "FAIL"], 2),
+    ]:
+        monkeypatch.setattr(harness, "run_experiment", lambda config, records=records: harness.Report(1, records))
+        assert cli.main(["experiment", str(cpath)]) == code
+        assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == statuses
+
+
 def test_cli_predict(capsys):
     assert cli.main(["predict", "--n", "1024", "--delta", "0.1", "--D", "3"]) == 0
     out = capsys.readouterr().out

@@ -144,7 +144,7 @@ def test_kappa_invariant_under_back_local_unitaries():
 
 def single_cut_estimate(s, sl, calc=CALC):
     data = syn.cut_data(s, sl, calc)
-    sp = syn.split_at_cuts(s, sl, calc, data=data)
+    sp = syn.split_at_cuts(data)
     vL = oracle.synthesis_value_exact(sp.left)
     vR = oracle.synthesis_value_exact(sp.right)
     return vL * vR / data.kappa ** (4 * calc.K + 1), sp, data
@@ -180,7 +180,7 @@ def test_split_child_register_roles_and_annotations():
     circ = weak_chain(12, seed=17)
     s = syn.synthesis_of_circuit(circ)
     sl = gc.Slice(0, 4, 6)
-    sp = syn.split_at_cuts(s, sl, CALC)
+    sp = syn.split_at_cuts(syn.cut_data(s, sl, CALC))
     # left child: band is traced (L) and carries a sandwich operator
     assert set(sp.left.L) == {(5,)}
     assert any(op.kind == "sandwich" for op in sp.left.cut_ops)
@@ -194,7 +194,7 @@ def test_two_cut_middle_child_roles_annotations_and_origin():
     s = syn.synthesis_of_circuit(circ)
     i, j = gc.Slice(0, 4, 6), gc.Slice(0, 8, 10)
     data_i, data_j = syn.cut_data(s, i, CALC), syn.cut_data(s, j, CALC)
-    mid = syn.middle_between_cuts(s, i, j, CALC, data_i=data_i, data_j=data_j).middle
+    mid = syn.middle_between_cuts(data_i, data_j).middle
     assert mid.gamma.dims == (j.hi - i.lo,)
     band_i = tuple((q[0] - i.lo,) for q in data_i.band)  # post-selected, loaded
     band_j = tuple((q[0] - i.lo,) for q in data_j.band)  # traced, sandwiched
@@ -208,9 +208,9 @@ def test_two_cut_middle_child_roles_annotations_and_origin():
 
 def test_right_child_split_again_adds_origins_and_shifts_annotations():
     s = syn.synthesis_of_circuit(weak_chain(16, seed=23))
-    a = syn.split_at_cuts(s, gc.Slice(0, 14, 16), CALC).left  # sandwich on (15,)
-    b = syn.split_at_cuts(a, gc.Slice(0, 2, 4), CALC).right
-    c = syn.split_at_cuts(b, gc.Slice(0, 4, 6), CALC).right
+    a = syn.split_at_cuts(syn.cut_data(s, gc.Slice(0, 14, 16), CALC)).left  # sandwich on (15,)
+    b = syn.split_at_cuts(syn.cut_data(a, gc.Slice(0, 2, 4), CALC)).right
+    c = syn.split_at_cuts(syn.cut_data(b, gc.Slice(0, 4, 6), CALC)).right
     assert a.gamma.dims == (16,) and b.gamma.dims == (14,) and c.gamma.dims == (10,)
     (sandwich,) = [op for op in a.cut_ops if op.kind == "sandwich"]
     assert [(op.kind, op.qubits) for op in b.cut_ops] == [("sandwich", ((13,),)), ("input_state", ((1,),))]
@@ -222,7 +222,7 @@ def test_right_child_split_again_adds_origins_and_shifts_annotations():
 
 def test_segment_carves_sites_gates_roles_and_annotations():
     circ = weak_chain(10, seed=3)
-    s = syn.split_at_cuts(syn.synthesis_of_circuit(circ), gc.Slice(0, 2, 4), CALC).right
+    s = syn.split_at_cuts(syn.cut_data(syn.synthesis_of_circuit(circ), gc.Slice(0, 2, 4), CALC)).right
     inside = lambda g: all(1 <= q[0] < 5 for q in g.qubits)
     ids = {(t, gi) for t, layer in enumerate(s.gamma.layers) for gi, g in enumerate(layer) if inside(g)}
     seg = syn._segment(s, 0, 1, 5, ids, s.cut_ops)
@@ -239,7 +239,7 @@ def test_split_child_width_bound():
     circ = weak_chain(16, seed=19)
     s = syn.synthesis_of_circuit(circ)
     sl = gc.Slice(0, 6, 8)
-    sp = syn.split_at_cuts(s, sl, CALC)
+    sp = syn.split_at_cuts(syn.cut_data(s, sl, CALC))
     ell = 16
     bound = 0.75 * ell + sl.width
     assert sp.left.gamma.dims[0] <= bound
@@ -250,9 +250,24 @@ def test_split_rejects_bad_slices():
     circ = weak_chain(12, seed=17)
     s = syn.synthesis_of_circuit(circ)
     with pytest.raises(syn.SplitError):
-        syn.middle_between_cuts(s, gc.Slice(0, 4, 6), gc.Slice(0, 5, 7), CALC)  # overlap
+        syn.middle_between_cuts(syn.cut_data(s, gc.Slice(0, 4, 6), CALC), syn.cut_data(s, gc.Slice(0, 5, 7), CALC))  # overlap
     with pytest.raises(syn.SplitError):
-        syn.middle_between_cuts(s, gc.Slice(0, 4, 6), gc.Slice(0, 10, 14), CALC)  # outside
+        syn.middle_between_cuts(syn.cut_data(s, gc.Slice(0, 4, 6), CALC), syn.cut_data(s, gc.Slice(0, 10, 14), CALC))  # outside
+
+
+def test_middle_between_cuts_rejects_cuts_of_other_syntheses_and_j_left_of_i():
+    s = syn.synthesis_of_circuit(weak_chain(14, seed=9))
+    twin = syn.synthesis_of_circuit(weak_chain(14, seed=9))  # equal, but another synthesis
+    i, j = gc.Slice(0, 4, 6), gc.Slice(0, 8, 10)
+    data_i, data_j = syn.cut_data(s, i, CALC), syn.cut_data(s, j, CALC)
+    with pytest.raises(syn.SplitError, match="different syntheses"):
+        syn.middle_between_cuts(data_i, syn.cut_data(twin, j, CALC))
+    with pytest.raises(syn.SplitError, match="not right of i"):
+        syn.middle_between_cuts(data_j, data_i)
+    inner = syn.Synthesis(s.gamma, s.L, s.M, s.N, s.declared_axes,
+                          cut_ops=(syn.CutOp("sandwich", ((7,),), matrix=np.eye(2)),))
+    with pytest.raises(syn.SplitError, match="inside the middle"):
+        syn.middle_between_cuts(syn.cut_data(inner, i, CALC), syn.cut_data(inner, j, CALC))
 
 
 OFF_LATTICE = [gc.Slice(0, 7, 9), gc.Slice(1, 0, 2), gc.Slice(0, 9, 11), gc.Slice(0, -1, 1)]
@@ -271,23 +286,24 @@ def test_every_cut_path_rejects_a_slice_off_the_lattice(sl):
     with pytest.raises(syn.SplitError, match="outside the synthesis lattice"):
         syn.cut_projector(s, sl, CALC)
     with pytest.raises(syn.SplitError, match="outside the synthesis lattice"):
-        syn.insertion_op(s, sl, CALC)
+        syn.cut_data(s, sl, CALC).insertion
     with pytest.raises(syn.SplitError, match="outside the synthesis lattice"):
-        syn.split_at_cuts(s, sl, CALC)
+        syn.split_at_cuts(syn.cut_data(s, sl, CALC))
     if sl.axis == 0 and sl.lo > inside.hi:
         with pytest.raises(syn.SplitError, match="outside the synthesis lattice"):
-            syn.middle_between_cuts(s, inside, sl, CALC)
+            syn.middle_between_cuts(syn.cut_data(s, inside, CALC), syn.cut_data(s, sl, CALC))
 
 
 def test_two_cut_middle_matches_inserted_term():
     circ = weak_chain(14, seed=9)
     s = syn.synthesis_of_circuit(circ)
     i, j = gc.Slice(0, 4, 6), gc.Slice(0, 8, 10)
-    left, right = syn.split_at_cuts(s, i, CALC), syn.split_at_cuts(s, j, CALC)
+    data_i, data_j = syn.cut_data(s, i, CALC), syn.cut_data(s, j, CALC)
+    left, right = syn.split_at_cuts(data_i), syn.split_at_cuts(data_j)
     vL = oracle.synthesis_value_exact(left.left)
-    vM = oracle.synthesis_value_exact(syn.middle_between_cuts(s, i, j, CALC).middle)
+    vM = oracle.synthesis_value_exact(syn.middle_between_cuts(data_i, data_j).middle)
     vR = oracle.synthesis_value_exact(right.right)
-    est = vL * vM * vR / (left.data.kappa * right.data.kappa) ** (4 * CALC.K + 1)
+    est = vL * vM * vR / (data_i.kappa * data_j.kappa) ** (4 * CALC.K + 1)
     t_ij = syn.inserted_value(s, [i, j], CALC)
     v = oracle.synthesis_value_exact(s)
     # per-term agreement within the measured residual scale, and the signed
@@ -307,7 +323,7 @@ def test_phi_descriptor_insertions():
     circ = weak_chain(16, seed=29)
     s = syn.synthesis_of_circuit(circ)
     i, j = gc.Slice(0, 2, 4), gc.Slice(0, 10, 12)
-    phi = syn.middle_between_cuts(s, i, j, CALC)
+    phi = syn.middle_between_cuts(syn.cut_data(s, i, CALC), syn.cut_data(s, j, CALC))
     mid_slice_local = gc.Slice(0, 4, 6)  # absolute [6, 8) shifted by i.lo = 2
     annotated = phi.with_insertions([mid_slice_local], CALC)
     assert any(op.kind == "insertion" for op in annotated.cut_ops)
@@ -324,7 +340,7 @@ def test_split_through_insertion_raises():
         M=s.M,
         N=s.N,
         declared_axes=s.declared_axes,
-        cut_ops=(syn.insertion_op(s, gc.Slice(0, 6, 8), CALC),),
+        cut_ops=(syn.cut_data(s, gc.Slice(0, 6, 8), CALC).insertion,),
     )
     with pytest.raises(syn.SplitError):
         syn.cut_data(annotated, gc.Slice(0, 6, 8), CALC)
@@ -356,7 +372,7 @@ def test_power_mode_residual_reported_not_asserted(capsys):
 def test_values_stay_in_unit_interval_across_splits():
     circ = weak_chain(12, seed=31, depth=2, strength=0.1)
     s = syn.synthesis_of_circuit(circ)
-    sp = syn.split_at_cuts(s, gc.Slice(0, 4, 8), CALC)
+    sp = syn.split_at_cuts(syn.cut_data(s, gc.Slice(0, 4, 8), CALC))
     for child in (sp.left, sp.right):
         v = oracle.synthesis_value_exact(child)
         assert -1e-12 <= v <= 1.0 + 1e-9
