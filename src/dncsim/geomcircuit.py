@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -94,7 +95,7 @@ class LatticeCircuit:
 
     @functools.cached_property
     def _sites(self) -> tuple[Coord, ...]:
-        return tuple(tuple(c) for c in np.ndindex(*self.dims))
+        return tuple(itertools.product(*map(range, self.dims)))
 
     def gates(self):
         for t, layer in enumerate(self.layers):

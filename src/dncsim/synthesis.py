@@ -15,7 +15,10 @@ is what keeps the recursion compositional.  Every sub-synthesis (a child of
 a cut, a slab of the slice-weight scan, a window of `cut_data`) is carved by
 one builder, `_segment`: a range of sites along one axis, shifted to start
 at 0, with its gates, annotations and roles; its caller moves anything else
-it hands down (heavy slices, say) into that frame.
+it hands down (heavy slices, say) into that frame.  Carving costs the size of
+the piece: `_segment` walks the piece's own sites and the gates it is given,
+never every site or gate of the synthesis it carves from, so an estimate's
+bookkeeping grows with its pieces, not with the lattice times their number.
 
 Cut-state structure exploited throughout: for a slice of width >= 2d the
 conditioned front state factors through the band,
@@ -52,8 +55,12 @@ The factors are carried beside the cut data, not multiplied into it: omega,
 W^dagger W, kappa and the children's annotations come from the band windows
 alone and stay O(1) however long the lattice, and the factors cancel in
 every term of the signed combination.  Equal subproblems therefore get
-annotations equal to the bit, which the estimator's table of recursive calls
-relies on.
+annotations equal to the bit, which the estimator's table of work relies on.
+Given that table, `cut_data` looks every window up in it before sweeping:
+the band windows' omega and W^dagger W and every other window's value are
+keyed on the window's content (`content_key`), so a window that recurs
+within one estimate, in a repeated cut or further along a uniform lattice,
+is swept once.
 The front matrix W sqrt(omega), dense on all front sites, is built only on
 first use, when a front-side projector is asked for (`CutData.amat`).
 """
@@ -73,7 +80,7 @@ from .geomcircuit import Coord, CutError, Gate, LatticeCircuit, Slice, cone_gate
 
 
 def _shift(q: Coord, axis: int, delta: int) -> Coord:
-    return tuple(c + delta if k == axis else c for k, c in enumerate(q))
+    return q[:axis] + (q[axis] + delta,) + q[axis + 1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +102,7 @@ class CutOp:
 
     def shifted(self, axis: int, delta: int) -> "CutOp":
         move = lambda qs: tuple(_shift(q, axis, delta) for q in qs)
-        return replace(self, qubits=move(self.qubits), project_zero=move(self.project_zero))
+        return CutOp(self.kind, move(self.qubits), self.matrix, self.factors, self.coeffs, move(self.project_zero))
 
     def extent(self, axis: int) -> tuple[int, int]:
         """Lowest and highest coordinate along `axis` of the sites it acts on."""
@@ -120,12 +127,21 @@ class Synthesis:
     cut_ops: tuple[CutOp, ...] = ()
 
     def __post_init__(self):
-        sites = set(self.gamma.sites())
-        roles = set(self.L) | set(self.M) | set(self.N)
-        if roles != sites:
+        sites = self.gamma.sites()
+        if {*self.L, *self.M, *self.N} != set(sites):
             raise ValueError("L, M, N must partition the lattice sites")
-        if len(set(self.L)) + len(set(self.M)) + len(set(self.N)) != len(sites):
-            raise ValueError("L, M, N must be disjoint")
+        if len(self.L) + len(self.M) + len(self.N) != len(sites):
+            raise ValueError("L, M, N must be disjoint and list each site once")
+
+    @cached_property
+    def m_sites(self) -> frozenset:
+        """M as a set, built once per synthesis (carving asks it per site)."""
+        return frozenset(self.M)
+
+    @cached_property
+    def l_sites(self) -> frozenset:
+        """L as a set, built once per synthesis."""
+        return frozenset(self.L)
 
     @property
     def declared_dims(self) -> tuple[int, ...]:
@@ -181,17 +197,54 @@ def _axis_filter(s: Synthesis, lo, hi, axis) -> list[Coord]:
 
 
 def _restrict_layers(circ: LatticeCircuit, keep_ids, axis: int, delta: int, new_dims):
-    layers = []
-    for t, layer in enumerate(circ.layers):
-        kept = []
-        for gi, g in enumerate(layer):
-            if (t, gi) in keep_ids:
-                kept.append(Gate(g.matrix, tuple(_shift(q, axis, delta) for q in g.qubits), name=g.name))
-        layers.append(tuple(kept))
-    return LatticeCircuit(tuple(new_dims), circ.depth, tuple(layers))
+    """The gates `keep_ids` of `circ`, moved by `delta` along `axis`; only
+    those gates are visited, and at delta 0 they are reused as they are."""
+    layers = [[] for _ in circ.layers]
+    for t, gi in sorted(keep_ids):
+        g = circ.layers[t][gi]
+        if delta:
+            g = Gate(g.matrix, tuple(_shift(q, axis, delta) for q in g.qubits), name=g.name)
+        layers[t].append(g)
+    return LatticeCircuit(tuple(new_dims), circ.depth, tuple(map(tuple, layers)))
 
 
-def _band_windows(s: Synthesis, axis: int, band, gate_ids, seed, ops, role, cap: int, read):
+def content_key(s: Synthesis) -> tuple:
+    """Everything the evaluation of `s` depends on: equal keys, equal values.
+
+    A gate is keyed on its qubits and the identity of its matrix object
+    (cheap, and exact while the object lives, so a table keyed on this holds
+    the synthesis too), an annotation on the exact bytes of its arrays.
+    """
+    g = s.gamma
+    gates = tuple(tuple((id(x.matrix), x.qubits) for x in layer) for layer in g.layers)
+    ops = tuple(
+        (op.kind, op.qubits, op.project_zero)
+        + tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in (op.matrix, op.factors, op.coeffs))
+        for op in s.cut_ops
+    )
+    return g.dims, g.depth, s.L, s.M, s.N, s.declared_axes, gates, ops
+
+
+def _tabled(memo: dict | None, tag, view: Synthesis, compute):
+    """`compute()` of the window `view`, looked up in (and stored to) the
+    estimate's table `memo` under `tag` and the window's `content_key`.
+
+    The entry holds `view`, whose matrix ids its key names; a stored array is
+    made read-only, since every later hit shares it.
+    """
+    if memo is None:
+        return compute()
+    key = (tag, content_key(view))
+    if key in memo:
+        return memo[key][0]
+    out = compute()
+    if isinstance(out, np.ndarray):
+        out.setflags(write=False)
+    memo[key] = (out, view)
+    return out
+
+
+def _band_windows(s: Synthesis, axis: int, band, gate_ids, seed, ops, role, cap: int, read, memo):
     """The backward light cone of the band and `seed` through the gates
     `gate_ids` of `s`, swept window by window.
 
@@ -200,8 +253,12 @@ def _band_windows(s: Synthesis, axis: int, band, gate_ids, seed, ops, role, cap:
     together with the cone gates inside it (a gate spans at most two adjacent
     coordinates, so none links two windows), carved by `_segment` with the
     annotations `ops` and the roles `role`.  The window holding the band gives
-    `read(window, band in its frame)`; every other window only its exact
-    value.  Returns (that result, the product of those values).
+    `read(window, band in its frame, cap)`; every other window only its
+    exact value.  Returns (that result, the product of those values).
+
+    With the estimate's table `memo`, both are looked up first, keyed on the
+    window's `content_key` (and on `read` and the band, or on "value"), so a
+    window evaluated earlier in the estimate is not swept again.
     """
     ids, reached = cone_gates(s.gamma, set(band) | seed, "backward", among=gate_ids)
     runs: list[list[int]] = []
@@ -215,9 +272,10 @@ def _band_windows(s: Synthesis, axis: int, band, gate_ids, seed, ops, role, cap:
         inside = {(t, gi) for t, gi in ids if lo <= s.gamma.layers[t][gi].qubits[0][axis] < hi}
         view = _segment(s, axis, lo, hi, inside, ops, role)
         if lo <= band[0][axis] < hi:
-            out = read(view, [_shift(q, axis, -lo) for q in band])
+            local = tuple(_shift(q, axis, -lo) for q in band)
+            out = _tabled(memo, (read, local), view, lambda: read(view, local, cap))
         else:
-            scale *= oracle.synthesis_value_exact(view, cap=cap)
+            scale *= _tabled(memo, "value", view, lambda: oracle.synthesis_value_exact(view, cap=cap))
     return out, scale
 
 
@@ -230,19 +288,24 @@ def _segment(s: Synthesis, axis: int, lo: int, hi: int, gate_ids, ops=(), role=N
     or its role in s where `role` is None or returns None.  Every
     sub-synthesis is carved here: the children of a cut, the slabs of the
     slice-weight scan and the windows of `cut_data`.
+
+    Carving costs the size of the piece, not of s: it walks the piece's own
+    sites (each mapped back by +lo to ask its role) and only the gates
+    `gate_ids`, and a piece at lo = 0 reuses the gates of s.
     """
-    m_sites, l_sites = set(s.M), set(s.L)
-    roles: dict[str, list[Coord]] = {"L": [], "M": [], "N": []}
-    for q in s.gamma.sites():
-        if lo <= q[axis] < hi:
-            r = role(q) if role is not None else None
-            if r is None:
-                r = "M" if q in m_sites else "L" if q in l_sites else "N"
-            roles[r].append(_shift(q, axis, -lo))
     dims = tuple(hi - lo if k == axis else w for k, w in enumerate(s.gamma.dims))
+    gamma = _restrict_layers(s.gamma, gate_ids, axis, -lo, dims)
+    m_sites, l_sites = s.m_sites, s.l_sites
+    roles: dict[str, list[Coord]] = {"L": [], "M": [], "N": []}
+    for p in gamma.sites():
+        q = _shift(p, axis, lo) if lo else p
+        r = role(q) if role is not None else None
+        if r is None:
+            r = "M" if q in m_sites else "L" if q in l_sites else "N"
+        roles[r].append(p)
     inside = lambda extent: lo <= extent[0] and extent[1] < hi
     return Synthesis(
-        gamma=_restrict_layers(s.gamma, gate_ids, axis, -lo, dims),
+        gamma=gamma,
         L=tuple(roles["L"]),
         M=tuple(roles["M"]),
         N=tuple(roles["N"]),
@@ -421,7 +484,20 @@ def _partition_ops(s: Synthesis, sl: Slice):
     return tuple(left_ops), tuple(right_ops)
 
 
-def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAULT_CAP) -> CutData:
+def _band_state(view: Synthesis, local, cap: int) -> np.ndarray:
+    """omega: the reduced state on `local` of one sweep of the window `view`."""
+    t, live = oracle._open(*oracle.synthesis_state(view, cap), local, cap)  # a band no gate touches
+    return oracle.reduce(t, [live.index(q) for q in local], cap)
+
+
+def _gram_of_columns(view: Synthesis, local, cap: int) -> np.ndarray:
+    """W^dagger W of the window `view`, from its band `local` to its other sites."""
+    cols = _front_columns(view, local, cap)
+    return cols.conj().T @ cols
+
+
+def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAULT_CAP,
+             memo: dict | None = None) -> CutData:
     """Spectral data of the cut state at `sl`, from light-cone windows.
 
     The cut state is rho_front = W omega W^dagger.  The band state omega is
@@ -452,6 +528,13 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     front matrix W sqrt(omega) (`amat`, dense on the front sites) is built,
     and checked against the cap, only when a front-side projector is asked
     for.
+
+    `memo` is the estimate's table of work (see `dnc`): given one, every
+    window is looked up there before it is swept, the band windows' omega and
+    W^dagger W and the other windows' values alike, keyed on the window's
+    content, and stored after.  Cuts of equal pieces, and cuts whose windows
+    repeat along a lattice, then sweep each distinct window once per
+    estimate.  Without one (the default) every window is swept.
     """
     axis, d = sl.axis, s.gamma.depth
     left_ids, cone_ids, band = causal_split(s, sl)
@@ -461,7 +544,7 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     oracle._check_cap(2 * len(band), cap)  # the dense band matrices
 
     # --- band state omega from the backward cone of band, C and left annotations
-    m_sites = set(s.M)
+    m_sites = s.m_sites
     cond = {
         q for q in s.gamma.sites()
         if q[axis] < sl.hi and (q in m_sites or sl.lo <= q[axis] < sl.hi - d)
@@ -469,23 +552,15 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     if cond & set(band):
         raise SplitError("the cut band is post-selected; the slice overlaps an input band")
 
-    def band_state(view, local):
-        t, live = oracle._open(*oracle.synthesis_state(view, cap), local, cap)  # a band no gate touches
-        return oracle.reduce(t, [live.index(q) for q in local], cap)
-
     omega, omega_scale = _band_windows(
         s, axis, band, left_ids, cond | {q for op in left_ops for q in op.qubits}, left_ops,
-        lambda q: "M" if q in cond else "L", cap, band_state)
+        lambda q: "M" if q in cond else "L", cap, _band_state, memo)
 
     # --- W^dagger W from the backward cone of band and front sandwiches
-    def gram_of_columns(view, local):
-        cols = _front_columns(view, local, cap)
-        return cols.conj().T @ cols
-
     sandwiches = [op for op in right_ops if op.kind == "sandwich"]
     wtw, front_scale = _band_windows(
         s, axis, band, cone_ids, {q for op in sandwiches for q in op.qubits}, sandwiches,
-        lambda q: "L", cap, gram_of_columns)
+        lambda q: "L", cap, _gram_of_columns, memo)
 
     m_omega = _psd_sqrt(omega)
     gram = m_omega @ wtw @ m_omega  # (W sqrt(omega))^dagger (W sqrt(omega))

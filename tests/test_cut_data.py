@@ -8,6 +8,8 @@ small light-cone windows, each one `oracle.synthesis_state` sweep: omega is
 the band's reduced state of the window's projected state, and W one operator
 sweep with the band's inputs left open.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -291,3 +293,100 @@ def test_a_full_on_a_128_qubit_chain_keeps_its_dense_leaves_small(monkeypatch):
     est = dnc.a_full(s, None, 0.1, 3, config=dnc.DncConfig(profile="desk", cap=24))
     assert abs(est - exact) <= 0.1
     assert sizes and max(sizes) <= 14
+
+
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_each_window_is_swept_once_per_estimate(monkeypatch):
+    # cut_data looks every window up in the estimate's table before it sweeps
+    # it; without the table (dnc.cut_data dropping memo) the same estimate
+    # sweeps each repeated window again, and gives the same value and trace
+    s = syn.synthesis_of_circuit(weak((128, 1, 1), 1, seed=128, strength=0.1))
+    cfg = dnc.DncConfig(profile="desk", cap=24)
+    calls = {"value": 0, "sweep": 0}
+    monkeypatch.setattr(oracle, "synthesis_value_exact", _counted(calls, "value", oracle.synthesis_value_exact))
+    monkeypatch.setattr(oracle, "synthesis_state", _counted(calls, "sweep", oracle.synthesis_state))
+    cut_data = syn.cut_data
+    runs = []
+    for table in (True, False):
+        if not table:
+            monkeypatch.setattr(dnc, "cut_data", lambda *args, memo=None, **kw: cut_data(*args, **kw))
+        calls.update(value=0, sweep=0)
+        trace = dnc.TraceNode("run")
+        est = dnc.a_full(s, None, 0.1, 3, config=cfg, trace=trace)
+        runs.append((est, trace.to_dict(), calls["value"], calls["sweep"]))
+    (est, tree, values, sweeps), (est_all, tree_all, values_all, sweeps_all) = runs
+    assert est == est_all and tree == tree_all
+    assert (values, sweeps) == (193, 224)
+    assert (values_all, sweeps_all) == (329, 525)
+
+
+class _AskedTable(dict):
+    """A table of work that records the keys looked up in it, and those stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked, self.stored = [], set()
+
+    def __contains__(self, key):
+        self.asked.append(key)
+        return super().__contains__(key)
+
+    def __setitem__(self, key, value):
+        self.stored.add(key)
+        super().__setitem__(key, value)
+
+
+def _with_matrices(s, matrix):
+    """s with each gate g's matrix replaced by matrix(g)."""
+    layers = [[gc.Gate(matrix(g), g.qubits, g.name) for g in layer] for layer in s.gamma.layers]
+    return dataclasses.replace(s, gamma=gc.circuit(s.gamma.dims, layers))
+
+
+@pytest.mark.parametrize("change", ["annotation bytes", "gate matrix object", "gate matrix"])
+def test_the_window_table_keys_on_annotations_and_gate_matrices(change):
+    # windows with the same sites, roles and gate qubits are different
+    # windows when an annotation's bytes or a gate's matrix differ
+    s = syn.synthesis_of_circuit(weak((16,), 1))
+    right = syn.split_at_cuts(syn.cut_data(s, gc.Slice(0, 2, 4), EXACT)).right  # input state on (1,)
+    if change == "annotation bytes":
+        (op,) = right.cut_ops
+        other = dataclasses.replace(right, cut_ops=(dataclasses.replace(op, matrix=0.5 * op.matrix),))
+    elif change == "gate matrix object":
+        other = _with_matrices(right, lambda g: g.matrix.copy())
+    else:
+        other = _with_matrices(right, lambda g: g.matrix[::-1])  # rows swapped: still unitary
+    sl = gc.Slice(0, 4, 6)
+    memo = _AskedTable()
+    first = syn.cut_data(right, sl, EXACT, memo=memo)
+    memo.asked.clear()
+    memo.stored.clear()
+    got = syn.cut_data(other, sl, EXACT, memo=memo)
+    want = syn.cut_data(other, sl, EXACT)
+    # a window of `other` finds an entry only where it holds nothing that changed
+    hits = [memo[key][1] for key in memo.asked if dict.__contains__(memo, key) and key not in memo.stored]
+    misses = len(memo.asked) - len(hits)
+    if change == "annotation bytes":
+        assert all(not view.cut_ops for view in hits) and misses == 1
+    else:
+        assert all(not list(view.gamma.gates()) for view in hits) and misses >= 1
+    for name in ("omega_scale", "front_scale", "eigvals", "left_op", "right_input"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    if change != "gate matrix object":
+        assert not (got.omega_scale == first.omega_scale and np.array_equal(got.left_op, first.left_op))
+
+
+def test_tabled_band_matrices_are_read_only():
+    s = syn.synthesis_of_circuit(weak((16,), 1))
+    memo = {}
+    syn.cut_data(s, gc.Slice(0, 4, 6), EXACT, memo=memo)
+    arrays = [value for value, _ in memo.values() if isinstance(value, np.ndarray)]
+    assert len(arrays) == 2  # omega and W^dagger W of the band windows
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0

@@ -144,6 +144,19 @@ def test_a_full_brute_force_for_tiny_delta():
     )
 
 
+@pytest.mark.parametrize("dims, D", [([16], 3), ([16, 2], 4)])
+def test_a_full_rejects_more_dimensions_than_the_synthesis_declares(monkeypatch, dims, D):
+    # each level of the recursion absorbs one declared axis, so D may exceed
+    # their number by one at most; the request fails before any leaf is evaluated
+    s, _ = make_synth({"kind": "brickwork", "dims": dims, "depth": 1, "seed": 3, "gates": "weak", "strength": 0.1})
+    calls = []
+    value_exact = oracle.synthesis_value_exact
+    monkeypatch.setattr(oracle, "synthesis_value_exact", lambda *a, **kw: calls.append(1) or value_exact(*a, **kw))
+    with pytest.raises(dnc.ScheduleError, match=f"D = {D} needs at least {D - 1} declared dimensions"):
+        dnc.a_full(s, None, 0.1, D, config=dnc.DncConfig(profile="desk", cap=24))
+    assert calls == []
+
+
 def test_a_full_d2_delegates_to_base_verbatim():
     s, _ = make_synth({"kind": "brickwork", "dims": [6], "depth": 1, "seed": 3, "gates": "haar"})
     calls = []

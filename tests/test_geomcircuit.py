@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,3 +188,10 @@ def test_circuit_json_roundtrip(tmp_path, chain10_weak):
     again = gc.circuit_from_json(data)
     assert again.layers[0][0].name == "H"
     assert again.fingerprint() == named.fingerprint()
+
+
+@pytest.mark.parametrize("dims", [(5,), (3, 2), (2, 1, 4), (1, 1, 1)])
+def test_sites_are_row_major(dims):
+    circ = gc.circuit(dims, [[]])
+    assert circ.sites() == tuple(tuple(int(c) for c in q) for q in np.ndindex(*dims))
+    assert all(type(c) is int for q in circ.sites() for c in q)

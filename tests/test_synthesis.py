@@ -235,6 +235,61 @@ def test_segment_carves_sites_gates_roles_and_annotations():
     assert traced.cut_ops == () and traced.L == tuple(traced.gamma.sites())
 
 
+def test_registers_must_list_each_site_once():
+    # the role sets cover the lattice and their sizes add up to its 3 sites,
+    # but L lists (1,0,0) twice
+    circ = generate_circuit({"kind": "identity", "dims": [3, 1, 1], "depth": 1})
+    with pytest.raises(ValueError, match="once"):
+        syn.Synthesis(gamma=circ, L=((1, 0, 0), (1, 0, 0)), M=(), N=((0, 0, 0), (2, 0, 0)), declared_axes=(0, 1, 2))
+
+
+class _CountedLayer(tuple):
+    """A layer of gates that records which of its gates are read."""
+
+    def __getitem__(self, gi):
+        self.read.append((self.t, gi))
+        return super().__getitem__(gi)
+
+    def __iter__(self):
+        self.read.append((self.t, "all"))
+        return super().__iter__()
+
+
+def test_carving_a_window_costs_the_size_of_the_window(monkeypatch):
+    circ = generate_circuit(
+        {"kind": "brickwork", "dims": [1024, 1, 1], "depth": 1, "seed": 1024, "gates": "weak", "strength": 0.1}
+    )
+    s = syn.synthesis_of_circuit(circ)
+    read = []
+    layers = []
+    for t, layer in enumerate(circ.layers):
+        counted = _CountedLayer(layer)
+        counted.t, counted.read = t, read
+        layers.append(counted)
+    object.__setattr__(circ, "layers", tuple(layers))
+    parent_sites = []
+    sites = gc.LatticeCircuit.sites
+    monkeypatch.setattr(gc.LatticeCircuit, "sites", lambda c: parent_sites.append(1) if c is circ else sites(c))
+
+    def ids_in(lo, hi):
+        return {(t, gi) for t, layer in enumerate(circ.layers) for gi, g in enumerate(tuple.__iter__(layer))
+                if all(lo <= q[0] < hi for q in g.qubits)}
+
+    ids = ids_in(500, 504)
+    window = syn._segment(s, 0, 500, 504, ids, role=lambda q: "M" if q[0] == 501 else None)
+    assert parent_sites == []
+    assert sorted(read) == sorted(ids)  # each given gate once, no other
+    assert window.gamma.dims == (4, 1, 1)
+    assert window.M == ((1, 0, 0),) and window.N == ((0, 0, 0), (2, 0, 0), (3, 0, 0))
+    assert [g.qubits for _, g in window.gamma.gates()] == [((0, 0, 0), (1, 0, 0)), ((2, 0, 0), (3, 0, 0))]
+    # a piece at 0 needs no shift, so it keeps the parent's gates
+    read.clear()
+    front = syn._segment(s, 0, 0, 4, ids_in(0, 4))
+    assert parent_sites == [] and len(read) == 2
+    kept = [g for _, g in front.gamma.gates()]
+    assert len(kept) == 2 and all(g is tuple.__getitem__(circ.layers[0], gi) for gi, g in enumerate(kept))
+
+
 def test_split_child_width_bound():
     circ = weak_chain(16, seed=19)
     s = syn.synthesis_of_circuit(circ)
