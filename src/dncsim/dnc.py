@@ -16,12 +16,13 @@ most of the ~4^eta calls of `a_recursive` repeat one that another call has
 already solved: the cuts' annotations come from their band windows alone
 (`synthesis.cut_data`), so equal pieces carry equal annotations to the bit.
 `a_full` creates one table per estimate and passes it down; `a_recursive`
-looks each call up before doing any work, keyed on the piece's lattice,
-roles, gates (their qubits and the identity of their matrix objects, which
-every piece shares with the root), the exact bytes of its annotations, its
-heavy slices, eta, D and the schedule.  A hit returns the stored value and
-attaches the stored trace subtree under the caller's node; that subtree is
-shared and never changed, so the trace reads as if the call had run.
+looks each call up before doing any work, keyed on the piece's
+`synthesis.content_key` (its dims and role bytes, each gate's layer,
+own-frame qubits and the identity of its matrix object, and the exact bytes
+of its annotations), its heavy slices, eta, D and the schedule.  A hit
+returns the stored value and attaches the stored trace subtree under the
+caller's node; that subtree is shared and never changed, so the trace reads
+as if the call had run.
 The same table holds the window evaluations of `synthesis.cut_data` (each
 window's omega, W^dagger W or exact value, keyed on its
 `synthesis.content_key`), so cuts of different pieces share the windows they
@@ -32,12 +33,20 @@ measurable time (chain_scale `estimates_per_s` 31.0 vs 30.5 /s, medians of
 six alternating 10 s benchmark pairs on a 2-core machine), while it would
 keep every leaf piece alive until the estimate ends.  Nothing is kept from
 one estimate to the next.
+
+Every synthesis below the one `a_full` is given is a view of its root
+circuit (see `synthesis`): the children and middles of the cuts, the slabs
+of `slice_weight_synthesis` and the results of `dimension_reduce` hold a box
+of the root and share its gates, so an estimate builds no gate and moves no
+coordinate.  This module reads a piece through its box (`dims`, `depth`,
+`origin`, `ids`, `ops`); slices and trace metadata stay in each piece's own
+frame.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +60,8 @@ from .synthesis import (
     cut_data,
     middle_between_cuts,
     split_at_cuts,
+    _ALL_L,
+    _recast,
     _segment,
 )
 
@@ -263,14 +274,14 @@ class DncConfig:
 
 
 def widest_axis(s: Synthesis) -> int:
-    return min(s.declared_axes, key=lambda a: (-s.gamma.dims[a], a))
+    return min(s.declared_axes, key=lambda a: (-s.dims[a], a))
 
 
 def dimension_reduce(s: Synthesis, axis: int | None = None) -> Synthesis:
     """Absorb one declared axis into the site structure (value unchanged).
 
     The circuit, registers, and annotations are untouched; only the declared
-    dimensionality shrinks.
+    dimensionality shrinks: the result is a view of the same box.
     """
     if axis is None:
         axis = widest_axis(s)
@@ -278,7 +289,7 @@ def dimension_reduce(s: Synthesis, axis: int | None = None) -> Synthesis:
         raise ValueError(f"axis {axis} is not a declared dimension")
     if len(s.declared_axes) < 2:
         raise ValueError("cannot reduce below one declared dimension")
-    return replace(s, declared_axes=tuple(a for a in s.declared_axes if a != axis))
+    return _recast(s, declared_axes=tuple(a for a in s.declared_axes if a != axis))
 
 
 def slice_weight_synthesis(s: Synthesis, sl: Slice) -> Synthesis:
@@ -286,31 +297,31 @@ def slice_weight_synthesis(s: Synthesis, sl: Slice) -> Synthesis:
 
     Only gates in the backward light cone of the slice matter, so the circuit
     is restricted to a slab |slice| + 2d wide around it; the slice is
-    the M register, the rest of the slab is traced, and N is empty.
+    the M register, the rest of the slab is traced, and N is empty.  The
+    slice seeds the cone as an interval, so no site of s is visited.
     """
-    d = s.gamma.depth
+    d = s.depth
     axis = sl.axis
+    o = s.origin[axis]
     slab_lo = max(0, sl.lo - d)
-    slab_hi = min(s.gamma.dims[axis], sl.hi + d)
-    slice_sites = [q for q in s.gamma.sites() if sl.lo <= q[axis] < sl.hi]
-    cone, reached = cone_gates(s.gamma, slice_sites, "backward")
-    if any(q[axis] < slab_lo or q[axis] >= slab_hi for q in reached):
+    slab_hi = min(s.dims[axis], sl.hi + d)
+    cone, reached = cone_gates(s.root, (), "backward", among=s.ids, slab=(axis, o + sl.lo, o + sl.hi))
+    if any(q[axis] < o + slab_lo or q[axis] >= o + slab_hi for q in reached):
         raise AssertionError("backward cone of the slice escaped its slab")
-    for op in s.cut_ops:
-        lo, hi = op.extent(axis)
+    for op in s.ops:
+        lo, hi = (x - o for x in op.extent(axis))
         if hi < slab_lo or lo >= slab_hi:
             if op.kind == "sandwich" or op.kind == "insertion":
                 raise SplitError("slice weight undefined with off-slab sandwich operators")
         elif lo < slab_lo or hi >= slab_hi:
             raise SplitError(f"cut operator on {op.qubits} straddles the slab")
-    in_slice = lambda q: "M" if sl.lo <= q[axis] < sl.hi else "L"
-    return _segment(s, axis, slab_lo, slab_hi, cone, s.cut_ops, in_slice)
+    return _segment(s, axis, slab_lo, slab_hi, cone, s.ops, _ALL_L, ((sl.lo, sl.hi, b"M"),))
 
 
 def select_region_Z(s: Synthesis, sched: ParameterSchedule, K_heavy: list[Slice]):
     """Central sub-hyper-cube Z and the Delta left-most heavy slices inside it."""
     axis = K_heavy[0].axis
-    length = s.gamma.dims[axis]
+    length = s.dims[axis]
     z = min(sched.z_width, length)
     lo = (length - z) // 2
     hi = lo + z
@@ -447,7 +458,7 @@ def a_full(
     """
     cfg = config or DncConfig()
     memo = {} if memo is None else memo
-    n = s.gamma.n_qubits
+    n = s.n_qubits
     node = _trace_child(trace, "a_full", dims=s.declared_dims, D=D, delta=delta)
 
     if delta <= _brute_cutoff(n):
@@ -471,9 +482,9 @@ def _scan_and_recurse(s, base, delta, D, cfg, node, memo) -> float:
         raise ScheduleError(
             f"D = {D} needs at least {D - 1} declared dimensions, the synthesis has "
             f"{len(s.declared_axes)} (dims {s.declared_dims})")
-    sched = schedule(s.gamma.n_qubits, s.gamma.depth, D, delta, cfg.profile, **cfg.overrides)
+    sched = schedule(s.n_qubits, s.depth, D, delta, cfg.profile, **cfg.overrides)
     axis = widest_axis(s)
-    slices = enumerate_slices(s.gamma, axis, sched.slice_width, sched.max_gap)
+    slices = enumerate_slices(s, axis, sched.slice_width, sched.max_gap)
     if not slices:
         return a_full(dimension_reduce(s, axis), base, delta, D - 1, cfg, node, memo)
 
@@ -535,7 +546,7 @@ def a_recursive(
             trace.children.append(node)  # shared, and never changed once stored
         return val
     axis = K_heavy[0].axis
-    length = s.gamma.dims[axis]
+    length = s.dims[axis]
     node = _trace_child(trace, "a_recursive", width=length, eta=eta, D=D, dims=s.declared_dims)
 
     if length < sched.w0 or eta < 1:
@@ -569,10 +580,10 @@ def a_recursive(
     vR: list[float] = []
     for idx, sl in enumerate(chosen):
         sp = split_at_cuts(data[idx])
-        lnode = node.add("left", slice=sl, parent_width=length, child_width=sp.left.gamma.dims[axis])
+        lnode = node.add("left", slice=sl, parent_width=length, child_width=sp.left.dims[axis])
         left_heavy = _within(K_heavy, 0, sl.hi)
         vL.append(a_recursive(sp.left, sched, left_heavy, D, base, eta - 1, cfg, lnode, memo))
-        rnode = node.add("right", slice=sl, parent_width=length, child_width=sp.right.gamma.dims[axis])
+        rnode = node.add("right", slice=sl, parent_width=length, child_width=sp.right.dims[axis])
         right_heavy = _within(K_heavy, sl.lo, length)
         vR.append(a_recursive(sp.right, sched, right_heavy, D, base, eta - 1, cfg, rnode, memo))
         lnode.value = vL[-1]
@@ -595,7 +606,7 @@ def a_recursive(
         for j in range(i + 2, Delta):
             for sigma in nonempty_subsets(range(i + 2, j + 1)):  # 1-based labels
                 picked = _within([chosen[k - 1] for k in sigma], chosen[i].lo, chosen[j].hi)
-                annotated = phis[(i, j)].with_insertions(picked, calc, cap=cfg.cap)
+                annotated = phis[(i, j)].with_insertions(picked, calc, cap=cfg.cap, memo=memo)
                 snode = node.add("sigma_term", slices=(chosen[i], chosen[j]), sigma=sigma)
                 val = a_full(annotated, base, errmodel.e3(sched.eps, Delta), D - 1, cfg, snode, memo)
                 snode.value = val

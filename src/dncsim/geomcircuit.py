@@ -102,6 +102,17 @@ class LatticeCircuit:
             for g in layer:
                 yield t, g
 
+    @functools.cached_property
+    def gate_table(self) -> tuple[tuple[Gate, ...], tuple[int, ...]]:
+        """(gates, layers): every gate in layer order and the layer of each.
+
+        A gate's id is its position here: `cone_gates` returns ids, and a
+        piece of a synthesis keeps the ids of its gates.  Built on first use,
+        not at construction.
+        """
+        pairs = tuple(self.gates())
+        return tuple(g for _, g in pairs), tuple(t for t, _ in pairs)
+
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         h.update(repr(self.dims).encode())
@@ -131,15 +142,20 @@ class ValidationReport:
 
 
 def validate(circ: LatticeCircuit) -> ValidationReport:
-    """Check every LatticeCircuit invariant; violations are data, not errors."""
+    """Check every LatticeCircuit invariant; violations are data, not errors.
+
+    Unitarity is checked one layer and arity at a time, as one stacked
+    np.isclose (np.allclose per gate is its `all`), and reported in gate order.
+    """
     violations: list[str] = []
     if len(circ.layers) != circ.depth:
         violations.append(
             f"layer count {len(circ.layers)} does not match declared depth {circ.depth}"
         )
     for t, layer in enumerate(circ.layers):
+        unitary = _unitary_flags(layer)
         used: set[Coord] = set()
-        for g in layer:
+        for g, ok in zip(layer, unitary):
             for q in g.qubits:
                 if not in_lattice(q, circ.dims):
                     violations.append(f"layer {t}: coordinate {q} outside lattice {circ.dims}")
@@ -155,34 +171,57 @@ def validate(circ: LatticeCircuit) -> ValidationReport:
                     f"layer {t}: overlapping supports at {sorted(overlap)}"
                 )
             used.update(g.qubits)
-            d = np.conj(g.matrix.T) @ g.matrix
-            if not np.allclose(d, np.eye(d.shape[0]), atol=1e-10):
+            if not ok:
                 violations.append(f"layer {t}: non-unitary gate on {g.qubits}")
     return ValidationReport(ok=not violations, violations=violations)
 
 
-def cone_gates(
-    circ: LatticeCircuit, seed, direction: str = "forward", among=None
-) -> tuple[set[tuple[int, int]], frozenset[Coord]]:
-    """Gates causally connected to `seed`, plus the reached coordinate set.
+def _unitary_flags(layer) -> list[bool]:
+    """Whether each gate of `layer` has U^dagger U = I to atol 1e-10, computed
+    for all gates of one matrix size at once."""
+    flags = [True] * len(layer)
+    by_size: dict[int, list[int]] = {}
+    for i, g in enumerate(layer):
+        by_size.setdefault(g.matrix.shape[0], []).append(i)
+    for dim, idx in by_size.items():
+        m = np.stack([layer[i].matrix for i in idx])
+        close = np.isclose(np.conj(m.transpose(0, 2, 1)) @ m, np.eye(dim), atol=1e-10)
+        for i, ok in zip(idx, close.all(axis=(1, 2))):
+            flags[i] = bool(ok)
+    return flags
 
-    forward: layers in time order, seeded at the input; backward: reversed.
-    Returns ({(layer index, gate index)}, reached coords).  The returned gate
-    set G has the property that the circuit factors as (gates not in G applied
+
+def cone_gates(
+    circ: LatticeCircuit, seed, direction: str = "forward", among=None, slab=None
+) -> tuple[tuple[int, ...], frozenset[Coord]]:
+    """Gates causally connected to `seed`, plus the coordinates they reach.
+
+    forward: gates in time order, seeded at the input; backward: reversed.
+    Returns (ids, reached): the ids of the member gates (positions in
+    `circ.gate_table`) in layer order, and the seed's coordinates with every
+    qubit of a member.  The circuit factors as (gates not in ids applied
     first... or last, per direction) -- see synthesis.causal_split.  `among`,
-    a set of gate ids, restricts the cone to the circuit made of those gates.
+    gate ids in layer order, restricts the cone to the circuit made of those
+    gates.  `slab`, an (axis, lo, hi) triple, seeds every coordinate with
+    lo <= q[axis] < hi as well, as an interval: `reached` lists such a
+    coordinate only where a member touches it.  The gates of one layer have
+    disjoint supports, so they are visited in either order within a layer.
     """
-    reached: set[Coord] = {tuple(q) for q in seed}
-    members: set[tuple[int, int]] = set()
-    order = range(circ.depth) if direction == "forward" else range(circ.depth - 1, -1, -1)
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward|backward, got {direction!r}")
-    for t in order:
-        for gi, g in enumerate(circ.layers[t]):
-            if (among is None or (t, gi) in among) and reached.intersection(g.qubits):
-                members.add((t, gi))
-                reached.update(g.qubits)
-    return members, frozenset(reached)
+    gates = circ.gate_table[0]
+    ids = range(len(gates)) if among is None else among
+    reached: set[Coord] = {tuple(q) for q in seed}
+    members: list[int] = []
+    axis, lo, hi = slab if slab is not None else (0, 0, 0)  # an empty slab
+    for i in ids if direction == "forward" else reversed(ids):
+        qs = gates[i].qubits
+        if not reached.isdisjoint(qs) or lo <= qs[0][axis] < hi or lo <= qs[-1][axis] < hi:
+            members.append(i)
+            reached.update(qs)
+    if direction == "backward":
+        members.reverse()
+    return tuple(members), frozenset(reached)
 
 
 def light_cone(circ: LatticeCircuit, seed, direction: str = "forward") -> frozenset[Coord]:
@@ -262,6 +301,8 @@ def enumerate_slices(
     circ: LatticeCircuit, axis: int, slice_width: int, max_gap: int
 ) -> list[Slice]:
     """Tile the axis with disjoint slices of `slice_width`, spaced by `max_gap`.
+
+    `circ` is anything with `dims` and `depth`: a circuit or a synthesis.
 
     Spacing is edge-to-edge.  Placement starts at coordinate 0 and strides by
     slice_width + max_gap, which yields the maximal count for that stride.

@@ -281,15 +281,17 @@ class DensityOperator:
         dim = 2 ** len(self.qubits)
         if m.shape != (dim, dim):
             raise ValueError("matrix must be 2^m x 2^m for the declared qubits")
-        work = m - m.conj().T
+        # one work buffer serves both checks: m - m^dagger is formed in it
+        # (no temporaries), then m + 1e-8 I for the factorization below
+        work = np.conjugate(m.T, out=np.empty(m.shape, dtype=complex))
+        np.subtract(m, work, out=work)
         if np.abs(work).max() > 1e-10:
             raise ValueError("density operator must be Hermitian to 1e-10")
         tr = float(np.real(np.trace(m)))
         if tr > 1 + 1e-10:
             raise ValueError(f"trace {tr} exceeds 1 + 1e-10")
         # min eigenvalue >= -1e-8 iff m + 1e-8 I has a Cholesky factor, which
-        # costs a fraction of eigvalsh and, like it, reads the lower triangle;
-        # m + 1e-8 I reuses the difference's array (one matrix fewer to fault in)
+        # costs a fraction of eigvalsh and, like it, reads the lower triangle
         np.copyto(work, m)
         work[np.diag_indices(dim)] += 1e-8
         try:
@@ -425,34 +427,41 @@ def synthesis_state(s, cap: int = DEFAULT_CAP, pairs=None) -> tuple[np.ndarray, 
     traces over them.  An M or N qubit no annotation touches is closed after
     its last gate (it commutes with the rest); `pairs` and the cap go to
     `apply_gates`, so the cap bounds the sweep's width, not the lattice.
+
+    It reads the synthesis as a box of its root circuit (`s.pairs()`,
+    `s.root_sites`, `s.ops`), so `live` and `pairs` are in root coordinates:
+    a piece is swept in place, without moving a coordinate, and gives the
+    tensor its own-frame copy would (the sweep is translation invariant).
+    For a synthesis built from its fields, root coordinates are its own.
     """
     anc: list[Coord] = []
     held: list[Coord] = []
     block = np.ones(())
-    for op in s.cut_ops:
+    for op in s.ops:
         if op.kind != "input_state":
             continue
         r = len(op.qubits)
-        a = [(-1 - len(anc) - j,) * len(s.gamma.dims) for j in range(r)]
+        a = [(-1 - len(anc) - j,) * len(s.dims) for j in range(r)]
         anc.extend(a)
         held.extend(list(op.qubits) + a)
         # purified vector on band + ancillas: sum_j sqrt(w_j) |e_j>|j>
         w, v = np.linalg.eigh(op.matrix)
         block = np.multiply.outer(block, (v * np.sqrt(np.clip(w, 0.0, None))).reshape([2] * (2 * r)))
-    ops = [op for op in s.cut_ops if op.kind != "input_state"]
+    ops = [op for op in s.ops if op.kind != "input_state"]
     touched = dict.fromkeys(q for op in ops for q in op.project_zero + op.qubits)
-    close = [q for q in s.M + s.N if q not in touched]
-    t, live = apply_gates(block, _pairs(s.gamma), held, close, pairs, cap)
+    m, n = s.root_sites("M"), s.root_sites("N")
+    close = [q for q in m + n if q not in touched]
+    t, live = apply_gates(block, s.pairs(), held, close, pairs, cap)
     t, live = _open(t, live, touched, cap)  # annotated qubits no gate has opened
     pos = {q: i for i, q in enumerate(live)}
-    t = project_zero(t, [pos[q] for q in s.M if q in pos])
+    t = project_zero(t, [pos[q] for q in m if q in pos])
     for op in ops:
         if op.kind == "insertion":
             t = project_zero(t, [pos[q] for q in op.project_zero])
         elif op.kind != "sandwich":
             raise ValueError(f"unknown cut-op kind {op.kind!r}")
         t = apply_sandwich(t, op, [pos[q] for q in op.qubits])
-    return project_zero(t, [pos[q] for q in s.N if q in pos]), live
+    return project_zero(t, [pos[q] for q in n if q in pos]), live
 
 
 def synthesis_value_exact(s, cap: int = DEFAULT_CAP) -> float:

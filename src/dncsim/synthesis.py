@@ -11,14 +11,23 @@ cut-adjacent bands: an input state on the band for the right-hand child, a
 positive sandwich operator on the band for the left-hand child, and explicit
 projector insertions for the middle pieces of multi-cut terms.  Annotation
 operators are always confined to a band as wide as the circuit depth, which
-is what keeps the recursion compositional.  Every sub-synthesis (a child of
-a cut, a slab of the slice-weight scan, a window of `cut_data`) is carved by
-one builder, `_segment`: a range of sites along one axis, shifted to start
-at 0, with its gates, annotations and roles; its caller moves anything else
-it hands down (heavy slices, say) into that frame.  Carving costs the size of
-the piece: `_segment` walks the piece's own sites and the gates it is given,
-never every site or gate of the synthesis it carves from, so an estimate's
-bookkeeping grows with its pieces, not with the lattice times their number.
+is what keeps the recursion compositional.
+
+A piece is a view of its root circuit.  Every sub-synthesis (a child of a
+cut, a middle piece, a slab of the slice-weight scan, a window of
+`cut_data`) is carved by one builder, `_segment`, and holds its box: the root
+coordinates of its origin, its dims, the ids of its kept gates (positions in
+the root's `gate_table`), one role byte per site in row-major order, and its
+annotations in root coordinates.  It shares the root's Gate objects.  Carving
+composes boxes, filters gate ids and slices role bytes; it builds no gate,
+moves no coordinate and checks no partition, and the callers' role rules are
+site ranges.  Everything in the package reads that box: the cut machinery,
+the keys of the estimate's table (`content_key`, in the piece's own frame)
+and the sweep (`oracle.synthesis_state`, in root coordinates: a sweep is
+translation invariant, so a piece evaluates exactly as its own-frame copy
+would).  The own-frame fields (`gamma`, `L`, `M`, `N`, `cut_ops`, starting
+at 0) are derived on first read, for the tests, the CLI and tracers.  A
+synthesis built from those fields is its own root, its box derived from them.
 
 Cut-state structure exploited throughout: for a slice of width >= 2d the
 conditioned front state factors through the band,
@@ -66,8 +75,11 @@ first use, when a front-side projector is asked for (`CutData.amat`).
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import sub
 
 import numpy as np
 
@@ -78,9 +90,13 @@ from .geomcircuit import Coord, CutError, Gate, LatticeCircuit, Slice, cone_gate
 # types
 # ---------------------------------------------------------------------------
 
+_ALL_L = bytes.maketrans(b"MN", b"LL")  # recasts of role bytes: every site traced,
+_ONLY_M = bytes.maketrans(b"N", b"L")  # or every site but the post-selected ones
 
-def _shift(q: Coord, axis: int, delta: int) -> Coord:
-    return q[:axis] + (q[axis] + delta,) + q[axis + 1:]
+
+def _moved(qs, origin: Coord) -> tuple[Coord, ...]:
+    """The root coordinates `qs` in the frame that starts at `origin`."""
+    return tuple([tuple(map(sub, q, origin)) for q in qs])
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,10 +116,6 @@ class CutOp:
     coeffs: np.ndarray | None = None
     project_zero: tuple[Coord, ...] = ()
 
-    def shifted(self, axis: int, delta: int) -> "CutOp":
-        move = lambda qs: tuple(_shift(q, axis, delta) for q in qs)
-        return CutOp(self.kind, move(self.qubits), self.matrix, self.factors, self.coeffs, move(self.project_zero))
-
     def extent(self, axis: int) -> tuple[int, int]:
         """Lowest and highest coordinate along `axis` of the sites it acts on."""
         xs = [q[axis] for q in self.qubits + self.project_zero]
@@ -115,8 +127,13 @@ class Synthesis:
     """Register-tagged circuit; evaluates to <0_N| phi |0_N>.
 
     `declared_axes` lists which coordinate positions count as lattice
-    dimensions (dimension reduction shrinks it).  Coordinates are in the
-    frame of this synthesis: its lattice starts at (0,..,0).
+    dimensions (dimension reduction shrinks it).  The fields are in the frame
+    of this synthesis: its lattice starts at (0,..,0).
+
+    It is also a box of its root circuit (see the module docstring): `root`,
+    `origin`, `dims`, `ids`, `roles` and `ops`, in root coordinates.  A
+    synthesis built from its fields is its own root; a piece (`_View`) holds
+    the box and derives the fields.
     """
 
     gamma: LatticeCircuit
@@ -134,22 +151,152 @@ class Synthesis:
             raise ValueError("L, M, N must be disjoint and list each site once")
 
     @cached_property
-    def m_sites(self) -> frozenset:
-        """M as a set, built once per synthesis (carving asks it per site)."""
-        return frozenset(self.M)
+    def root(self) -> LatticeCircuit:
+        """The circuit whose gates and coordinates the synthesis shares."""
+        return self.gamma
 
     @cached_property
-    def l_sites(self) -> frozenset:
-        """L as a set, built once per synthesis."""
-        return frozenset(self.L)
+    def origin(self) -> Coord:
+        """Root coordinates of the synthesis' site (0,..,0)."""
+        return (0,) * len(self.gamma.dims)
+
+    @cached_property
+    def dims(self) -> tuple[int, ...]:
+        return self.gamma.dims
+
+    @cached_property
+    def ids(self) -> tuple[int, ...]:
+        """Ids of its gates in the root's `gate_table`, in layer order."""
+        return tuple(range(len(self.gamma.gate_table[0])))
+
+    @cached_property
+    def roles(self) -> bytes:
+        """One role byte (b"L", b"M" or b"N") per site, in row-major order."""
+        index = {q: i for i, q in enumerate(self.gamma.sites())}
+        out = bytearray(b"N" * len(index))
+        for role in "LM":
+            for q in getattr(self, role):
+                out[index[q]] = ord(role)
+        return bytes(out)
+
+    @cached_property
+    def ops(self) -> tuple[CutOp, ...]:
+        """The annotations, in root coordinates."""
+        return self.cut_ops
 
     @property
     def declared_dims(self) -> tuple[int, ...]:
-        return tuple(self.gamma.dims[a] for a in self.declared_axes)
+        return tuple(self.dims[a] for a in self.declared_axes)
 
     @property
     def depth(self) -> int:
-        return self.gamma.depth
+        return self.root.depth
+
+    @property
+    def n_qubits(self) -> int:
+        return math.prod(self.dims)
+
+    def pairs(self) -> list:
+        """(matrix, qubits) of its gates in layer order, in root coordinates."""
+        gates = self.root.gate_table[0]
+        return [(gates[i].matrix, gates[i].qubits) for i in self.ids]
+
+    def root_sites(self, role: str | None = None, axis: int = 0, lo: int = 0, hi: int | None = None):
+        """Root coordinates of its sites with lo <= x[axis] < hi (in its own
+        frame; all of them by default), in row-major order; with `role`, only
+        the sites of that role."""
+        dims, o = self.dims, self.origin
+        hi = dims[axis] if hi is None else hi
+        if role is None:
+            roles = None
+        else:
+            roles = self.roles if lo <= 0 and hi >= dims[axis] else _carve_roles(self.roles, dims, axis, lo, hi)
+            if role.encode() not in roles:
+                return ()
+        ranges = [range(a, a + w) for a, w in zip(o, dims)]
+        ranges[axis] = range(o[axis] + max(lo, 0), o[axis] + min(hi, dims[axis]))
+        sites = itertools.product(*ranges)
+        if roles is None:
+            return tuple(sites)
+        r = ord(role)
+        return tuple([q for q, x in zip(sites, roles) if x == r])
+
+
+class _View(Synthesis):
+    """A piece of a root circuit: built from its box by `_view`, without
+    `__init__`; its own-frame fields are derived on first read."""
+
+    @cached_property
+    def gamma(self) -> LatticeCircuit:
+        root, o = self.root, self.origin
+        gates, layer = root.gate_table
+        if len(self.ids) == len(gates) and self.dims == root.dims:  # the whole root
+            return root
+        layers = [[] for _ in root.layers]
+        for i in self.ids:
+            g = gates[i]
+            layers[layer[i]].append(Gate(g.matrix, _moved(g.qubits, o), name=g.name) if any(o) else g)
+        return LatticeCircuit(self.dims, root.depth, tuple(map(tuple, layers)))
+
+    @cached_property
+    def L(self) -> tuple[Coord, ...]:
+        return _moved(self.root_sites("L"), self.origin)
+
+    @cached_property
+    def M(self) -> tuple[Coord, ...]:
+        return _moved(self.root_sites("M"), self.origin)
+
+    @cached_property
+    def N(self) -> tuple[Coord, ...]:
+        return _moved(self.root_sites("N"), self.origin)
+
+    @cached_property
+    def cut_ops(self) -> tuple[CutOp, ...]:
+        o = self.origin
+        if not any(o):
+            return self.ops
+        return tuple(CutOp(op.kind, _moved(op.qubits, o), op.matrix, op.factors, op.coeffs,
+                           _moved(op.project_zero, o)) for op in self.ops)
+
+
+def _view(s: Synthesis, origin, dims, ids, roles, ops, declared_axes) -> Synthesis:
+    """The box (origin, dims, ids, roles, ops) of the root of `s`, as a synthesis."""
+    v = object.__new__(_View)
+    v.__dict__.update(root=s.root, origin=origin, dims=dims, ids=ids, roles=roles, ops=ops,
+                      declared_axes=declared_axes)
+    return v
+
+
+def _recast(s: Synthesis, roles=None, ops=None, declared_axes=None) -> Synthesis:
+    """The box of `s` with other roles, annotations or declared axes."""
+    return _view(s, s.origin, s.dims, s.ids, s.roles if roles is None else roles,
+                 s.ops if ops is None else ops, s.declared_axes if declared_axes is None else declared_axes)
+
+
+def _runs(dims, axis: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Row-major positions of the sites with lo <= x[axis] < hi, as [start, stop) runs."""
+    inner = math.prod(dims[axis + 1:])
+    if not axis:
+        return [(lo * inner, hi * inner)]
+    block = dims[axis] * inner
+    return [(b + lo * inner, b + hi * inner) for b in range(0, math.prod(dims), block)]
+
+
+def _carve_roles(roles: bytes, dims, axis: int, lo: int, hi: int) -> bytes:
+    """The role bytes of the sites with lo <= x[axis] < hi, in row-major order."""
+    lo, hi = max(lo, 0), min(hi, dims[axis])
+    return b"".join(roles[a:b] for a, b in _runs(dims, axis, lo, hi)) if lo < hi else b""
+
+
+def _mark(roles: bytes, dims, axis: int, lo: int, hi: int, role: bytes) -> bytes:
+    """`roles` with the sites lo <= x[axis] < hi set to `role`."""
+    lo, hi = max(lo, 0), min(hi, dims[axis])
+    if lo >= hi:
+        return roles
+    out = bytearray(roles)
+    for a, b in _runs(dims, axis, lo, hi):
+        out[a:b] = role * (b - a)
+    return bytes(out)
 
 
 def synthesis_of_circuit(circ: LatticeCircuit) -> Synthesis:
@@ -192,37 +339,24 @@ class SplitError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _axis_filter(s: Synthesis, lo, hi, axis) -> list[Coord]:
-    return [q for q in s.gamma.sites() if lo <= q[axis] < hi]
-
-
-def _restrict_layers(circ: LatticeCircuit, keep_ids, axis: int, delta: int, new_dims):
-    """The gates `keep_ids` of `circ`, moved by `delta` along `axis`; only
-    those gates are visited, and at delta 0 they are reused as they are."""
-    layers = [[] for _ in circ.layers]
-    for t, gi in sorted(keep_ids):
-        g = circ.layers[t][gi]
-        if delta:
-            g = Gate(g.matrix, tuple(_shift(q, axis, delta) for q in g.qubits), name=g.name)
-        layers[t].append(g)
-    return LatticeCircuit(tuple(new_dims), circ.depth, tuple(map(tuple, layers)))
-
-
 def content_key(s: Synthesis) -> tuple:
     """Everything the evaluation of `s` depends on: equal keys, equal values.
 
-    A gate is keyed on its qubits and the identity of its matrix object
-    (cheap, and exact while the object lives, so a table keyed on this holds
-    the synthesis too), an annotation on the exact bytes of its arrays.
+    It reads the box of `s` in its own frame, so it is translation invariant:
+    the dims, depth, declared axes and role bytes; each kept gate's layer,
+    matrix identity (cheap, and exact while the object lives, so a table
+    keyed on this holds the synthesis too) and own-frame qubits; and each
+    annotation's kind, own-frame sites and the exact bytes of its arrays.
     """
-    g = s.gamma
-    gates = tuple(tuple((id(x.matrix), x.qubits) for x in layer) for layer in g.layers)
+    o = s.origin
+    gates, layer = s.root.gate_table
+    gate_keys = tuple([(layer[i], id(gates[i].matrix), _moved(gates[i].qubits, o)) for i in s.ids])
     ops = tuple(
-        (op.kind, op.qubits, op.project_zero)
+        (op.kind, _moved(op.qubits, o), _moved(op.project_zero, o))
         + tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in (op.matrix, op.factors, op.coeffs))
-        for op in s.cut_ops
+        for op in s.ops
     )
-    return g.dims, g.depth, s.L, s.M, s.N, s.declared_axes, gates, ops
+    return s.dims, s.depth, s.declared_axes, s.roles, gate_keys, ops
 
 
 def _tabled(memo: dict | None, tag, view: Synthesis, compute):
@@ -244,78 +378,79 @@ def _tabled(memo: dict | None, tag, view: Synthesis, compute):
     return out
 
 
-def _band_windows(s: Synthesis, axis: int, band, gate_ids, seed, ops, role, cap: int, read, memo):
-    """The backward light cone of the band and `seed` through the gates
-    `gate_ids` of `s`, swept window by window.
+def _band_windows(s: Synthesis, axis: int, band, gate_ids, slab, seed, carve, cap: int, read, memo):
+    """The backward light cone of the slab [lo, hi) of `s` along `axis` and
+    the sites `seed` through the gates `gate_ids`, swept window by window.
 
     The sites the cone reaches are grouped into maximal runs of consecutive
     coordinates along `axis`; a window is one run with the full cross-section,
     together with the cone gates inside it (a gate spans at most two adjacent
-    coordinates, so none links two windows), carved by `_segment` with the
-    annotations `ops` and the roles `role`.  The window holding the band gives
-    `read(window, band in its frame, cap)`; every other window only its
-    exact value.  Returns (that result, the product of those values).
+    coordinates, so none links two windows), carved by `carve(lo, hi, ids)`.
+    The window holding the band gives `read(window, band, cap)`; every other
+    window only its exact value.  Returns (that result, the product of those
+    values).  `band` and `seed` are in root coordinates, as the sweeps are.
 
     With the estimate's table `memo`, both are looked up first, keyed on the
-    window's `content_key` (and on `read` and the band, or on "value"), so a
-    window evaluated earlier in the estimate is not swept again.
+    window's `content_key` (and on `read` and the band in the window's frame,
+    or on "value"), so a window evaluated earlier in the estimate is not
+    swept again.
     """
-    ids, reached = cone_gates(s.gamma, set(band) | seed, "backward", among=gate_ids)
+    o = s.origin[axis]
+    lo, hi = slab
+    ids, reached = cone_gates(s.root, seed, "backward", among=gate_ids, slab=(axis, o + lo, o + hi))
     runs: list[list[int]] = []
-    for x in sorted({q[axis] for q in reached}):
+    for x in sorted({q[axis] - o for q in reached}.union(range(lo, hi))):
         if runs and x == runs[-1][1]:
             runs[-1][1] = x + 1
         else:
             runs.append([x, x + 1])
+    gates = s.root.gate_table[0]
     out, scale = None, 1.0
     for lo, hi in runs:
-        inside = {(t, gi) for t, gi in ids if lo <= s.gamma.layers[t][gi].qubits[0][axis] < hi}
-        view = _segment(s, axis, lo, hi, inside, ops, role)
-        if lo <= band[0][axis] < hi:
-            local = tuple(_shift(q, axis, -lo) for q in band)
-            out = _tabled(memo, (read, local), view, lambda: read(view, local, cap))
+        inside = tuple(i for i in ids if o + lo <= gates[i].qubits[0][axis] < o + hi)
+        view = carve(lo, hi, inside)
+        if o + lo <= band[0][axis] < o + hi:
+            local = _moved(band, view.origin)
+            out = _tabled(memo, (read, local), view, lambda: read(view, band, cap))
         else:
             scale *= _tabled(memo, "value", view, lambda: oracle.synthesis_value_exact(view, cap=cap))
     return out, scale
 
 
-def _segment(s: Synthesis, axis: int, lo: int, hi: int, gate_ids, ops=(), role=None) -> Synthesis:
-    """Sites [lo, hi) of `s` along `axis` as a synthesis of their own, shifted
-    to start at 0.
+def _segment(s: Synthesis, axis: int, lo: int, hi: int, ids, ops=(), recast=None, marks=()) -> Synthesis:
+    """Sites [lo, hi) of `s` along `axis` as a synthesis of their own: a view
+    of the root of `s`, whose own frame starts at 0.
 
-    It keeps the gates `gate_ids` of s and those annotations of `ops` (given
-    in the frame of s) that lie inside.  A site q of s gets the role `role(q)`,
-    or its role in s where `role` is None or returns None.  Every
-    sub-synthesis is carved here: the children of a cut, the slabs of the
-    slice-weight scan and the windows of `cut_data`.
+    It keeps the gates `ids` (root gate ids in layer order) and those
+    annotations of `ops` that lie inside.  Its roles are those of `s`,
+    translated by the table `recast` if one is given (`_ALL_L`, `_ONLY_M`),
+    then set to r on the sites a <= x[axis] < b for each (a, b, r) of `marks`
+    (a and b in the frame of s).  Every sub-synthesis is carved here: the
+    children of a cut, the middle pieces, the slabs of the slice-weight scan
+    and the windows of `cut_data`.
 
-    Carving costs the size of the piece, not of s: it walks the piece's own
-    sites (each mapped back by +lo to ask its role) and only the gates
-    `gate_ids`, and a piece at lo = 0 reuses the gates of s.
+    Carving composes the box of `s` with [lo, hi): it builds no gate, moves
+    no coordinate and visits no site, so it costs the annotations and the
+    role bytes of the piece.
     """
-    dims = tuple(hi - lo if k == axis else w for k, w in enumerate(s.gamma.dims))
-    gamma = _restrict_layers(s.gamma, gate_ids, axis, -lo, dims)
-    m_sites, l_sites = s.m_sites, s.l_sites
-    roles: dict[str, list[Coord]] = {"L": [], "M": [], "N": []}
-    for p in gamma.sites():
-        q = _shift(p, axis, lo) if lo else p
-        r = role(q) if role is not None else None
-        if r is None:
-            r = "M" if q in m_sites else "L" if q in l_sites else "N"
-        roles[r].append(p)
-    inside = lambda extent: lo <= extent[0] and extent[1] < hi
-    return Synthesis(
-        gamma=gamma,
-        L=tuple(roles["L"]),
-        M=tuple(roles["M"]),
-        N=tuple(roles["N"]),
-        declared_axes=s.declared_axes,
-        cut_ops=tuple(op.shifted(axis, -lo) for op in ops if inside(op.extent(axis))),
-    )
+    o = s.origin[axis]
+    origin = s.origin[:axis] + (o + lo,) + s.origin[axis + 1:]
+    dims = s.dims[:axis] + (hi - lo,) + s.dims[axis + 1:]
+    roles = _carve_roles(s.roles, s.dims, axis, lo, hi)
+    if recast is not None:
+        roles = roles.translate(recast)
+    for a, b, r in marks:
+        roles = _mark(roles, dims, axis, a - lo, b - lo, r)
+    kept = []
+    for op in ops:
+        low, high = op.extent(axis)
+        if o + lo <= low and high < o + hi:
+            kept.append(op)
+    return _view(s, origin, dims, tuple(ids), roles, tuple(kept), s.declared_axes)
 
 
 def _front_columns(s: Synthesis, band, cap: int) -> np.ndarray:
-    """The contraction W of `s` from `band` to its other sites.
+    """The contraction W of `s` from `band` (root coordinates) to its other sites.
 
     Column x is <0_band| S V |x_band, 0_rest> with V the gates of s and S its
     sandwich annotations; shape (2^(n - |band|), 2^|band|), rows in site order.
@@ -325,8 +460,9 @@ def _front_columns(s: Synthesis, band, cap: int) -> np.ndarray:
     live through the N projection and is read at 0 here.
     """
     band_set = set(band)
-    rest = [q for q in s.gamma.sites() if q not in band_set]
-    view = replace(s, L=tuple(rest), M=(), N=tuple(band))
+    sites = s.root_sites()
+    rest = [q for q in sites if q not in band_set]
+    view = _recast(s, roles=bytes(b"N"[0] if q in band_set else b"L"[0] for q in sites))
     t, live = oracle.synthesis_state(view, cap, pairs={q: x for x, q in enumerate(band)})
     t, live = oracle._open(t, live, rest, cap)
     t = t[tuple(0 if q in band_set else slice(None) for q in live)]  # band outputs on zero
@@ -363,13 +499,14 @@ class CutData:
     annotation partition (`left_ops`, `right_ops`) and the `cap`.  The
     pieces of the cut (`split_at_cuts`, `middle_between_cuts`) and its
     front-side operators (`amat`, `insertion`) are built from this record,
-    so a cut is partitioned once.
+    so a cut is partitioned once.  Like the sweeps, the record is in the
+    root coordinates of source: its sites (`band`, `front_sites`), the
+    annotations it builds, and its gate ids, which name the root's gates.
     """
 
     source: Synthesis
     slice_: Slice
-    band: tuple[Coord, ...]
-    front_sites: tuple[Coord, ...]
+    band: tuple[Coord, ...]  # in the root coordinates of source, as every site here
     weight: float  # trace of the cut state
     kappa: float  # of the band windows' spectrum mu
     eigvals: np.ndarray  # mu: the band windows' spectrum of the cut state (descending)
@@ -383,19 +520,25 @@ class CutData:
     weights: np.ndarray  # the cut operator f(mu): 0/1 on kept, or (mu/kappa)^2K
     omega_scale: float  # exact values of the omega side's other windows, multiplied
     front_scale: float  # exact values of the W^dagger W side's other windows, multiplied
-    left_ids: set  # gate ids behind the cut
-    cone_ids: set  # gate ids of the forward light cone of the front
+    left_ids: tuple  # root gate ids behind the cut, in layer order
+    cone_ids: tuple  # root gate ids of the forward light cone of the front
     left_ops: tuple[CutOp, ...]  # annotations of source behind the cut
     right_ops: tuple[CutOp, ...]  # annotations of source from the band on
     cap: int  # the cap cut_data ran under, which `amat` keeps
+
+    @cached_property
+    def front_sites(self) -> tuple[Coord, ...]:
+        """The sites of source from the slice's upper edge on."""
+        sl = self.slice_
+        return self.source.root_sites(axis=sl.axis, lo=sl.hi)
 
     @cached_property
     def amat(self) -> np.ndarray:
         """W sqrt(omega) on the front sites; dense on the front, so built on first use."""
         s, axis, lo = self.source, self.slice_.axis, self.slice_.hi - self.source.depth
         sandwiches = [op for op in self.right_ops if op.kind == "sandwich"]
-        view = _segment(s, axis, lo, s.gamma.dims[axis], self.cone_ids, sandwiches, lambda q: "L")
-        return _front_columns(view, [_shift(q, axis, -lo) for q in self.band], self.cap) @ self.m_omega
+        view = _segment(s, axis, lo, s.dims[axis], self.cone_ids, sandwiches, _ALL_L)
+        return _front_columns(view, self.band, self.cap) @ self.m_omega
 
     @cached_property
     def sandwich(self) -> CutOp:
@@ -413,7 +556,7 @@ class CutData:
         factors, coeffs = self.projector_factors()
         sl = self.slice_
         return CutOp(kind="insertion", qubits=self.front_sites, factors=factors, coeffs=coeffs,
-                     project_zero=tuple(_axis_filter(self.source, sl.lo, sl.hi, sl.axis)))
+                     project_zero=self.source.root_sites(axis=sl.axis, lo=sl.lo, hi=sl.hi))
 
     def projector_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """(factors, coeffs) of the front-side cut operator: its eigenvectors
@@ -450,9 +593,11 @@ def causal_split(s: Synthesis, sl: Slice):
     Cone gates are the forward light cone of the front region; the circuit
     equals (cone gates, in layer order) applied after (remaining gates).
     The cone acts only on the band (last d sites of the slice) and the front.
-    Every cut path starts here, so a slice off the lattice raises SplitError.
+    Gate ids are root gate ids in layer order and the band is in root
+    coordinates; the front seeds the cone as an interval.  Every cut path
+    starts here, so a slice off the lattice raises SplitError.
     """
-    dims, axis, d = s.gamma.dims, sl.axis, s.gamma.depth
+    dims, axis, d = s.dims, sl.axis, s.depth
     if not 0 <= axis < len(dims):
         raise SplitError(f"slice {sl} on an axis outside the synthesis lattice {dims}")
     if not (0 <= sl.lo and sl.hi <= dims[axis]):
@@ -461,38 +606,37 @@ def causal_split(s: Synthesis, sl: Slice):
         raise CutError(
             f"insufficient light-cone separation: slice width {sl.width} < 2d = {2 * d}"
         )
-    front = _axis_filter(s, sl.hi, dims[axis], axis)
-    band = _axis_filter(s, sl.hi - d, sl.hi, axis)
-    cone, reached = cone_gates(s.gamma, front, "forward")
-    allowed = set(front) | set(band)
-    if not set(reached) <= allowed:
+    o = s.origin[axis]
+    cone, reached = cone_gates(s.root, (), "forward", among=s.ids, slab=(axis, o + sl.hi, o + dims[axis]))
+    if any(q[axis] < o + sl.hi - d for q in reached):
         raise AssertionError("light cone of the front escaped its band")
-    every = {(t, gi) for t, layer in enumerate(s.gamma.layers) for gi in range(len(layer))}
-    return every - cone, cone, tuple(band)
+    in_cone = set(cone)
+    return tuple(i for i in s.ids if i not in in_cone), cone, s.root_sites(axis=axis, lo=sl.hi - d, hi=sl.hi)
 
 
 def _partition_ops(s: Synthesis, sl: Slice):
     left_ops, right_ops = [], []
-    for op in s.cut_ops:
-        lo, hi = op.extent(sl.axis)
+    o = s.origin[sl.axis]
+    for op in s.ops:
+        lo, hi = (x - o for x in op.extent(sl.axis))
         if hi < sl.lo:
             left_ops.append(op)
-        elif lo >= sl.hi - s.gamma.depth:
+        elif lo >= sl.hi - s.depth:
             right_ops.append(op)
         else:
             raise SplitError(f"cut operator on {op.qubits} straddles the slice")
     return tuple(left_ops), tuple(right_ops)
 
 
-def _band_state(view: Synthesis, local, cap: int) -> np.ndarray:
-    """omega: the reduced state on `local` of one sweep of the window `view`."""
-    t, live = oracle._open(*oracle.synthesis_state(view, cap), local, cap)  # a band no gate touches
-    return oracle.reduce(t, [live.index(q) for q in local], cap)
+def _band_state(view: Synthesis, band, cap: int) -> np.ndarray:
+    """omega: the reduced state on `band` of one sweep of the window `view`."""
+    t, live = oracle._open(*oracle.synthesis_state(view, cap), band, cap)  # a band no gate touches
+    return oracle.reduce(t, [live.index(q) for q in band], cap)
 
 
-def _gram_of_columns(view: Synthesis, local, cap: int) -> np.ndarray:
-    """W^dagger W of the window `view`, from its band `local` to its other sites."""
-    cols = _front_columns(view, local, cap)
+def _gram_of_columns(view: Synthesis, band, cap: int) -> np.ndarray:
+    """W^dagger W of the window `view`, from its band to its other sites."""
+    cols = _front_columns(view, band, cap)
     return cols.conj().T @ cols
 
 
@@ -536,31 +680,28 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     repeat along a lattice, then sweep each distinct window once per
     estimate.  Without one (the default) every window is swept.
     """
-    axis, d = sl.axis, s.gamma.depth
+    axis, d = sl.axis, s.depth
     left_ids, cone_ids, band = causal_split(s, sl)
     left_ops, right_ops = _partition_ops(s, sl)
-    if any(op.kind == "insertion" for op in s.cut_ops):
+    if any(op.kind == "insertion" for op in s.ops):
         raise SplitError("cannot split through a synthesis with insertion operators")
     oracle._check_cap(2 * len(band), cap)  # the dense band matrices
 
-    # --- band state omega from the backward cone of band, C and left annotations
-    m_sites = s.m_sites
-    cond = {
-        q for q in s.gamma.sites()
-        if q[axis] < sl.hi and (q in m_sites or sl.lo <= q[axis] < sl.hi - d)
-    }
-    if cond & set(band):
+    # --- band state omega from the backward cone of band, C and left annotations;
+    # C, conditioned on zero: the slice below the band and the M sites behind it
+    if b"M" in _carve_roles(s.roles, s.dims, axis, sl.hi - d, sl.hi):
         raise SplitError("the cut band is post-selected; the slice overlaps an input band")
-
+    seed = s.root_sites("M", axis, 0, sl.lo) + tuple(q for op in left_ops for q in op.qubits)
+    cond = ((sl.hi, s.dims[axis], b"L"), (sl.lo, sl.hi - d, b"M"))
     omega, omega_scale = _band_windows(
-        s, axis, band, left_ids, cond | {q for op in left_ops for q in op.qubits}, left_ops,
-        lambda q: "M" if q in cond else "L", cap, _band_state, memo)
+        s, axis, band, left_ids, (sl.lo, sl.hi), seed,
+        lambda lo, hi, ids: _segment(s, axis, lo, hi, ids, left_ops, _ONLY_M, cond), cap, _band_state, memo)
 
     # --- W^dagger W from the backward cone of band and front sandwiches
     sandwiches = [op for op in right_ops if op.kind == "sandwich"]
     wtw, front_scale = _band_windows(
-        s, axis, band, cone_ids, {q for op in sandwiches for q in op.qubits}, sandwiches,
-        lambda q: "L", cap, _gram_of_columns, memo)
+        s, axis, band, cone_ids, (sl.hi - d, sl.hi), tuple(q for op in sandwiches for q in op.qubits),
+        lambda lo, hi, ids: _segment(s, axis, lo, hi, ids, sandwiches, _ALL_L), cap, _gram_of_columns, memo)
 
     m_omega = _psd_sqrt(omega)
     gram = m_omega @ wtw @ m_omega  # (W sqrt(omega))^dagger (W sqrt(omega))
@@ -594,7 +735,6 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
         source=s,
         slice_=sl,
         band=band,
-        front_sites=tuple(_axis_filter(s, sl.hi, s.gamma.dims[axis], axis)),
         weight=weight,
         kappa=kap,
         eigvals=mu,
@@ -618,15 +758,7 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
 
 def slice_weight(s: Synthesis, sl: Slice, cap: int = oracle.DEFAULT_CAP) -> float:
     """tr <0_{M_slice}| phi |0_{M_slice}> -- the post-selected slice weight."""
-    slice_sites = _axis_filter(s, sl.lo, sl.hi, sl.axis)
-    view = Synthesis(
-        gamma=s.gamma,
-        L=tuple(q for q in s.gamma.sites() if not sl.lo <= q[sl.axis] < sl.hi),
-        M=tuple(slice_sites),
-        N=(),
-        declared_axes=s.declared_axes,
-        cut_ops=s.cut_ops,
-    )
+    view = _recast(s, roles=_mark(s.roles.translate(_ALL_L), s.dims, sl.axis, sl.lo, sl.hi, b"M"))
     return oracle.synthesis_value_exact(view, cap=cap)
 
 
@@ -674,10 +806,13 @@ class PhiDescriptor:
 
     middle: Synthesis
 
-    def with_insertions(self, slices, calc: CutCalculus, cap: int = oracle.DEFAULT_CAP) -> Synthesis:
-        ops = tuple(cut_data(self.middle, sl, calc, cap=cap).insertion
+    def with_insertions(self, slices, calc: CutCalculus, cap: int = oracle.DEFAULT_CAP,
+                        memo: dict | None = None) -> Synthesis:
+        """The middle with the insertions of `slices` (in its frame) added;
+        `memo` is the estimate's table, which `cut_data` looks windows up in."""
+        ops = tuple(cut_data(self.middle, sl, calc, cap=cap, memo=memo).insertion
                     for sl in sorted(slices, key=lambda x: -x.lo))
-        return replace(self.middle, cut_ops=self.middle.cut_ops + ops)
+        return _recast(self.middle, ops=self.middle.ops + ops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -694,11 +829,12 @@ def split_at_cuts(data: CutData) -> SplitResult:
     state.  Both children keep the annotations of the source on their side,
     and their gates are the two sides of the partition `cut_data` recorded.
     """
-    s, sl, band = data.source, data.slice_, data.band
+    s, sl = data.source, data.slice_
+    band = sl.hi - s.depth
     left = _segment(s, sl.axis, 0, sl.hi, data.left_ids, data.left_ops + (data.sandwich,),
-                    lambda q: "L" if q in band else None)
-    right = _segment(s, sl.axis, sl.lo, s.gamma.dims[sl.axis], data.cone_ids,
-                     data.right_ops + (data.input_state,), lambda q: "M" if q in band else None)
+                    marks=((band, sl.hi, b"L"),))
+    right = _segment(s, sl.axis, sl.lo, s.dims[sl.axis], data.cone_ids,
+                     data.right_ops + (data.input_state,), marks=((band, sl.hi, b"M"),))
     return SplitResult(left, right)
 
 
@@ -721,8 +857,9 @@ def middle_between_cuts(data_i: CutData, data_j: CutData) -> PhiDescriptor:
         raise SplitError("slices overlap or j is not right of i")
     if set(data_i.right_ops) & set(data_j.left_ops):
         raise SplitError("cut operator inside the middle segment")
-    band_i, band_j = data_i.band, data_j.band
-    middle = _segment(s, axis, i.lo, j.hi, data_i.cone_ids - data_j.cone_ids,
+    d = s.depth
+    right_of_j = set(data_j.cone_ids)
+    middle = _segment(s, axis, i.lo, j.hi, (g for g in data_i.cone_ids if g not in right_of_j),
                       [data_i.input_state, data_j.sandwich],
-                      lambda q: "L" if q in band_j else "M" if q in band_i else None)
+                      marks=((j.hi - d, j.hi, b"L"), (i.hi - d, i.hi, b"M")))
     return PhiDescriptor(middle)

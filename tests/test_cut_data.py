@@ -69,13 +69,24 @@ def column_reference(gates, band, rest, ops):
 
 def dense_reference(s, sl, calc):
     """(weight, kappa, eigvals, left_op, right_input, rho_front, front cut operator)
-    from whole-region states; the cut operator is Pi or (rho/kappa)^2K."""
-    axis, d = sl.axis, s.gamma.depth
-    left_ids, cone_ids, band = syn.causal_split(s, sl)
-    left_ops, right_ops = syn._partition_ops(s, sl)
+    from whole-region states; the cut operator is Pi or (rho/kappa)^2K.
 
-    left_dims = tuple(sl.hi if k == axis else w for k, w in enumerate(s.gamma.dims))
-    left_circ = syn._restrict_layers(s.gamma, left_ids, axis, 0, left_dims)
+    Everything here is in the own frame of s (its `gamma`, roles and
+    `cut_ops`), apart from the package's cut machinery, which reads s as a
+    box of its root circuit."""
+    axis, d, circ = sl.axis, s.gamma.depth, s.gamma
+    front = [q for q in circ.sites() if q[axis] >= sl.hi]
+    band = [q for q in circ.sites() if sl.hi - d <= q[axis] < sl.hi]
+    cone_ids = set(gc.cone_gates(circ, front, "forward")[0])
+    left_ops = [op for op in s.cut_ops if op.extent(axis)[1] < sl.lo]
+    right_ops = [op for op in s.cut_ops if op.extent(axis)[1] >= sl.lo]
+
+    left_dims = tuple(sl.hi if k == axis else w for k, w in enumerate(circ.dims))
+    layers, gid = [], 0  # a gate's id is its position in layer order
+    for layer in circ.layers:
+        layers.append([g for gi, g in enumerate(layer, gid) if gi not in cone_ids])
+        gid += len(layer)
+    left_circ = gc.circuit(left_dims, layers)
     m_sites = set(s.M)
     t, index = full_width_state(left_circ, left_ops)
     for op in left_ops:
@@ -85,8 +96,7 @@ def dense_reference(s, sl, calc):
     t = oracle.project_zero(t, cond)
     omega = oracle.reduce(t, [index[q] for q in band])
 
-    front = [q for q in s.gamma.sites() if q[axis] >= sl.hi]
-    gates = [g for t, layer in enumerate(s.gamma.layers) for gi, g in enumerate(layer) if (t, gi) in cone_ids]
+    gates = [g for gid, g in enumerate(circ.gate_table[0]) if gid in cone_ids]
     W = column_reference(gates, band, front, right_ops)
 
     nb = len(band)

@@ -223,15 +223,17 @@ def test_right_child_split_again_adds_origins_and_shifts_annotations():
 def test_segment_carves_sites_gates_roles_and_annotations():
     circ = weak_chain(10, seed=3)
     s = syn.split_at_cuts(syn.cut_data(syn.synthesis_of_circuit(circ), gc.Slice(0, 2, 4), CALC)).right
-    inside = lambda g: all(1 <= q[0] < 5 for q in g.qubits)
-    ids = {(t, gi) for t, layer in enumerate(s.gamma.layers) for gi, g in enumerate(layer) if inside(g)}
-    seg = syn._segment(s, 0, 1, 5, ids, s.cut_ops)
+    assert s.origin == (2,)  # a view of circ: its gate ids, roles and annotations in circ's frame
+    inside = lambda g, o=0: all(1 <= q[0] - o < 5 for q in g.qubits)
+    ids = tuple(i for i in s.ids if inside(circ.gate_table[0][i], o=2))
+    seg = syn._segment(s, 0, 1, 5, ids, s.ops)
+    assert seg.origin == (3,) and seg.root is circ
     assert seg.gamma.dims == (4,)
     assert seg.M == ((0,),) and seg.N == ((1,), (2,), (3,))  # roles of s, shifted
     assert [op.qubits for op in seg.cut_ops] == [((0,),)]
     shifted = [tuple((q[0] - 1,) for q in g.qubits) for _, g in s.gamma.gates() if inside(g)]
     assert [g.qubits for _, g in seg.gamma.gates()] == shifted
-    traced = syn._segment(s, 0, 2, 6, set(), s.cut_ops, lambda q: "L")
+    traced = syn._segment(s, 0, 2, 6, (), s.ops, syn._ALL_L)
     assert traced.cut_ops == () and traced.L == tuple(traced.gamma.sites())
 
 
@@ -243,15 +245,15 @@ def test_registers_must_list_each_site_once():
         syn.Synthesis(gamma=circ, L=((1, 0, 0), (1, 0, 0)), M=(), N=((0, 0, 0), (2, 0, 0)), declared_axes=(0, 1, 2))
 
 
-class _CountedLayer(tuple):
-    """A layer of gates that records which of its gates are read."""
+class _CountedGates(tuple):
+    """A root's gate table that records which of its gates are read."""
 
-    def __getitem__(self, gi):
-        self.read.append((self.t, gi))
-        return super().__getitem__(gi)
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
 
     def __iter__(self):
-        self.read.append((self.t, "all"))
+        self.read.append("all")
         return super().__iter__()
 
 
@@ -260,34 +262,32 @@ def test_carving_a_window_costs_the_size_of_the_window(monkeypatch):
         {"kind": "brickwork", "dims": [1024, 1, 1], "depth": 1, "seed": 1024, "gates": "weak", "strength": 0.1}
     )
     s = syn.synthesis_of_circuit(circ)
+    assert len(s.roles) == 1024  # the root's box and gate index, each built once on first use
+    gates, layers = circ.gate_table
     read = []
-    layers = []
-    for t, layer in enumerate(circ.layers):
-        counted = _CountedLayer(layer)
-        counted.t, counted.read = t, read
-        layers.append(counted)
-    object.__setattr__(circ, "layers", tuple(layers))
+    counted = _CountedGates(gates)
+    counted.read = read
+    circ.__dict__["gate_table"] = (counted, layers)
     parent_sites = []
     sites = gc.LatticeCircuit.sites
     monkeypatch.setattr(gc.LatticeCircuit, "sites", lambda c: parent_sites.append(1) if c is circ else sites(c))
 
     def ids_in(lo, hi):
-        return {(t, gi) for t, layer in enumerate(circ.layers) for gi, g in enumerate(tuple.__iter__(layer))
-                if all(lo <= q[0] < hi for q in g.qubits)}
+        return tuple(i for i, g in enumerate(gates) if all(lo <= q[0] < hi for q in g.qubits))
 
     ids = ids_in(500, 504)
-    window = syn._segment(s, 0, 500, 504, ids, role=lambda q: "M" if q[0] == 501 else None)
-    assert parent_sites == []
-    assert sorted(read) == sorted(ids)  # each given gate once, no other
+    window = syn._segment(s, 0, 500, 504, ids, marks=((501, 502, b"M"),))
+    assert parent_sites == [] and read == []  # carving visits no site and no gate
     assert window.gamma.dims == (4, 1, 1)
+    assert sorted(read) == sorted(ids)  # its own frame reads each of its gates once, no other
     assert window.M == ((1, 0, 0),) and window.N == ((0, 0, 0), (2, 0, 0), (3, 0, 0))
     assert [g.qubits for _, g in window.gamma.gates()] == [((0, 0, 0), (1, 0, 0)), ((2, 0, 0), (3, 0, 0))]
     # a piece at 0 needs no shift, so it keeps the parent's gates
     read.clear()
     front = syn._segment(s, 0, 0, 4, ids_in(0, 4))
-    assert parent_sites == [] and len(read) == 2
     kept = [g for _, g in front.gamma.gates()]
-    assert len(kept) == 2 and all(g is tuple.__getitem__(circ.layers[0], gi) for gi, g in enumerate(kept))
+    assert parent_sites == [] and len(read) == 2
+    assert len(kept) == 2 and all(g is circ.layers[0][gi] for gi, g in enumerate(kept))
 
 
 def test_split_child_width_bound():
