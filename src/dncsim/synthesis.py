@@ -198,8 +198,11 @@ class Synthesis:
 
     def pairs(self) -> list:
         """(matrix, qubits) of its gates in layer order, in root coordinates."""
-        gates = self.root.gate_table[0]
-        return [(gates[i].matrix, gates[i].qubits) for i in self.ids]
+        return oracle._pairs(self.gamma)
+
+    def registers(self) -> tuple[tuple[Coord, ...], tuple[Coord, ...]]:
+        """(M, N) in root coordinates."""
+        return self.M, self.N
 
     def root_sites(self, role: str | None = None, axis: int = 0, lo: int = 0, hi: int | None = None):
         """Root coordinates of its sites with lo <= x[axis] < hi (in its own
@@ -224,7 +227,15 @@ class Synthesis:
 
 class _View(Synthesis):
     """A piece of a root circuit: built from its box by `_view`, without
-    `__init__`; its own-frame fields are derived on first read."""
+    `__init__`; it reads the box for the sweep (`pairs`, `registers`), and
+    its own-frame fields are derived on first read."""
+
+    def pairs(self) -> list:
+        gates = self.root.gate_table[0]
+        return [(gates[i].matrix, gates[i].qubits) for i in self.ids]
+
+    def registers(self) -> tuple[tuple[Coord, ...], tuple[Coord, ...]]:
+        return self.root_sites("M"), self.root_sites("N")
 
     @cached_property
     def gamma(self) -> LatticeCircuit:
