@@ -46,6 +46,27 @@ def test_validate_reports_depth_mismatch_and_outside_lattice():
     assert any("outside" in v for v in report.violations)
 
 
+def test_validate_lists_every_violation_in_gate_order():
+    # unitarity is checked one layer and matrix size at a time; the list is
+    # the one the per-gate check gave, in the same order and words
+    shear = np.array([[1, 1], [0, 1]], dtype=complex)
+    layers = [
+        [gc.gate("X", [(0, 0)]), gc.Gate(shear, ((1, 0),)), gc.gate("CZ", [(0, 1), (2, 1)])],
+        [gc.gate("H", [(0, 0)]), gc.gate("CNOT", [(0, 0), (1, 0)]), gc.Gate(2 * np.eye(4), ((2, 0), (2, 1))),
+         gc.gate("Z", [(5, 0)])],
+    ]
+    report = gc.validate(gc.LatticeCircuit((3, 2), 3, tuple(map(tuple, layers))))
+    assert not report.ok
+    assert report.violations == [
+        "layer count 2 does not match declared depth 3",
+        "layer 0: non-unitary gate on ((1, 0),)",
+        "layer 0: non-local gate on ((0, 1), (2, 1)) (L-inf distance 2 > 1)",
+        "layer 1: overlapping supports at [(0, 0)]",
+        "layer 1: non-unitary gate on ((2, 0), (2, 1))",
+        "layer 1: coordinate (5, 0) outside lattice (3, 2)",
+    ]
+
+
 def test_light_cone_identity_circuit_is_seed():
     circ = generate_circuit({"kind": "identity", "dims": [6], "depth": 1})
     assert gc.light_cone(circ, [(2,)], "forward") == {(2,)}

@@ -136,6 +136,50 @@ def test_synthesis_value_matches_the_full_width_evaluation(seed, dims, depth):
     assert abs(oracle.synthesis_value_exact(s) - full_width_value(s)) <= 1e-12
 
 
+def embedded(s, shift):
+    """s moved by `shift` into a root one site larger on every axis (its
+    other sites traced), and carved back out along each axis in turn: a view
+    whose own frame is s."""
+    move = lambda q: tuple(x + v for x, v in zip(q, shift))
+    dims = tuple(w + v + 1 for w, v in zip(s.gamma.dims, shift))
+    circ = gc.circuit(dims, [[gc.Gate(g.matrix, tuple(map(move, g.qubits)), g.name) for g in layer]
+                             for layer in s.gamma.layers])
+    role = {move(q): r for r in "LMN" for q in getattr(s, r)}
+    roles = {r: tuple(q for q in circ.sites() if role.get(q, "L") == r) for r in "LMN"}
+    ops = tuple(CutOp(op.kind, tuple(map(move, op.qubits)), op.matrix, op.factors, op.coeffs,
+                      tuple(map(move, op.project_zero))) for op in s.cut_ops)
+    piece = Synthesis(circ, roles["L"], roles["M"], roles["N"], s.declared_axes, cut_ops=ops)
+    for axis, (v, w) in enumerate(zip(shift, s.gamma.dims)):
+        piece = syn._segment(piece, axis, v, v + w, piece.ids, piece.ops)
+    return piece, move
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(5,), (8,), (3, 3), (4, 2), (2, 2, 2), (5, 1, 1)]),
+    depth=st.integers(1, 3),
+    shift=st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 2)),
+)
+def test_a_sweep_is_translation_invariant(seed, dims, depth, shift):
+    # a piece is swept in root coordinates: moving every coordinate (gates,
+    # roles, annotations) by a fixed vector gives the same tensor to the bit,
+    # with every site of its live list moved by that vector
+    s = random_synthesis(np.random.default_rng(seed), dims, depth)
+    piece, move = embedded(s, shift[: len(dims)])
+    assert piece.origin == shift[: len(dims)] and piece.dims == dims
+    t, live = oracle.synthesis_state(s)
+    t_moved, live_moved = oracle.synthesis_state(piece)
+    assert t_moved.shape == t.shape and np.array_equal(t_moved, t)
+    sites = set(s.gamma.sites())
+    assert live_moved == [move(q) if q in sites else q for q in live]  # the ancillas stay
+    # its own frame and its key are those of s
+    assert (piece.L, piece.M, piece.N) == (s.L, s.M, s.N)
+    assert [g.qubits for _, g in piece.gamma.gates()] == [g.qubits for _, g in s.gamma.gates()]
+    assert [(op.qubits, op.project_zero) for op in piece.cut_ops] == [(op.qubits, op.project_zero) for op in s.cut_ops]
+    assert syn.content_key(piece) == syn.content_key(s)
+
+
 @pytest.mark.parametrize("dims,depth", [((6,), 3), ((3, 5), 2), ((4, 4), 2), ((2, 3, 2), 2)])
 def test_sweep_order_is_causal_and_the_same_on_every_call(dims, depth):
     circ = generate_circuit({"kind": "brickwork", "dims": list(dims), "depth": depth, "seed": 2, "gates": "haar"})
