@@ -670,6 +670,13 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     operator sweep (`_front_columns`).  So the dense states of a cut span a
     few windows, however long the lattice.
 
+    Nothing here visits the sites of `s`: C is the slice range below the
+    band plus the M sites behind the slice (read from the role bytes), the
+    front and band are ranges of its box, and each cone is seeded with its
+    slab as an interval (`cone_gates(..., slab=)`).  Every window is a view
+    carved by `_segment`, and the record's sites, gate ids and annotations
+    are in the root coordinates of `s` (see CutData).
+
     The scalar factors are not multiplied in: omega, W^dagger W, and so
     mu, kappa, `left_op` and `right_input`, come from the band windows
     alone, and the products of the factors are kept as `omega_scale` and

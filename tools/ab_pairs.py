@@ -95,9 +95,9 @@ def main(argv=None) -> int:
             for side in order:
                 pair[side] = run_side(sides[side], args)
             pairs.append(pair)
-            line = "  ".join(f"{side} {pair[side]['metrics'][m]['value']:.6g}"
-                             for side in ("parent", "change") for m in list(pair[side]["metrics"])[:1])
-            print(f"pair {i + 1}/{args.pairs} ({order[0]} first): {line}", flush=True)
+            metric = "setup_s" if args.setup_only else "estimates_per_s"
+            line = "  ".join(f"{side} {pair[side]['metrics'][metric]['value']:.6g}" for side in ("parent", "change"))
+            print(f"pair {i + 1}/{args.pairs} ({order[0]} first): {metric} {line}", flush=True)
     finally:
         if worktree is not None:
             git("worktree", "remove", "--force", str(worktree))
