@@ -34,13 +34,13 @@ six alternating 10 s benchmark pairs on a 2-core machine), while it would
 keep every leaf piece alive until the estimate ends.  Nothing is kept from
 one estimate to the next.
 
-Every synthesis below the one `a_full` is given is a view of its root
-circuit (see `synthesis`): the children and middles of the cuts, the slabs
-of `slice_weight_synthesis` and the results of `dimension_reduce` hold a box
-of the root and share its gates, so an estimate builds no gate and moves no
-coordinate.  This module reads a piece through its box (`dims`, `depth`,
-`origin`, `ids`, `ops`); slices and trace metadata stay in each piece's own
-frame.
+Every synthesis is a box of a root circuit (see `synthesis`), and every
+one below the one `a_full` is given (the children and middles of the cuts,
+the slabs of `slice_weight_synthesis` and the results of `dimension_reduce`)
+is carved from the box of its parent and shares the root's gates, so an
+estimate builds no gate and moves no coordinate.  This module reads every
+synthesis through its box (`dims`, `depth`, `origin`, `ids`, `ops`); slices
+and trace metadata stay in each piece's own frame.
 """
 from __future__ import annotations
 
@@ -281,7 +281,7 @@ def dimension_reduce(s: Synthesis, axis: int | None = None) -> Synthesis:
     """Absorb one declared axis into the site structure (value unchanged).
 
     The circuit, registers, and annotations are untouched; only the declared
-    dimensionality shrinks: the result is a view of the same box.
+    dimensionality shrinks: the result is the same box.
     """
     if axis is None:
         axis = widest_axis(s)

@@ -429,10 +429,9 @@ def synthesis_state(s, cap: int = DEFAULT_CAP, pairs=None) -> tuple[np.ndarray, 
     `apply_gates`, so the cap bounds the sweep's width, not the lattice.
 
     It reads the synthesis as a box of its root circuit (`s.pairs()`,
-    `s.registers()`, `s.ops`), so `live` and `pairs` are in root coordinates:
+    `s.registers`, `s.ops`), so `live` and `pairs` are in root coordinates:
     a piece is swept in place, without moving a coordinate, and gives the
     tensor its own-frame copy would (the sweep is translation invariant).
-    For a synthesis built from its fields, root coordinates are its own.
     """
     anc: list[Coord] = []
     held: list[Coord] = []
@@ -449,7 +448,7 @@ def synthesis_state(s, cap: int = DEFAULT_CAP, pairs=None) -> tuple[np.ndarray, 
         block = np.multiply.outer(block, (v * np.sqrt(np.clip(w, 0.0, None))).reshape([2] * (2 * r)))
     ops = [op for op in s.ops if op.kind != "input_state"]
     touched = dict.fromkeys(q for op in ops for q in op.project_zero + op.qubits)
-    m, n = s.registers()
+    m, n = s.registers
     close = [q for q in m + n if q not in touched]
     t, live = apply_gates(block, s.pairs(), held, close, pairs, cap)
     t, live = _open(t, live, touched, cap)  # annotated qubits no gate has opened

@@ -13,21 +13,23 @@ projector insertions for the middle pieces of multi-cut terms.  Annotation
 operators are always confined to a band as wide as the circuit depth, which
 is what keeps the recursion compositional.
 
-A piece is a view of its root circuit.  Every sub-synthesis (a child of a
-cut, a middle piece, a slab of the slice-weight scan, a window of
-`cut_data`) is carved by one builder, `_segment`, and holds its box: the root
-coordinates of its origin, its dims, the ids of its kept gates (positions in
-the root's `gate_table`), one role byte per site in row-major order, and its
-annotations in root coordinates.  It shares the root's Gate objects.  Carving
-composes boxes, filters gate ids and slices role bytes; it builds no gate,
-moves no coordinate and checks no partition, and the callers' role rules are
-site ranges.  Everything in the package reads that box: the cut machinery,
-the keys of the estimate's table (`content_key`, in the piece's own frame)
-and the sweep (`oracle.synthesis_state`, in root coordinates: a sweep is
-translation invariant, so a piece evaluates exactly as its own-frame copy
-would).  The own-frame fields (`gamma`, `L`, `M`, `N`, `cut_ops`, starting
-at 0) are derived on first read, for the tests, the CLI and tracers.  A
-synthesis built from those fields is its own root, its box derived from them.
+A synthesis is a box of a root circuit: the root coordinates of its origin,
+its dims, the ids of its kept gates (positions in the root's `gate_table`),
+one role byte per site in row-major order, and its annotations in root
+coordinates.  It shares the root's Gate objects.  A synthesis built from
+its fields is its own root: the constructor fills the box with all of the
+circuit's gates and role bytes that must partition its sites.  Every
+sub-synthesis (a child of a cut, a middle piece, a slab of the slice-weight
+scan, a window of `cut_data`) is carved from its parent's box by one
+builder, `_segment`.  Carving composes boxes, filters gate ids and slices
+role bytes; it builds no gate, moves no coordinate and checks no partition,
+and the callers' role rules are site ranges.  Everything in the package
+reads the box, whichever way it was filled: the cut machinery, the keys of
+the estimate's table (`content_key`, in the piece's own frame) and the sweep
+(`oracle.synthesis_state`, in root coordinates: a sweep is translation
+invariant, so a piece evaluates exactly as its own-frame copy would).  The
+own-frame fields (`gamma`, `L`, `M`, `N`, `cut_ops`, starting at 0) are
+derived on first read, for the tests, the CLI and tracers.
 
 Cut-state structure exploited throughout: for a slice of width >= 2d the
 conditioned front state factors through the band,
@@ -42,7 +44,7 @@ sqrt(omega) = U diag(mu) U^dagger, so nothing large is ever diagonalized.
 
 Every cut applies one operator to its cut state, and `cut_data` decides it
 once, as a weight f(mu) per eigenvalue of G: f = 1 on the kept eigenvalues
-(above tau) and 0 elsewhere in the exact-spectral calculus, the orthogonal
+(above TAU) and 0 elsewhere in the exact-spectral calculus, the orthogonal
 projector Pi; f = (mu/kappa)^{2K} in the power-encoding calculus, the power
 (rho/kappa)^{2K}.  The left child's sandwich, the right child's input state
 and the front-side projector of an insertion are all built from f.
@@ -122,67 +124,48 @@ class CutOp:
         return min(xs), max(xs)
 
 
-@dataclass(frozen=True, eq=False)
 class Synthesis:
     """Register-tagged circuit; evaluates to <0_N| phi |0_N>.
 
-    `declared_axes` lists which coordinate positions count as lattice
-    dimensions (dimension reduction shrinks it).  The fields are in the frame
-    of this synthesis: its lattice starts at (0,..,0).
+    Its state is a box of its root circuit (see the module docstring):
+    `root`, `origin`, `dims`, `ids`, `roles` and `ops`, in root coordinates,
+    and `declared_axes`, the coordinate positions that count as lattice
+    dimensions (dimension reduction shrinks it).  Every reader reads the box;
+    the sweep's `registers` and the own-frame fields `gamma`, `L`, `M`, `N`
+    and `cut_ops` (in the frame where the lattice starts at (0,..,0)) are
+    derived from it on first read.  Assigning an attribute raises.
 
-    It is also a box of its root circuit (see the module docstring): `root`,
-    `origin`, `dims`, `ids`, `roles` and `ops`, in root coordinates.  A
-    synthesis built from its fields is its own root; a piece (`_View`) holds
-    the box and derives the fields.
+    `Synthesis(gamma, L, M, N, declared_axes, cut_ops=())` fills the box of
+    a root: all of gamma's gates, and role bytes that must partition its
+    sites.  It records (M, N) as given as the registers, so a root is swept
+    without a pass over its sites.  A piece gets its box from `_box`.
     """
 
-    gamma: LatticeCircuit
-    L: tuple[Coord, ...]
-    M: tuple[Coord, ...]
-    N: tuple[Coord, ...]
-    declared_axes: tuple[int, ...]
-    cut_ops: tuple[CutOp, ...] = ()
+    def __init__(self, gamma: LatticeCircuit, L, M, N, declared_axes, cut_ops=()):
+        index = {q: i for i, q in enumerate(gamma.sites())}
+        roles = bytearray(len(index))
+        for role, qs in zip(b"LMN", (L, M, N)):
+            for q in qs:
+                i = index.get(q)
+                if i is None:
+                    raise ValueError(f"L, M, N must partition the lattice sites: {q} is not a site")
+                if roles[i]:
+                    raise ValueError(f"L, M, N must be disjoint and list each site once: {q} is listed twice")
+                roles[i] = role
+        if 0 in roles:
+            raise ValueError("L, M, N must partition the lattice sites: a site has no role")
+        axes = tuple(declared_axes)
+        if len(set(axes)) != len(axes) or not all(0 <= a < len(gamma.dims) for a in axes):
+            raise ValueError(f"declared_axes {axes} must be distinct axes of the lattice {gamma.dims}")
+        self.__dict__.update(root=gamma, origin=(0,) * len(gamma.dims), dims=gamma.dims,
+                             ids=tuple(range(len(gamma.gate_table[0]))), roles=bytes(roles),
+                             ops=tuple(cut_ops), declared_axes=axes, registers=(tuple(M), tuple(N)))
 
-    def __post_init__(self):
-        sites = self.gamma.sites()
-        if {*self.L, *self.M, *self.N} != set(sites):
-            raise ValueError("L, M, N must partition the lattice sites")
-        if len(self.L) + len(self.M) + len(self.N) != len(sites):
-            raise ValueError("L, M, N must be disjoint and list each site once")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a synthesis is immutable: cannot set {name!r}")
 
-    @cached_property
-    def root(self) -> LatticeCircuit:
-        """The circuit whose gates and coordinates the synthesis shares."""
-        return self.gamma
-
-    @cached_property
-    def origin(self) -> Coord:
-        """Root coordinates of the synthesis' site (0,..,0)."""
-        return (0,) * len(self.gamma.dims)
-
-    @cached_property
-    def dims(self) -> tuple[int, ...]:
-        return self.gamma.dims
-
-    @cached_property
-    def ids(self) -> tuple[int, ...]:
-        """Ids of its gates in the root's `gate_table`, in layer order."""
-        return tuple(range(len(self.gamma.gate_table[0])))
-
-    @cached_property
-    def roles(self) -> bytes:
-        """One role byte (b"L", b"M" or b"N") per site, in row-major order."""
-        index = {q: i for i, q in enumerate(self.gamma.sites())}
-        out = bytearray(b"N" * len(index))
-        for role in "LM":
-            for q in getattr(self, role):
-                out[index[q]] = ord(role)
-        return bytes(out)
-
-    @cached_property
-    def ops(self) -> tuple[CutOp, ...]:
-        """The annotations, in root coordinates."""
-        return self.cut_ops
+    def __delattr__(self, name):
+        raise AttributeError(f"a synthesis is immutable: cannot delete {name!r}")
 
     @property
     def declared_dims(self) -> tuple[int, ...]:
@@ -198,11 +181,13 @@ class Synthesis:
 
     def pairs(self) -> list:
         """(matrix, qubits) of its gates in layer order, in root coordinates."""
-        return oracle._pairs(self.gamma)
+        gates = self.root.gate_table[0]
+        return [(gates[i].matrix, gates[i].qubits) for i in self.ids]
 
+    @cached_property
     def registers(self) -> tuple[tuple[Coord, ...], tuple[Coord, ...]]:
-        """(M, N) in root coordinates."""
-        return self.M, self.N
+        """(M, N) in root coordinates, as the sweep reads them."""
+        return self.root_sites("M"), self.root_sites("N")
 
     def root_sites(self, role: str | None = None, axis: int = 0, lo: int = 0, hi: int | None = None):
         """Root coordinates of its sites with lo <= x[axis] < hi (in its own
@@ -224,21 +209,9 @@ class Synthesis:
         r = ord(role)
         return tuple([q for q, x in zip(sites, roles) if x == r])
 
-
-class _View(Synthesis):
-    """A piece of a root circuit: built from its box by `_view`, without
-    `__init__`; it reads the box for the sweep (`pairs`, `registers`), and
-    its own-frame fields are derived on first read."""
-
-    def pairs(self) -> list:
-        gates = self.root.gate_table[0]
-        return [(gates[i].matrix, gates[i].qubits) for i in self.ids]
-
-    def registers(self) -> tuple[tuple[Coord, ...], tuple[Coord, ...]]:
-        return self.root_sites("M"), self.root_sites("N")
-
     @cached_property
     def gamma(self) -> LatticeCircuit:
+        """The circuit of its kept gates, in its own frame."""
         root, o = self.root, self.origin
         gates, layer = root.gate_table
         if len(self.ids) == len(gates) and self.dims == root.dims:  # the whole root
@@ -263,6 +236,7 @@ class _View(Synthesis):
 
     @cached_property
     def cut_ops(self) -> tuple[CutOp, ...]:
+        """The annotations, in its own frame."""
         o = self.origin
         if not any(o):
             return self.ops
@@ -270,18 +244,18 @@ class _View(Synthesis):
                            _moved(op.project_zero, o)) for op in self.ops)
 
 
-def _view(s: Synthesis, origin, dims, ids, roles, ops, declared_axes) -> Synthesis:
-    """The box (origin, dims, ids, roles, ops) of the root of `s`, as a synthesis."""
-    v = object.__new__(_View)
-    v.__dict__.update(root=s.root, origin=origin, dims=dims, ids=ids, roles=roles, ops=ops,
+def _box(root: LatticeCircuit, origin, dims, ids, roles, ops, declared_axes) -> Synthesis:
+    """The box (origin, dims, ids, roles, ops) of `root`, as a synthesis."""
+    s = object.__new__(Synthesis)
+    s.__dict__.update(root=root, origin=origin, dims=dims, ids=ids, roles=roles, ops=ops,
                       declared_axes=declared_axes)
-    return v
+    return s
 
 
 def _recast(s: Synthesis, roles=None, ops=None, declared_axes=None) -> Synthesis:
     """The box of `s` with other roles, annotations or declared axes."""
-    return _view(s, s.origin, s.dims, s.ids, s.roles if roles is None else roles,
-                 s.ops if ops is None else ops, s.declared_axes if declared_axes is None else declared_axes)
+    return _box(s.root, s.origin, s.dims, s.ids, s.roles if roles is None else roles,
+                s.ops if ops is None else ops, s.declared_axes if declared_axes is None else declared_axes)
 
 
 def _runs(dims, axis: int, lo: int, hi: int) -> list[tuple[int, int]]:
@@ -321,16 +295,18 @@ def synthesis_of_circuit(circ: LatticeCircuit) -> Synthesis:
     )
 
 
+TAU = 1e-6  # the exact-spectral calculus keeps the cut state's eigenvalues above this (true scale)
+
+
 @dataclass(frozen=True)
 class CutCalculus:
     """How cut operators are realized.
 
-    exact-spectral: orthogonal eigenprojector above tau, kappa from trace
+    exact-spectral: orthogonal eigenprojector above TAU, kappa from trace
     powers; power-encoding: literal density-operator powers rho^K.
     """
 
     mode: str = "exact-spectral"
-    tau: float = 1e-6
     K: int = 2
     T: int = 2
 
@@ -429,7 +405,7 @@ def _band_windows(s: Synthesis, axis: int, band, gate_ids, slab, seed, carve, ca
 
 
 def _segment(s: Synthesis, axis: int, lo: int, hi: int, ids, ops=(), recast=None, marks=()) -> Synthesis:
-    """Sites [lo, hi) of `s` along `axis` as a synthesis of their own: a view
+    """Sites [lo, hi) of `s` along `axis` as a synthesis of their own: a box
     of the root of `s`, whose own frame starts at 0.
 
     It keeps the gates `ids` (root gate ids in layer order) and those
@@ -457,7 +433,7 @@ def _segment(s: Synthesis, axis: int, lo: int, hi: int, ids, ops=(), recast=None
         low, high = op.extent(axis)
         if o + lo <= low and high < o + hi:
             kept.append(op)
-    return _view(s, origin, dims, tuple(ids), roles, tuple(kept), s.declared_axes)
+    return _box(s.root, origin, dims, tuple(ids), roles, tuple(kept), s.declared_axes)
 
 
 def _front_columns(s: Synthesis, band, cap: int) -> np.ndarray:
@@ -521,7 +497,7 @@ class CutData:
     weight: float  # trace of the cut state
     kappa: float  # of the band windows' spectrum mu
     eigvals: np.ndarray  # mu: the band windows' spectrum of the cut state (descending)
-    kept: np.ndarray  # boolean mask of true eigenvalues above tau
+    kept: np.ndarray  # boolean mask of true eigenvalues above TAU
     e_residual: float  # 1 - weight (slice residual)
     g_residual: float  # spectral mass dropped by the projector
     left_op: np.ndarray  # band PSD operator for the left child (pre-sqrt)
@@ -673,7 +649,7 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     Nothing here visits the sites of `s`: C is the slice range below the
     band plus the M sites behind the slice (read from the role bytes), the
     front and band are ranges of its box, and each cone is seeded with its
-    slab as an interval (`cone_gates(..., slab=)`).  Every window is a view
+    slab as an interval (`cone_gates(..., slab=)`).  Every window is a box
     carved by `_segment`, and the record's sites, gate ids and annotations
     are in the root coordinates of `s` (see CutData).
 
@@ -731,7 +707,7 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     weight = scale * float(mu.sum())
     if weight <= 0.0:
         raise CutError("non-heavy slice: cut state has zero trace")
-    kept = scale * mu > calc.tau
+    kept = scale * mu > TAU
     if not kept.any():
         kept[0] = True
     kap = kappa_from_spectrum(mu, calc.T)
@@ -792,7 +768,7 @@ def cut_projector(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.
     """Dense front-side cut operator f(rho), f the weights of `cut_data`.
 
     exact-spectral: the orthogonal projector onto the eigenvectors of the cut
-    state with eigenvalue > tau.  power-encoding: (rho/kappa)^{2K}, which is
+    state with eigenvalue > TAU.  power-encoding: (rho/kappa)^{2K}, which is
     the block of the literal power encoding of rho^{2K} over kappa^{2K} (the
     block-encoding tests check the two against each other).
     """

@@ -5,7 +5,6 @@ in layer order with np.tensordot, as the engine did before it kept only the
 live qubits; the engine must give the same synthesis values to 1e-12.
 """
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,7 +218,7 @@ def test_the_cap_counts_the_live_width_not_every_qubit():
     assert abs(oracle.synthesis_value_exact(s, cap=4) - full_width_value(s)) <= 1e-12
     # traced (L) qubits stay live to the final norm: the right half holds 6
     sites = circ.sites()
-    half = replace(s, L=sites[6:], N=sites[:6])
+    half = Synthesis(circ, L=sites[6:], M=(), N=sites[:6], declared_axes=s.declared_axes)
     with pytest.raises(oracle.OracleCapacityError, match="6 qubits > cap 4"):
         oracle.synthesis_value_exact(half, cap=4)
     assert abs(oracle.synthesis_value_exact(half, cap=6) - full_width_value(half)) <= 1e-12

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -337,7 +336,7 @@ def test_synthesis_value_capacity_error():
     assert oracle.synthesis_value_exact(synthesis_of_circuit(circ), cap=4) == 1.0
     # with every site traced (L), a brickwork chain's sweep holds all 8 to the end
     chain = generate_circuit({"kind": "brickwork", "dims": [8], "depth": 1, "seed": 1, "gates": "haar"})
-    traced = replace(synthesis_of_circuit(chain), L=chain.sites(), N=())
+    traced = Synthesis(chain, L=chain.sites(), M=(), N=(), declared_axes=(0,))
     with pytest.raises(oracle.OracleCapacityError, match="8 qubits > cap 4"):
         oracle.synthesis_value_exact(traced, cap=4)
     assert oracle.synthesis_value_exact(traced, cap=8) == pytest.approx(1.0, abs=1e-12)
@@ -363,7 +362,7 @@ def traced_state(s):
     (t, live), the sites first in `s.gamma.sites()` order, then the
     purification ancillas."""
     sites = list(s.gamma.sites())
-    t, live = oracle._open(*oracle.synthesis_state(replace(s, L=tuple(sites), M=(), N=())), sites)
+    t, live = oracle._open(*oracle.synthesis_state(Synthesis(s.gamma, tuple(sites), (), (), s.declared_axes, s.cut_ops)), sites)
     anc = [q for q in live if q not in set(sites)]
     return t.transpose([live.index(q) for q in sites + anc]), sites + anc
 

@@ -34,10 +34,57 @@ def test_synthesis_value_equals_output_probability():
     )
 
 
-def test_registers_must_partition_sites():
+@pytest.mark.parametrize("L, M, N", [
+    ((), (), ((0,), (1,))),  # (2,) has no role
+    ((), ((3,),), ((0,), (1,), (2,))),  # (3,) is off the lattice
+    (((0, 0),), (), ((1,), (2,))),  # a coordinate of another lattice
+])
+def test_registers_must_partition_sites(L, M, N):
     circ = generate_circuit({"kind": "identity", "dims": [3], "depth": 1})
     with pytest.raises(ValueError, match="partition"):
-        syn.Synthesis(gamma=circ, L=(), M=(), N=((0,), (1,)), declared_axes=(0,))
+        syn.Synthesis(gamma=circ, L=L, M=M, N=N, declared_axes=(0,))
+
+
+@pytest.mark.parametrize("axes", [(3,), (0, 0), (-1,)])
+def test_declared_axes_must_be_distinct_axes_of_the_lattice(axes):
+    # (3,) once built and then failed in a_full with a bare IndexError; (0, 0)
+    # built and was estimated as a lattice of two declared axes
+    circ = weak_chain(16)
+    with pytest.raises(ValueError, match="declared_axes"):
+        syn.Synthesis(circ, (), (), circ.sites(), declared_axes=axes)
+    assert syn.Synthesis(circ, (), (), circ.sites(), declared_axes=(0,)).declared_dims == (16,)
+
+
+def test_a_synthesis_and_its_pieces_are_immutable_boxes():
+    s = syn.synthesis_of_circuit(weak_chain(12, seed=17))
+    piece = syn.split_at_cuts(syn.cut_data(s, gc.Slice(0, 4, 6), CALC)).right
+    for x in (s, piece):
+        assert type(x) is syn.Synthesis
+        for name, value in (("roles", b""), ("L", ()), ("gamma", None), ("registers", ((), ()))):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(x, name, value)
+        with pytest.raises(AttributeError, match="immutable"):
+            del x.ops
+    assert piece.gamma.dims == (8,) and piece.M == ((1,),)  # derived fields still fill on first read
+    assert syn.Synthesis.__subclasses__() == []
+
+
+def test_a_root_is_swept_without_a_pass_over_its_sites(monkeypatch):
+    # a root built from its fields records its registers, as given, when it is
+    # built; only a carved piece derives them from its role bytes
+    calls = []
+    root_sites = syn.Synthesis.root_sites
+    monkeypatch.setattr(syn.Synthesis, "root_sites", lambda self, *a: calls.append(a) or root_sites(self, *a))
+    circ = weak_chain(12, seed=17)
+    sites = circ.sites()
+    s = syn.Synthesis(circ, sites[8:], sites[:2], sites[7:1:-1], declared_axes=(0,))
+    assert s.registers == (sites[:2], sites[7:1:-1])
+    value = oracle.synthesis_value_exact(s)
+    assert calls == []
+    piece = syn._recast(s, roles=s.roles)
+    assert oracle.synthesis_value_exact(piece) == value
+    assert calls == [("M",), ("N",)]
+    assert piece.registers == (sites[:2], sites[2:8])
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +290,9 @@ def test_registers_must_list_each_site_once():
     circ = generate_circuit({"kind": "identity", "dims": [3, 1, 1], "depth": 1})
     with pytest.raises(ValueError, match="once"):
         syn.Synthesis(gamma=circ, L=((1, 0, 0), (1, 0, 0)), M=(), N=((0, 0, 0), (2, 0, 0)), declared_axes=(0, 1, 2))
+    # a site listed in two roles
+    with pytest.raises(ValueError, match="once"):
+        syn.Synthesis(gamma=circ, L=((1, 0, 0),), M=((1, 0, 0),), N=((0, 0, 0), (2, 0, 0)), declared_axes=(0, 1, 2))
 
 
 class _CountedGates(tuple):
@@ -262,7 +312,7 @@ def test_carving_a_window_costs_the_size_of_the_window(monkeypatch):
         {"kind": "brickwork", "dims": [1024, 1, 1], "depth": 1, "seed": 1024, "gates": "weak", "strength": 0.1}
     )
     s = syn.synthesis_of_circuit(circ)
-    assert len(s.roles) == 1024  # the root's box and gate index, each built once on first use
+    assert len(s.roles) == 1024  # the root's box and gate index are built with the root
     gates, layers = circ.gate_table
     read = []
     counted = _CountedGates(gates)

@@ -9,7 +9,12 @@ runs `perfbench/run.py` once on each side, the parent first in even pairs
 and this checkout first in odd ones, so a drift of the machine does not
 favour one side.  For every metric it prints both medians, both quartiles and
 the number of pairs the change won (by the direction in BENCHMARK.json), and
-it writes every pair, with both commit hashes, to
+the relative change of the medians, in the direction that is worse.  A metric
+is flagged `worse` when that change passes its BENCHMARK.json bound, and
+`unresolved` when the parent's own spread (its quartile distance over its
+median) is wider than the bound, unless every run of the change is better
+than every run of the parent.  It prints the operations each side attempted
+and failed, and writes every pair, with both commit hashes, to
 bench/BENCH_<workload>_seed<N>.json (..._setup.json with --setup-only).
 """
 from __future__ import annotations
@@ -37,7 +42,8 @@ def run_side(root: Path, args) -> dict:
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=900, check=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
     if args.setup_only:
-        return {"correct": True, "failed": 0, "metrics": {"setup_s": {"value": result["setup_s"], "unit": "s"}}}
+        return {"correct": True, "attempted": 0, "failed": 0,
+                "metrics": {"setup_s": {"value": result["setup_s"], "unit": "s"}}}
     return result
 
 
@@ -46,8 +52,24 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[dict], better: dict) -> dict:
-    """Per metric: medians, quartiles and wins of the change over the parent."""
+def verdict(a: list[float], b: list[float], lower: bool, bound: float | None) -> tuple[float, str]:
+    """(relative change of the medians, positive when worse; its flag) of the
+    change's runs `b` against the parent's runs `a`."""
+    pq1, pmed, pq3 = quartiles(a)
+    worse = (statistics.median(b) - pmed) / pmed * (1 if lower else -1) if pmed else 0.0
+    if bound is None:
+        return worse, ""
+    if worse > bound:
+        return worse, "worse"
+    all_better = max(b) < min(a) if lower else min(b) > max(a)
+    if pmed and (pq3 - pq1) / abs(pmed) > bound and not all_better:
+        return worse, "unresolved"
+    return worse, "ok"
+
+
+def summarize(pairs: list[dict], better: dict, bounds: dict) -> dict:
+    """Per metric: medians, quartiles and wins of the change over the parent,
+    the relative change of the medians (positive when worse) and its flag."""
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         a = [p["parent"]["metrics"][name]["value"] for p in pairs]
@@ -55,9 +77,11 @@ def summarize(pairs: list[dict], better: dict) -> dict:
         lower = better.get(name, "lower") == "lower"
         wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
         (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(a), quartiles(b)
+        worse, flag = verdict(a, b, lower, bounds.get(name))
         out[name] = {"better": "lower" if lower else "higher", "wins": wins, "pairs": len(pairs),
                      "parent": {"median": pmed, "q1": pq1, "q3": pq3},
-                     "change": {"median": cmed, "q1": cq1, "q3": cq3}}
+                     "change": {"median": cmed, "q1": cq1, "q3": cq3},
+                     "worse_by": worse, "bound": bounds.get(name), "flag": flag}
     return out
 
 
@@ -77,6 +101,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     parent_hash = git("rev-parse", args.parent)
     change_hash = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--", "src", "perfbench"))
@@ -103,11 +128,17 @@ def main(argv=None) -> int:
             git("worktree", "remove", "--force", str(worktree))
             shutil.rmtree(worktree, ignore_errors=True)
 
-    summary = summarize(pairs, better)
-    print(f"{'metric':20s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} wins")
+    summary = summarize(pairs, better, bounds)
+    print(f"{'metric':20s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} wins   worse by")
     for name, row in summary.items():
         cell = lambda s: f"{s['median']:.6g} [{s['q1']:.6g}, {s['q3']:.6g}]"
-        print(f"{name:20s} {cell(row['parent']):34s} {cell(row['change']):34s} {row['wins']}/{row['pairs']}")
+        bound = "" if row["bound"] is None else f" (bound {row['bound']:.0%})"
+        print(f"{name:20s} {cell(row['parent']):34s} {cell(row['change']):34s} {row['wins']:2d}/{row['pairs']:<3d}"
+              f"{row['worse_by']:+.1%}{bound} {row['flag']}")
+    for side in ("parent", "change"):
+        attempted = sum(pr[side].get("attempted", 0) for pr in pairs)
+        failed = sum(pr[side]["failed"] for pr in pairs)
+        print(f"{side}: {attempted} operations attempted, {failed} failed")
     bad = [(side, i) for i, pr in enumerate(pairs) for side in ("parent", "change")
            if not pr[side]["correct"]]
     if bad:
