@@ -362,7 +362,8 @@ def traced_state(s):
     (t, live), the sites first in `s.gamma.sites()` order, then the
     purification ancillas."""
     sites = list(s.gamma.sites())
-    t, live = oracle._open(*oracle.synthesis_state(Synthesis(s.gamma, tuple(sites), (), (), s.declared_axes, s.cut_ops)), sites)
+    traced = Synthesis(s.gamma, tuple(sites), (), (), s.declared_axes, s.cut_ops)
+    t, live = oracle._open(*oracle.synthesis_state(traced), sites)
     anc = [q for q in live if q not in set(sites)]
     return t.transpose([live.index(q) for q in sites + anc]), sites + anc
 

@@ -34,15 +34,15 @@ def test_synthesis_value_equals_output_probability():
     )
 
 
-@pytest.mark.parametrize("L, M, N", [
-    ((), (), ((0,), (1,))),  # (2,) has no role
-    ((), ((3,),), ((0,), (1,), (2,))),  # (3,) is off the lattice
-    (((0, 0),), (), ((1,), (2,))),  # a coordinate of another lattice
-])
-def test_registers_must_partition_sites(L, M, N):
+def test_registers_must_partition_sites():
     circ = generate_circuit({"kind": "identity", "dims": [3], "depth": 1})
-    with pytest.raises(ValueError, match="partition"):
-        syn.Synthesis(gamma=circ, L=L, M=M, N=N, declared_axes=(0,))
+    for L, M, N in [
+        ((), (), ((0,), (1,))),  # (2,) has no role
+        ((), ((3,),), ((0,), (1,), (2,))),  # (3,) is off the lattice
+        (((0, 0),), (), ((1,), (2,))),  # a coordinate of another lattice
+    ]:
+        with pytest.raises(ValueError, match="partition"):
+            syn.Synthesis(gamma=circ, L=L, M=M, N=N, declared_axes=(0,))
 
 
 @pytest.mark.parametrize("axes", [(3,), (0, 0), (-1,)])

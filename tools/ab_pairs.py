@@ -52,13 +52,11 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def verdict(a: list[float], b: list[float], lower: bool, bound: float | None) -> tuple[float, str]:
+def verdict(a: list[float], b: list[float], lower: bool, bound: float) -> tuple[float, str]:
     """(relative change of the medians, positive when worse; its flag) of the
     change's runs `b` against the parent's runs `a`."""
     pq1, pmed, pq3 = quartiles(a)
     worse = (statistics.median(b) - pmed) / pmed * (1 if lower else -1) if pmed else 0.0
-    if bound is None:
-        return worse, ""
     if worse > bound:
         return worse, "worse"
     all_better = max(b) < min(a) if lower else min(b) > max(a)
@@ -77,11 +75,11 @@ def summarize(pairs: list[dict], better: dict, bounds: dict) -> dict:
         lower = better.get(name, "lower") == "lower"
         wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
         (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(a), quartiles(b)
-        worse, flag = verdict(a, b, lower, bounds.get(name))
+        worse, flag = verdict(a, b, lower, bounds[name])
         out[name] = {"better": "lower" if lower else "higher", "wins": wins, "pairs": len(pairs),
                      "parent": {"median": pmed, "q1": pq1, "q3": pq3},
                      "change": {"median": cmed, "q1": cq1, "q3": cq3},
-                     "worse_by": worse, "bound": bounds.get(name), "flag": flag}
+                     "worse_by": worse, "bound": bounds[name], "flag": flag}
     return out
 
 
@@ -129,14 +127,13 @@ def main(argv=None) -> int:
             shutil.rmtree(worktree, ignore_errors=True)
 
     summary = summarize(pairs, better, bounds)
-    print(f"{'metric':20s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} wins   worse by")
+    print(f"{'metric':20s} {'parent median [q1, q3]':40s} {'change median [q1, q3]':40s} wins   worse by")
     for name, row in summary.items():
         cell = lambda s: f"{s['median']:.6g} [{s['q1']:.6g}, {s['q3']:.6g}]"
-        bound = "" if row["bound"] is None else f" (bound {row['bound']:.0%})"
-        print(f"{name:20s} {cell(row['parent']):34s} {cell(row['change']):34s} {row['wins']:2d}/{row['pairs']:<3d}"
-              f"{row['worse_by']:+.1%}{bound} {row['flag']}")
+        print(f"{name:20s} {cell(row['parent']):40s} {cell(row['change']):40s} {row['wins']:2d}/{row['pairs']:<3d}"
+              f"{row['worse_by']:+.1%} (bound {row['bound']:.0%}) {row['flag']}")
     for side in ("parent", "change"):
-        attempted = sum(pr[side].get("attempted", 0) for pr in pairs)
+        attempted = sum(pr[side]["attempted"] for pr in pairs)
         failed = sum(pr[side]["failed"] for pr in pairs)
         print(f"{side}: {attempted} operations attempted, {failed} failed")
     bad = [(side, i) for i, pr in enumerate(pairs) for side in ("parent", "change")
