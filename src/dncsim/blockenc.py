@@ -9,15 +9,14 @@ lattice circuit C:
   * exact encodings of rho_F^k and rho_B^k, rho_F = <0_M|sigma|0_M>,
 
 as products of factors (C^dagger x I)(SWAP)(C x I), one per power, each
-factor running C on its own copy registers.  Copy registers are placed on
-fresh transverse axes: the stacked layout appends copy planes outward (swap
-gates to far planes are then not nearest-neighbor); `interleave` re-places
-every copy plane adjacent to its swap partner, which makes all gates
-distance-1 and meets the depth budgets 3d (single factor) and (2k+1)d
-(k factors, k <= 4).  Factors act on disjoint registers except the shared
-data block, so consecutive C^dagger/C blocks of neighboring factors run in
-parallel; the realized depth is 2d+1 for one factor and (k+1)d + k in
-general.
+factor running C on its own copy registers.  Copy registers sit on two fresh
+transverse axes, each factor's pair of copy planes next to its swap partners
+(`PLANES`), so every gate is nearest-neighbor.  Factors act on disjoint
+registers except the shared data block, so consecutive C^dagger/C blocks of
+neighboring factors run in parallel; the realized depth is 2d+1 for one
+factor and (k+1)d + k in general.  `_build` checks every encoding it makes
+against the depth budget (2k+1)d (3d for one factor) and against any
+two-qubit gate at L-infinity distance > 1.
 """
 from __future__ import annotations
 
@@ -55,30 +54,22 @@ class BlockEncoding:
     alpha: float
     epsilon_claim: float
     target: TargetSpec
-    layout: str
 
     def __post_init__(self):
         if set(self.ancilla) & set(self.data):
             raise ValueError("ancilla and data registers must be disjoint")
 
 
-def _plane_pair(i: int, layout: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(group plane, prime plane) for factor i as (a, b) vectors."""
-    if i == 1:
-        return (0, 0), (1, 0)
-    if layout == "stacked":
-        j = i - 1
-        return (2 * j, 0), (2 * j + 1, 0)
-    table = {2: ((-1, 0), (-2, 0)), 3: ((0, 1), (0, 2)), 4: ((0, -1), (0, -2))}
-    return table[i]
+# (group plane, prime plane) of factor i as (a, b) vectors on the transverse axes
+PLANES = {1: ((0, 0), (1, 0)), 2: ((-1, 0), (-2, 0)), 3: ((0, 1), (0, 2)), 4: ((0, -1), (0, -2))}
 
 
-def _build(circ: LatticeCircuit, regions: CutRegions, k: int, side: str, layout: str):
+def _build(circ: LatticeCircuit, regions: CutRegions, k: int, side: str):
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > MAX_POWER:
         raise ValueError(
-            f"power encodings support k <= {MAX_POWER} with the nearest-neighbor layout"
+            f"power encodings support k <= {MAX_POWER} with nearest-neighbor copy planes"
         )
     if side not in ("F", "B"):
         raise ValueError("side must be 'F' or 'B'")
@@ -86,7 +77,7 @@ def _build(circ: LatticeCircuit, regions: CutRegions, k: int, side: str, layout:
     shared = front if side == "F" else back  # data block, stays at the origin plane
     far = back if side == "F" else front  # region whose copies carry the circuit
 
-    planes = [(0, 0)] + [p for i in range(1, k + 1) for p in _plane_pair(i, layout)]
+    planes = [(0, 0)] + [p for i in range(1, k + 1) for p in PLANES[i]]
     offa = -min(p[0] for p in planes)
     offb = -min(p[1] for p in planes)
     exta = max(p[0] for p in planes) + offa + 1
@@ -97,7 +88,7 @@ def _build(circ: LatticeCircuit, regions: CutRegions, k: int, side: str, layout:
         return tuple(q) + (plane[0] + offa, plane[1] + offb)
 
     def c_plane(i: int, q: Coord):
-        g, p = _plane_pair(i, layout)
+        g, p = PLANES[i]
         if q in mid:
             return p
         if q in far:
@@ -114,7 +105,7 @@ def _build(circ: LatticeCircuit, regions: CutRegions, k: int, side: str, layout:
         return tuple(out)
 
     def swap_layer(i: int):
-        g, _ = _plane_pair(i, layout)
+        g, _ = PLANES[i]
         out = []
         for q in sorted(mid):
             out.append(Gate(NAMED_GATES["SWAP"], (embed(q, g), embed(q, c_plane(i, q))), name="SWAP"))
@@ -132,49 +123,41 @@ def _build(circ: LatticeCircuit, regions: CutRegions, k: int, side: str, layout:
     layers.extend(c_layer(k, t, True) for t in range(circ.depth))
 
     enc_circ = LatticeCircuit(dims, len(layers), tuple(layers))
+    budget = (2 * k + 1) * circ.depth
+    if enc_circ.depth > budget:
+        raise AssertionError(f"encoding depth {enc_circ.depth} exceeds the budget {budget}")
+    bad = [g.qubits for _, g in enc_circ.gates() if g.arity == 2 and linf(*g.qubits) > 1]
+    if bad:
+        raise AssertionError(f"encoding has non-local gates: {bad[:3]}")
 
     # register bookkeeping
     anc: set[Coord] = set()
     for i in range(1, k + 1):
-        g, _ = _plane_pair(i, layout)
+        g, _ = PLANES[i]
         anc.update(embed(q, c_plane(i, q)) for q in far | mid | shared)  # the factor's copies
         anc.update(embed(q, g) for q in mid)  # swap partners of the primed middle copies
     data = tuple(embed(q, (0, 0)) for q in sorted(shared))
     return enc_circ, tuple(sorted(anc)), data
 
 
-def build_sigma_encoding(circ: LatticeCircuit, regions: CutRegions, layout: str = "stacked") -> BlockEncoding:
+def build_sigma_encoding(circ: LatticeCircuit, regions: CutRegions) -> BlockEncoding:
     """Exact (1, |B u M u F|, 0)-encoding of sigma = tr_B(C|0><0|C^dagger)."""
-    enc_circ, anc, _ = _build(circ, regions, 1, "F", layout)
-    mid_front = sorted(set(regions.middle) | set(regions.front))
-    data = tuple(q + (0, 0) for q in mid_front)
-    anc = tuple(q for q in anc if q not in set(data))
-    prime = lambda region: tuple(
-        q + (1, 0) for q in sorted(region)
-    )
-    enc_regions = CutRegions(
-        regions.back,
-        regions.middle,
-        regions.front,
-        regions.slice_,
-        primes=(("M'", prime(regions.middle)), ("F'", prime(regions.front))),
-    )
+    enc_circ, anc, _ = _build(circ, regions, 1, "F")
+    data = tuple(q + (0, 0) for q in sorted(set(regions.middle) | set(regions.front)))
+    anc = tuple(sorted(set(anc) - set(data)))
     return BlockEncoding(
         circuit=enc_circ,
         ancilla=anc,
         data=data,
         alpha=1.0,
         epsilon_claim=0.0,
-        target=TargetSpec("sigma", circ, enc_regions, 1, "F"),
-        layout=layout,
+        target=TargetSpec("sigma", circ, regions, 1, "F"),
     )
 
 
-def build_rho_power_encoding(
-    circ: LatticeCircuit, regions: CutRegions, k: int, side: str = "F", layout: str = "stacked"
-) -> BlockEncoding:
+def build_rho_power_encoding(circ: LatticeCircuit, regions: CutRegions, k: int, side: str = "F") -> BlockEncoding:
     """Exact (1, k|B u M' u F' u M|, 0)-encoding of rho_F^k (or rho_B^k)."""
-    enc_circ, anc, data = _build(circ, regions, k, side, layout)
+    enc_circ, anc, data = _build(circ, regions, k, side)
     return BlockEncoding(
         circuit=enc_circ,
         ancilla=anc,
@@ -182,32 +165,7 @@ def build_rho_power_encoding(
         alpha=1.0,
         epsilon_claim=0.0,
         target=TargetSpec("rho_power", circ, regions, k, side),
-        layout=layout,
     )
-
-
-def interleave(enc: BlockEncoding) -> BlockEncoding:
-    """Re-place copy registers adjacent to their swap partners.
-
-    The result encodes the same operator (same factors, relabeled sites) with
-    every gate nearest-neighbor and depth within 3d (single factor) or
-    (2k+1)d (k factors).
-    """
-    t = enc.target
-    if t.kind == "sigma":
-        out = build_sigma_encoding(t.circuit, t.regions, layout="interleaved")
-    else:
-        out = build_rho_power_encoding(t.circuit, t.regions, t.k, t.side, layout="interleaved")
-    d = t.circuit.depth
-    bound = 3 * d if t.k == 1 else (2 * t.k + 1) * d
-    if out.circuit.depth > bound:
-        raise AssertionError(
-            f"interleaved depth {out.circuit.depth} exceeds the budget {bound}"
-        )
-    bad = [g.qubits for _, g in out.circuit.gates() if g.arity == 2 and linf(*g.qubits) > 1]
-    if bad:
-        raise AssertionError(f"interleaved circuit still has non-local gates: {bad[:3]}")
-    return out
 
 
 def encoding_block(enc: BlockEncoding, cap: int = oracle.DEFAULT_CAP) -> np.ndarray:

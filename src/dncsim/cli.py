@@ -51,29 +51,17 @@ def _cmd_verify_encodings(args) -> int:
     circ = load_circuit(args.file)
     axis, lo, hi = (int(x) for x in args.cut.split(":"))
     regions = cut_regions(circ, Slice(axis, lo, hi))
-    rows = []
-    enc = blockenc.build_sigma_encoding(circ, regions)
-    inter = blockenc.interleave(enc)
-    rows.append(("sigma", 1, blockenc.verify_encoding(enc, cap=args.cap), enc.circuit.depth, inter.circuit.depth, 3 * circ.depth))
+    encs = [("sigma", blockenc.build_sigma_encoding(circ, regions))]
     for k in range(1, args.k + 1):
         for side in ("F", "B"):
-            enc = blockenc.build_rho_power_encoding(circ, regions, k, side=side)
-            inter = blockenc.interleave(enc)
-            rows.append(
-                (
-                    f"rho_{side}^{k}",
-                    k,
-                    blockenc.verify_encoding(enc, cap=args.cap),
-                    enc.circuit.depth,
-                    inter.circuit.depth,
-                    (2 * k + 1) * circ.depth,
-                )
-            )
-    print(f"{'target':<10} {'k':>2} {'deviation':>12} {'depth':>6} {'interleaved':>11} {'budget':>7}")
+            encs.append((f"rho_{side}^{k}", blockenc.build_rho_power_encoding(circ, regions, k, side=side)))
+    print(f"{'target':<10} {'k':>2} {'deviation':>12} {'depth':>6} {'budget':>7}")
     worst = 0.0
-    for name, k, dev, depth, idepth, budget in rows:
+    for name, enc in encs:
+        k = enc.target.k
+        dev = blockenc.verify_encoding(enc, cap=args.cap)
         worst = max(worst, dev)
-        print(f"{name:<10} {k:>2} {dev:>12.3e} {depth:>6} {idepth:>11} {budget:>7}")
+        print(f"{name:<10} {k:>2} {dev:>12.3e} {enc.circuit.depth:>6} {(2 * k + 1) * circ.depth:>7}")
     return 0 if worst < 1e-8 else 1
 
 

@@ -80,10 +80,13 @@ class ParameterSchedule:
 
     Paper profile derives every field from (n, d, D, delta); the desk profile
     starts from small validated defaults.  Either takes overrides, each naming
-    a field (`check_overrides` rejects any other key).  The desk recursion depth
-    grows with n, as the paper's does: eta = max(2, ceil(log2(n / w0))) with
-    the final w0, so the recursion can go on halving until a piece is narrower
-    than w0 (where it stops anyway); an explicit `eta` override wins.  `h`
+    a knob: any field but the inputs `d` and `delta` (`check_overrides` rejects
+    any other key).  Each field is derived in turn from the ones before it and
+    an override wins where one is given, so it reaches every field derived
+    from it (a paper `h` moves `h_margin`, `z_width` and `w0`).  The desk
+    recursion depth grows with n, as the paper's does: eta = max(2,
+    ceil(log2(n / w0))) with the final w0, so the recursion can go on halving
+    until a piece is narrower than w0 (where it stops anyway).  `h`
     drives the heavy-slice thresholds 2^(log delta / h); `h_margin` is the
     allowed number of non-heavy slices (the paper couples both roles in one
     h(n)).
@@ -102,7 +105,6 @@ class ParameterSchedule:
     slice_width: int
     max_gap: int
     d: int
-    profile: str
 
     def __post_init__(self):
         if self.eps > self.delta + 1e-15:
@@ -140,10 +142,13 @@ class ParameterSchedule:
 
 
 def check_overrides(overrides) -> None:
-    """Raise ScheduleError unless every key of `overrides` names a ParameterSchedule field."""
-    unknown = sorted(set(overrides) - {f.name for f in dataclasses.fields(ParameterSchedule)})
+    """Raise ScheduleError unless every key of `overrides` names a knob of ParameterSchedule."""
+    knobs = {f.name for f in dataclasses.fields(ParameterSchedule)} - {"d", "delta"}
+    unknown = sorted(set(overrides) - knobs)
     if unknown:
-        raise ScheduleError(f"unknown schedule override {', '.join(map(repr, unknown))}")
+        raise ScheduleError(
+            f"unknown schedule override {', '.join(map(repr, unknown))} (d and delta are inputs, not knobs)"
+        )
 
 
 def schedule(n: int, d: int, D: int, delta: float, profile: str = "paper", **overrides) -> ParameterSchedule:
@@ -151,58 +156,42 @@ def schedule(n: int, d: int, D: int, delta: float, profile: str = "paper", **ove
     if n < 2 or d < 1 or D < 2 or delta <= 0:
         raise ScheduleError("require n >= 2, d >= 1, D >= 2, delta > 0")
     check_overrides(overrides)
+    fields = dict(delta=delta, d=d)
+
+    def put(name, derived):
+        fields[name] = overrides.get(name, derived)
+        return fields[name]
+
     ln = math.log2(n)
-    eps = delta * 2.0 ** (-10.0 * ln * math.log2(max(ln, 1.0)))
+    put("eps", delta * 2.0 ** (-10.0 * ln * math.log2(max(ln, 1.0))))
     if profile == "paper":
-        h = math.ceil(ln**7)
-        Delta = math.ceil(ln)
-        fields = dict(
-            delta=delta,
-            eps=eps,
-            h=h,
-            h_margin=h,
-            eta=math.ceil(ln / (D * math.log2(4.0 / 3.0))),
-            Delta=Delta,
-            K=math.ceil(ln**3),
-            T=math.ceil(ln**3),
-            w0=20 * d * (Delta + h + 2),
-            z_width=10 * d * (Delta + h + 2),
-            slice_width=10 * d,
-            max_gap=10 * d,
-            d=d,
-            profile="paper",
-        )
+        h = put("h", math.ceil(ln**7))
+        put("h_margin", h)
+        put("eta", math.ceil(ln / (D * math.log2(4.0 / 3.0))))
+        Delta = put("Delta", math.ceil(ln))
+        put("K", math.ceil(ln**3))
+        put("T", math.ceil(ln**3))
+        put("w0", 20 * d * (Delta + h + 2))
+        put("z_width", 10 * d * (Delta + h + 2))
+        put("slice_width", 10 * d)
+        put("max_gap", 10 * d)
     elif profile == "desk":
-        Delta = int(overrides.get("Delta", 2))
-        slice_width = int(overrides.get("slice_width", 2 * d))
-        max_gap = int(overrides.get("max_gap", 2 * d))
+        put("h", 4)
+        put("h_margin", 1)
+        put("K", 2)
+        put("T", 2)
+        Delta = put("Delta", 2)
+        slice_width = put("slice_width", 2 * d)
+        max_gap = put("max_gap", 2 * d)
         # wide enough that Delta whole slices fit regardless of tiling alignment
-        z_width = int(
-            overrides.get("z_width", Delta * (slice_width + max_gap) + slice_width)
-        )
-        w0 = int(overrides.get("w0", z_width + slice_width + 1))
+        z_width = put("z_width", Delta * (slice_width + max_gap) + slice_width)
+        w0 = put("w0", z_width + slice_width + 1)
         if w0 < 1:
             raise ScheduleError("w0 must be >= 1")
-        fields = dict(
-            delta=delta,
-            eps=eps,
-            h=4,
-            h_margin=1,
-            # enough levels to halve n down to w0; the width check stops sooner
-            eta=max(2, math.ceil(math.log2(n / w0))),
-            Delta=Delta,
-            K=2,
-            T=2,
-            w0=w0,
-            z_width=z_width,
-            slice_width=slice_width,
-            max_gap=max_gap,
-            d=d,
-            profile="desk",
-        )
+        # enough levels to halve n down to w0; the width check stops sooner
+        put("eta", max(2, math.ceil(math.log2(n / w0))))
     else:
         raise ScheduleError(f"unknown profile {profile!r}")
-    fields.update(overrides)
     return ParameterSchedule(**fields)
 
 
@@ -277,14 +266,12 @@ def widest_axis(s: Synthesis) -> int:
     return min(s.declared_axes, key=lambda a: (-s.dims[a], a))
 
 
-def dimension_reduce(s: Synthesis, axis: int | None = None) -> Synthesis:
+def dimension_reduce(s: Synthesis, axis: int) -> Synthesis:
     """Absorb one declared axis into the site structure (value unchanged).
 
     The circuit, registers, and annotations are untouched; only the declared
     dimensionality shrinks: the result is the same box.
     """
-    if axis is None:
-        axis = widest_axis(s)
     if axis not in s.declared_axes:
         raise ValueError(f"axis {axis} is not a declared dimension")
     if len(s.declared_axes) < 2:

@@ -11,16 +11,12 @@ import math
 from dataclasses import dataclass
 
 
-def _log2(x: float) -> float:
-    return math.log2(x)
-
-
 def default_e_of_n(delta: float, n: int) -> float:
     """Default slice residual: 1 - 2^(log(delta)/log^7(n))."""
     if not 0 < delta < 1:
         return 0.0
-    h = _log2(n) ** 7
-    return 1.0 - 2.0 ** (_log2(delta) / h)
+    h = math.log2(n) ** 7
+    return 1.0 - 2.0 ** (math.log2(delta) / h)
 
 
 @dataclass(frozen=True)
@@ -51,13 +47,13 @@ def e1(delta: float, h: float) -> float:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
-    l = _log2(delta)
+    l = math.log2(delta)
     return 2.0 ** (l / (2 * h) - 1) - 2.0 ** (l / h - 1)
 
 
 def e1_lower_bound(delta: float, h: float) -> float:
     """-log(delta)/(4h) * 2^(log(delta)/h) * ln 2 (a lower bound on e1)."""
-    l = _log2(delta)
+    l = math.log2(delta)
     return -l / (4 * h) * 2.0 ** (l / h) * math.log(2.0)
 
 
@@ -67,8 +63,8 @@ def e2(delta: float, n: int) -> float:
         raise ValueError(f"n must be >= 4 so loglog(n) is defined, got {n}")
     if delta < 0:
         raise ValueError("delta must be non-negative")
-    ln = _log2(n)
-    return delta * 2.0 ** (-10.0 * ln * _log2(ln))
+    ln = math.log2(n)
+    return delta * 2.0 ** (-10.0 * ln * math.log2(ln))
 
 
 def e3(eps: float, Delta: int) -> float:
@@ -78,18 +74,14 @@ def e3(eps: float, Delta: int) -> float:
     return eps / (2.0**Delta)
 
 
-def e1_iterated(delta: float, h: float, times: int) -> float:
-    out = delta
-    for _ in range(times):
-        out = e1(out, h)
-    return out
-
-
 def e5(delta: float, model: ErrorModel) -> float:
     """E3(E2(E1 iterated D times)) -- D = 0 degenerates to E3(E2(delta))."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return e3(e2(e1_iterated(delta, model.h, model.D), model.n), model.Delta)
+    out = delta
+    for _ in range(model.D):
+        out = e1(out, model.h)
+    return e3(e2(out, model.n), model.Delta)
 
 
 def script_bounds(model: ErrorModel, eps: float) -> tuple[float, float, float]:
@@ -125,7 +117,7 @@ def predicted_error(model: ErrorModel, eps: float) -> float:
 
 def eta_i(n: int, i: int) -> float:
     """Per-dimension recursion budget log(n) / (i log(4/3))."""
-    return _log2(n) / (i * _log2(4.0 / 3.0))
+    return math.log2(n) / (i * math.log2(4.0 / 3.0))
 
 
 def default_base_cost(n: int, d: int, w: float, delta: float) -> float:
@@ -141,10 +133,10 @@ def predicted_runtime(
     w: float,
     delta: float,
     model: ErrorModel,
-    base_cost=default_base_cost,
-    unit: float = 1.0,
 ) -> dict:
     """Numeric evaluation of the mutual cost recurrences (abstract units).
+
+    A base case costs `default_base_cost`; every recursive step adds one unit.
 
     Returns the recursion cost, the closed-form envelope
     delta^-2 * 2^(O((d polylog n)^(D 3^D)) w^(1/3)) with the O-constant as a
@@ -159,7 +151,7 @@ def predicted_runtime(
             raise ValueError("non-terminating parameter combination")
         if D_ <= 2:
             counts["base"] += 1
-            return base_cost(n, d_, w_, delta_)
+            return default_base_cost(n, d_, w_, delta_)
         slices = max(1, int(l_ / (10 * d_)))
         counts["dim_reduce"] += slices
         sub = slices * t1(l_, D_ - 1, d_, w_ * d_, e1(min(delta_, 1.0), h), depth + 1)
@@ -179,10 +171,10 @@ def predicted_runtime(
         cost += Delta**2 * t1(l_, D_ - 1, d_**3, w_ * d_, eps_, depth + 1)
         cost += Delta**2 * 2**Delta * t1(l_, D_ - 1, d_**3, w_ * d_, e3(eps_, Delta), depth + 1)
         cost += 2 * Delta * t1(l_, D_ - 1, d_**2, w_ * d_, eps_, depth + 1)
-        return cost + unit
+        return cost + 1.0
 
     cost = t1(l, D, d, w, delta)
-    envelope_exp = (d * max(_log2(n), 1.0)) ** (D * 3**D) * w ** (1.0 / 3.0)
+    envelope_exp = (d * max(math.log2(n), 1.0)) ** (D * 3**D) * w ** (1.0 / 3.0)
     envelope = {
         "form": "delta^-2 * 2^(c * (d polylog n)^(D 3^D) * w^(1/3))",
         "fit_constant": math.log2(max(cost * delta**2, 2.0)) / max(envelope_exp, 1e-12),

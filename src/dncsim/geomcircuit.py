@@ -248,17 +248,12 @@ class Slice:
 
 @dataclass(frozen=True)
 class CutRegions:
-    """Back/middle/front partition of the lattice induced by a slice.
-
-    `primes` optionally records copy-register coordinates allocated by the
-    block-encoding constructors (keys like "M'", "F'", "B'").
-    """
+    """Back/middle/front partition of the lattice induced by a slice."""
 
     back: tuple[Coord, ...]
     middle: tuple[Coord, ...]
     front: tuple[Coord, ...]
     slice_: Slice
-    primes: tuple[tuple[str, tuple[Coord, ...]], ...] = ()
 
 
 class CutError(ValueError):

@@ -457,7 +457,7 @@ def _front_columns(s: Synthesis, band, cap: int) -> np.ndarray:
     return t.transpose([live.index(q) for q in rest + list(range(len(band)))]).reshape(2 ** len(rest), -1)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CutData:
     """Everything the algorithms need about one cut of one synthesis.
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dncsim import blockenc, geomcircuit as gc, oracle, synthesis as syn
 from dncsim.geomcircuit import Gate
@@ -49,10 +51,6 @@ def test_sigma_ancilla_count_is_total_qubits():
     enc = blockenc.build_sigma_encoding(circ, regions)
     assert len(enc.ancilla) == circ.n_qubits
     assert set(enc.ancilla).isdisjoint(enc.data)
-    # primed-copy bookkeeping records the fresh registers
-    primes = dict(enc.target.regions.primes)
-    assert len(primes["M'"]) == len(regions.middle)
-    assert len(primes["F'"]) == len(regions.front)
 
 
 def test_rho_power_k1_is_sigma_with_middle_postselected():
@@ -117,12 +115,16 @@ def test_rho_power_rejects_unsupported_k():
         blockenc.build_rho_power_encoding(circ, regions, 5)
 
 
+def nonlocal_gates(enc):
+    return [g.qubits for _, g in enc.circuit.gates() if g.arity == 2 and gc.linf(*g.qubits) > 1]
+
+
 def test_interleave_depth_and_locality_k1():
     circ = seeded_chain(6, 1, 3)
     regions = gc.cut_regions(circ, gc.Slice(0, 2, 4))
-    inter = blockenc.interleave(blockenc.build_sigma_encoding(circ, regions))
-    assert inter.circuit.depth <= 3 * circ.depth
-    assert all(gc.linf(*g.qubits) <= 1 for _, g in inter.circuit.gates() if g.arity == 2)
+    enc = blockenc.build_sigma_encoding(circ, regions)
+    assert enc.circuit.depth <= 3 * circ.depth
+    assert not nonlocal_gates(enc)
 
 
 def test_interleave_depth_bounds_power_k():
@@ -130,32 +132,57 @@ def test_interleave_depth_bounds_power_k():
     regions = gc.cut_regions(circ, gc.Slice(0, 0, 4))
     for k in (1, 2):
         enc = blockenc.build_rho_power_encoding(circ, regions, k, side="F")
-        inter = blockenc.interleave(enc)
-        assert inter.circuit.depth <= (2 * k + 1) * circ.depth
-        assert all(gc.linf(*g.qubits) <= 1 for _, g in inter.circuit.gates() if g.arity == 2)
+        assert enc.circuit.depth <= (2 * k + 1) * circ.depth
+        assert not nonlocal_gates(enc)
 
 
 def test_interleave_fixes_nonlocal_swaps():
+    # k >= 2 needs copy planes on both transverse axes; each factor's planes
+    # sit next to their swap partners, so every swap is nearest-neighbor
     circ = seeded_chain(4, 1, 8)
     regions = gc.cut_regions(circ, gc.Slice(0, 1, 3))
-    enc = blockenc.build_rho_power_encoding(circ, regions, 2, side="F")
-    stacked_bad = [g for _, g in enc.circuit.gates() if g.arity == 2 and gc.linf(*g.qubits) > 1]
-    assert stacked_bad  # the stacked layout is genuinely non-local for k >= 2
-    inter = blockenc.interleave(enc)
-    assert not [g for _, g in inter.circuit.gates() if g.arity == 2 and gc.linf(*g.qubits) > 1]
+    for k in (2, 3, 4):
+        enc = blockenc.build_rho_power_encoding(circ, regions, k, side="F")
+        assert not nonlocal_gates(enc)
+    assert enc.circuit.dims[-2:] == (4, 5)  # planes -2..1 and -2..2
 
 
 def test_interleave_preserves_block():
     circ = seeded_chain(6, 1, 14)
     regions = gc.cut_regions(circ, gc.Slice(0, 2, 4))
-    for enc in (
-        blockenc.build_sigma_encoding(circ, regions),
-        blockenc.build_rho_power_encoding(circ, regions, 2, side="F"),
+    sigma = oracle.reduced_state(circ, regions)
+    rho = oracle.postselect_zero(sigma, regions.middle).matrix
+    for enc, target in (
+        (blockenc.build_sigma_encoding(circ, regions), sigma.matrix),
+        (blockenc.build_rho_power_encoding(circ, regions, 2, side="F"), rho @ rho),
     ):
-        inter = blockenc.interleave(enc)
-        b1 = blockenc.encoding_block(enc, cap=24)
-        b2 = blockenc.encoding_block(inter, cap=24)
-        assert np.abs(b1 - b2).max() < 1e-12
+        assert np.abs(blockenc.encoding_block(enc, cap=24) - target).max() < 1e-12
+
+
+@pytest.mark.parametrize("dims", [(6,), (4, 2)])
+@settings(max_examples=8, deadline=None)
+@given(depth=st.integers(1, 2), seed=st.integers(0, 2**16), lo=st.integers(0, 2))
+def test_every_encoding_is_nearest_neighbor_and_within_its_depth_budget(dims, depth, seed, lo):
+    # sigma, and rho^k for k = 1..4 on both sides, on a chain and a 2-D lattice
+    assume(lo + 2 * depth <= dims[0])
+    circ = generate_circuit({"kind": "brickwork", "dims": list(dims), "depth": depth, "seed": seed, "gates": "haar"})
+    regions = gc.cut_regions(circ, gc.Slice(0, lo, lo + 2 * depth))
+    encs = [blockenc.build_sigma_encoding(circ, regions)] + [
+        blockenc.build_rho_power_encoding(circ, regions, k, side=side)
+        for k in range(1, blockenc.MAX_POWER + 1)
+        for side in ("F", "B")
+    ]
+    for enc in encs:
+        assert enc.circuit.depth <= (2 * enc.target.k + 1) * depth
+        assert not nonlocal_gates(enc)
+
+
+def test_build_rejects_a_circuit_whose_encoding_has_a_nonlocal_gate():
+    # a gate between sites 0 and 2 of a chain stays at distance 2 in every copy
+    circ = gc.LatticeCircuit((4,), 1, ((Gate(np.eye(4, dtype=complex), ((0,), (2,))),),))
+    regions = gc.cut_regions(circ, gc.Slice(0, 1, 3))
+    with pytest.raises(AssertionError, match="non-local"):
+        blockenc.build_sigma_encoding(circ, regions)
 
 
 def test_verify_encoding_detects_corruption():
@@ -176,7 +203,6 @@ def test_verify_encoding_detects_corruption():
         alpha=enc.alpha,
         epsilon_claim=enc.epsilon_claim,
         target=enc.target,
-        layout=enc.layout,
     )
     assert blockenc.verify_encoding(bad) > 1e-3
 
@@ -204,17 +230,16 @@ def unitary_block(enc):
 
 
 @pytest.mark.parametrize(
-    "kind,side,layout,lo,seed",
-    [("sigma", "F", "stacked", 1, 31), ("sigma", "F", "interleaved", 1, 32),
-     ("rho", "F", "stacked", 0, 33), ("rho", "B", "interleaved", 2, 34)],
+    "kind,side,lo,seed",
+    [("sigma", "F", 1, 31), ("sigma", "F", 1, 32), ("rho", "F", 0, 33), ("rho", "B", 2, 34)],
 )
-def test_encoding_block_matches_circuit_unitary(kind, side, layout, lo, seed):
+def test_encoding_block_matches_circuit_unitary(kind, side, lo, seed):
     circ = seeded_chain(4, 1, seed)
     regions = gc.cut_regions(circ, gc.Slice(0, lo, lo + 2))
     if kind == "sigma":
-        enc = blockenc.build_sigma_encoding(circ, regions, layout=layout)
+        enc = blockenc.build_sigma_encoding(circ, regions)
     else:
-        enc = blockenc.build_rho_power_encoding(circ, regions, 1, side=side, layout=layout)
+        enc = blockenc.build_rho_power_encoding(circ, regions, 1, side=side)
     assert enc.circuit.n_qubits <= 10 and len(enc.data) >= 2
     block = blockenc.encoding_block(enc)
     assert np.abs(block - unitary_block(enc)).max() < 1e-12
@@ -235,7 +260,7 @@ def test_encoding_block_gives_an_untouched_data_qubit_an_identity_factor():
     u1 = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
     circ = gc.circuit((3,), [[Gate(u2, ((0,), (1,)))], [Gate(u1, ((1,),))]])
     # the untouched qubit (2,) comes first in the data order
-    enc = blockenc.BlockEncoding(circ, ((0,),), ((2,), (1,)), 1.0, 0.0, None, "stacked")
+    enc = blockenc.BlockEncoding(circ, ((0,),), ((2,), (1,)), 1.0, 0.0, None)
     block = blockenc.encoding_block(enc)
     assert np.abs(block - unitary_block(enc)).max() < 1e-12
     assert np.abs(block - np.kron(np.eye(2), u1 @ u2[:2, :2])).max() < 1e-12

@@ -453,3 +453,13 @@ def test_tabled_band_matrices_are_read_only():
     for a in arrays:
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
+
+
+def test_cut_data_is_immutable():
+    s = syn.synthesis_of_circuit(weak((16,), 1))
+    data = syn.cut_data(s, gc.Slice(0, 4, 6), EXACT)
+    assert data.front_sites == s.root_sites(axis=0, lo=6)  # a cached property still fills
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.weight = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.left_ids = ()

@@ -118,6 +118,33 @@ def test_dnc_config_rejects_an_unknown_override_when_constructed():
     assert dnc.a_full(s, None, 0.6, 3, config=dnc.DncConfig(overrides={"Delta": 1})) == 0.5
 
 
+@pytest.mark.parametrize("key, value", [("d", 2), ("delta", 0.05), ("profile", "paper")])
+def test_an_override_of_a_schedule_input_is_rejected_when_the_config_is_built(key, value):
+    # d and delta are schedule()'s own arguments, and profile is the config's
+    with pytest.raises(dnc.ScheduleError, match=f"'{key}'"):
+        dnc.DncConfig(overrides={key: value})
+    config = ExperimentConfig.from_json({
+        "circuits": [{"kind": "identity", "dims": [8, 1, 1], "depth": 1}],
+        "deltas": [0.1],
+        "overrides": {key: value},
+    })
+    with pytest.raises(dnc.ScheduleError, match=f"'{key}'"):
+        run_experiment(config)
+
+
+def test_a_paper_override_reaches_the_fields_derived_from_it():
+    base = dnc.schedule(1024, 1, 3, 0.1, "paper")
+    assert (base.h, base.Delta) == (10**7, 10)
+    sched = dnc.schedule(1024, 1, 3, 0.1, "paper", h=4)
+    assert (sched.h, sched.h_margin, sched.z_width, sched.w0) == (4, 4, 160, 320)
+    sched = dnc.schedule(1024, 1, 3, 0.1, "paper", Delta=3)
+    assert sched.h_margin == base.h_margin
+    assert (sched.z_width, sched.w0) == (10 * (3 + 10**7 + 2), 20 * (3 + 10**7 + 2))
+    # an override of a derived field still wins
+    assert dnc.schedule(1024, 1, 3, 0.1, "paper", h=4, h_margin=9, w0=50).h_margin == 9
+    assert dnc.schedule(1024, 1, 3, 0.1, "paper", h=4, h_margin=9, w0=50).w0 == 50
+
+
 def test_schedule_eps_never_exceeds_delta():
     for n in (4, 8, 16, 64):
         for delta in (0.5, 0.1, 1e-3):

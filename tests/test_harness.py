@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dncsim import cli, geomcircuit as gc, harness, oracle
+from dncsim import blockenc, cli, geomcircuit as gc, harness, oracle
 from dncsim.harness import ExperimentConfig, generate_circuit, run_experiment
 
 
@@ -172,13 +172,22 @@ def test_cli_simulate_with_trace(tmp_path, capsys):
     assert json.loads(tr.read_text())["kind"] == "run"
 
 
-def test_cli_verify_encodings(tmp_path, capsys):
+def test_cli_verify_encodings(tmp_path, capsys, monkeypatch):
     circ = generate_circuit({"kind": "brickwork", "dims": [6], "depth": 1, "seed": 4, "gates": "haar"})
     path = tmp_path / "c.json"
     gc.save_circuit(circ, path)
+    builds = []
+    real_build = blockenc._build
+    monkeypatch.setattr(blockenc, "_build", lambda *a: builds.append(a[2:]) or real_build(*a))
     assert cli.main(["verify-encodings", str(path), "--cut", "0:2:4", "--k", "2"]) == 0
     out = capsys.readouterr().out
     assert "sigma" in out and "rho_F^2" in out
+    # each encoding is built once (sigma, then rho_F^k and rho_B^k), and its
+    # depth printed beside its budget
+    assert builds == [(1, "F"), (1, "F"), (1, "B"), (2, "F"), (2, "B")]
+    header, *rows = out.splitlines()
+    assert header.split() == ["target", "k", "deviation", "depth", "budget"]
+    assert [row.split()[-2:] for row in rows] == [["3", "3"]] * 3 + [["5", "5"]] * 2
 
 
 def test_cli_experiment_exit_code(tmp_path, capsys):

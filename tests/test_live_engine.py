@@ -298,7 +298,7 @@ def test_encoding_block_counts_the_data_qubits_no_gate_touches():
     circ = gc.circuit((4,), [[gc.gate("H", [(0,)])]])
     regions = gc.cut_regions(circ, gc.Slice(0, 1, 3))
     target = blockenc.TargetSpec("sigma", circ, regions, 1, "F")
-    enc = blockenc.BlockEncoding(circ, ((0,),), ((1,), (2,), (3,)), 1.0, 0.0, target, "stacked")
+    enc = blockenc.BlockEncoding(circ, ((0,),), ((1,), (2,), (3,)), 1.0, 0.0, target)
     with pytest.raises(oracle.OracleCapacityError, match="6 qubits > cap 5"):
         blockenc.encoding_block(enc, cap=5)
     assert np.abs(blockenc.encoding_block(enc, cap=6) - np.eye(8) / np.sqrt(2)).max() < 1e-12
