@@ -147,7 +147,7 @@ def check_overrides(overrides) -> None:
     unknown = sorted(set(overrides) - knobs)
     if unknown:
         raise ScheduleError(
-            f"unknown schedule override {', '.join(map(repr, unknown))} (d and delta are inputs, not knobs)"
+            f"unknown schedule override {', '.join(map(repr, unknown))}; the knobs are {', '.join(sorted(knobs))}"
         )
 
 
