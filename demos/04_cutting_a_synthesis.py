@@ -4,9 +4,10 @@ A single cut factorizes the value into a left product and a right product,
 up to a residual controlled by the sub-dominant spectrum of the cut state.
 The right child carries the cut data as a small input state on its boundary
 band; the left child carries a small sandwich operator -- both band-local,
-which is what lets the recursion cut children again.  `cut_data` decides a
-cut once; the children and the middle between two cuts are built from the
-CutData it returns.
+which is what lets the recursion cut children again.  Both carry the cut's
+operator normalized by kappa, so a product divides by each cut's kappa once.
+`cut_data` decides a cut once; the children and the middle between two cuts
+are built from the CutData it returns.
 """
 from dncsim import geomcircuit as gc, oracle, synthesis as syn
 from dncsim.harness import generate_circuit
@@ -25,7 +26,7 @@ for label, spec in [
     sp = syn.split_at_cuts(data)
     vL = oracle.synthesis_value_exact(sp.left)
     vR = oracle.synthesis_value_exact(sp.right)
-    est = vL * vR / data.kappa ** (4 * calc.K + 1)
+    est = vL * vR / data.kappa
     v = oracle.synthesis_value_exact(s)
     print(
         f"{label}: weight={data.weight:.4f} kappa={data.kappa:.4f} "
@@ -41,7 +42,7 @@ data_i, data_j = syn.cut_data(s, i, calc), syn.cut_data(s, j, calc)
 middle = syn.middle_between_cuts(data_i, data_j).middle
 left, right = syn.split_at_cuts(data_i).left, syn.split_at_cuts(data_j).right
 vL, vM, vR = (oracle.synthesis_value_exact(x) for x in (left, middle, right))
-est = vL * vM * vR / (data_i.kappa * data_j.kappa) ** (4 * calc.K + 1)
+est = vL * vM * vR / data_i.kappa / data_j.kappa
 print(f"\ntwo-cut product = {est:.6f} vs value {oracle.synthesis_value_exact(s):.6f}")
 print(f"middle child annotations: {[op.kind for op in middle.cut_ops]}")
 

@@ -142,13 +142,16 @@ class ParameterSchedule:
 
 
 def check_overrides(overrides) -> None:
-    """Raise ScheduleError unless every key of `overrides` names a knob of ParameterSchedule."""
-    knobs = {f.name for f in dataclasses.fields(ParameterSchedule)} - {"d", "delta"}
-    unknown = sorted(set(overrides) - knobs)
+    """Raise ScheduleError unless every key names a knob, an integer one given an int (not a bool)."""
+    fields = {f.name: f.type for f in dataclasses.fields(ParameterSchedule) if f.name not in ("d", "delta")}
+    unknown = sorted(set(overrides) - set(fields))
     if unknown:
         raise ScheduleError(
-            f"unknown schedule override {', '.join(map(repr, unknown))}; the knobs are {', '.join(sorted(knobs))}"
+            f"unknown schedule override {', '.join(map(repr, unknown))}; the knobs are {', '.join(sorted(fields))}"
         )
+    for name, value in overrides.items():
+        if fields[name] == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ScheduleError(f"schedule override {name!r} must be an integer, got {value!r}")
 
 
 def schedule(n: int, d: int, D: int, delta: float, profile: str = "paper", **overrides) -> ParameterSchedule:
@@ -323,32 +326,27 @@ def select_region_Z(s: Synthesis, sched: ParameterSchedule, K_heavy: list[Slice]
     return region, chosen[: sched.Delta]
 
 
-def inclusion_exclusion_combine(single, double, multi, kappas, K: int, Delta: int) -> float:
+def inclusion_exclusion_combine(single, double, multi, kappas, Delta: int) -> float:
     """Signed combination of sub-synthesis products.
 
     single[i-1]        product for cut i                    (i = 1..Delta)
     double[(i, j)]     product for cuts i < j
     multi[(i, j, sigma)]  product for cuts i, j >= i+2 and nonempty sigma,
                        sigma a tuple of indices in {i+1, .., j-1}
-    Coefficients 1/kappa_i^(4K+1) and 1/(kappa_i kappa_j)^(4K+1); sigma terms
-    carry sign (-1)^(|sigma|+1).  Raises ScheduleError when a kappa^(4K+1)
-    underflows to 0 or a term is not finite (large K at small kappa).
+    Coefficients 1/kappa_i and 1/(kappa_i kappa_j), as the annotations carry
+    f(rho/kappa), divided in turn so that no product of kappas underflows;
+    sigma terms carry sign (-1)^(|sigma|+1).  Raises ScheduleError when a term is not finite.
     """
     if len(single) != Delta or len(kappas) != Delta:
         raise KeyError("missing sub-value keys: need one single product and kappa per cut")
-    p = 4 * K + 1
 
-    def scaled(value, kap):
-        try:
-            norm = float(kap) ** p
-        except OverflowError:
-            norm = math.inf
-        term = value / norm if norm > 0.0 else math.nan
+    def scaled(value, *kaps):
+        term = value
+        for kap in kaps:
+            term = term / float(kap)
         if not math.isfinite(term):
-            raise ScheduleError(
-                f"inclusion-exclusion term out of floating-point range: kappa = "
-                f"{float(kap):.6g}, K = {K}, kappa^(4K+1) = {norm:.6g}, term = {term}"
-            )
+            raise ScheduleError(f"inclusion-exclusion term out of floating-point range: "
+                                f"product {value:.6g} over kappas {', '.join(f'{k:.6g}' for k in kaps)}")
         return term
 
     total = 0.0
@@ -360,14 +358,14 @@ def inclusion_exclusion_combine(single, double, multi, kappas, K: int, Delta: in
         for j in range(i + 1, Delta + 1):
             if (i, j) not in double:
                 raise KeyError(f"missing sub-value keys: double term {(i, j)}")
-            total -= scaled(double[(i, j)], kappas[i - 1] * kappas[j - 1])
+            total -= scaled(double[(i, j)], kappas[i - 1], kappas[j - 1])
     for i in range(1, Delta + 1):
         for j in range(i + 2, Delta + 1):
             for sigma in nonempty_subsets(range(i + 1, j)):
                 if (i, j, sigma) not in multi:
                     raise KeyError(f"missing sub-value keys: multi term {(i, j, sigma)}")
                 sign = (-1.0) ** (len(sigma) + 1)
-                total += sign * scaled(multi[(i, j, sigma)], kappas[i - 1] * kappas[j - 1])
+                total += sign * scaled(multi[(i, j, sigma)], kappas[i - 1], kappas[j - 1])
     return total
 
 
@@ -439,10 +437,12 @@ def a_full(
     evaluation (`oracle.synthesis_value_exact`) under `config.cap`.  `memo`
     is the estimate's table of work (recursive calls and cut windows); a
     call without one starts a new table, so a repeated subproblem is solved
-    (and `base` called for its leaves) once per estimate.  Above the leaves,
-    a D that exceeds the declared dimensions of `s` by more than one raises
-    ScheduleError before any evaluation.
+    (and `base` called for its leaves) once per estimate.  A negative or NaN
+    delta, and above the leaves a D more than one past the declared
+    dimensions of `s`, raise ScheduleError before any evaluation.
     """
+    if not delta >= 0:
+        raise ScheduleError(f"delta must be >= 0, got {delta}")
     cfg = config or DncConfig()
     memo = {} if memo is None else memo
     n = s.n_qubits
@@ -600,7 +600,7 @@ def a_recursive(
                 multi[(i + 1, j + 1, sigma)] = vL[i] * val * vR[j]
 
     kappas = [cd.kappa for cd in data]
-    total = inclusion_exclusion_combine(single, double, multi, kappas, sched.K, Delta)
+    total = inclusion_exclusion_combine(single, double, multi, kappas, Delta)
     node.value = total
     memo[key] = (total, node, s)
     return total

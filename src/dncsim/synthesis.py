@@ -42,12 +42,13 @@ behind the cut.  All spectral quantities (kappa, projectors, residuals) are
 computed from the band-sized Gram matrix G = sqrt(omega) W^dagger W
 sqrt(omega) = U diag(mu) U^dagger, so nothing large is ever diagonalized.
 
-Every cut applies one operator to its cut state, and `cut_data` decides it
-once, as a weight f(mu) per eigenvalue of G: f = 1 on the kept eigenvalues
-(above TAU) and 0 elsewhere in the exact-spectral calculus, the orthogonal
-projector Pi; f = (mu/kappa)^{2K} in the power-encoding calculus, the power
-(rho/kappa)^{2K}.  The left child's sandwich, the right child's input state
-and the front-side projector of an insertion are all built from f.
+Every cut applies one operator to its cut state, normalized by the cut's
+kappa, and `cut_data` decides it once, as a weight f(mu) per eigenvalue of G:
+f = 1 on the kept eigenvalues (above TAU) and 0 elsewhere in the
+exact-spectral calculus, the projector Pi; f = (mu/kappa)^{2K} in the
+power-encoding calculus.  The left child's sandwich, the right child's input
+state and an insertion's front-side projector are all built from f, so the
+signed combination divides a term by the kappa of each of its cuts once.
 
 `cut_data` also partitions the cut once, the gates (`causal_split`) and the
 annotations, and its CutData is the one record of the cut: every piece reads
@@ -303,7 +304,7 @@ class CutCalculus:
     """How cut operators are realized.
 
     exact-spectral: orthogonal eigenprojector above TAU, kappa from trace
-    powers; power-encoding: literal density-operator powers rho^K.
+    powers; power-encoding: normalized density-operator powers (rho/kappa)^{2K}.
     """
 
     mode: str = "exact-spectral"
@@ -471,15 +472,14 @@ class CutData:
     true scale.  `weights` holds the cut operator as f(mu), one weight per
     eigenvalue, and all three forms of the operator are built from it:
 
-        left_op      kappa^2K (W^dag W sqrt(omega)) U diag(f/mu) U^dag (sqrt(omega) W^dag W)
-        right_input  kappa^2K sqrt(omega) U diag(f) U^dag sqrt(omega)
+        left_op      (W^dag W sqrt(omega)) U diag(f/mu) U^dag (sqrt(omega) W^dag W)
+        right_input  sqrt(omega) U diag(f) U^dag sqrt(omega)
         front side   sum_j f_j a_j a_j^dag,  a_j = W sqrt(omega) u_j / sqrt(front_scale mu_j)
 
     with omega, W^dagger W and mu those of the band windows, and W on the
-    front at true scale (`amat`).  The true left_op and right_input would
-    carry (omega_scale front_scale)^2K times front_scale and omega_scale;
-    in every term of the signed combination those factors and the one on
-    kappa^(4K+1) cancel exactly, so the combine divides by this kappa.
+    front at true scale (`amat`).  f is scale free, so the true left_op and
+    right_input carry just front_scale and omega_scale, which cancel against
+    the one on kappa in every term of the signed combination.
 
     It is also the one record of the cut: the synthesis cut (`source`), its
     gate partition from `causal_split` (`left_ids`, `cone_ids`), its
@@ -504,7 +504,7 @@ class CutData:
     right_input: np.ndarray  # band PSD input state for the right child
     gram_vectors: np.ndarray  # eigenvectors of the band Gram (columns)
     m_omega: np.ndarray  # sqrt(omega), omega the band window's state
-    weights: np.ndarray  # the cut operator f(mu): 0/1 on kept, or (mu/kappa)^2K
+    weights: np.ndarray  # the normalized cut operator f(mu): 0/1 on kept, or (mu/kappa)^2K
     omega_scale: float  # exact values of the omega side's other windows, multiplied
     front_scale: float  # exact values of the W^dagger W side's other windows, multiplied
     left_ids: tuple  # root gate ids behind the cut, in layer order
@@ -712,16 +712,15 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
         kept[0] = True
     kap = kappa_from_spectrum(mu, calc.T)
 
-    # the cut operator f(mu): the kept eigenprojector Pi, or (rho/kappa)^2K
+    # the normalized cut operator f(rho/kappa): the kept eigenprojector Pi, or (rho/kappa)^2K
     if calc.mode == "exact-spectral":
         f, g_res = kept.astype(float), scale * float(mu[~kept].sum())
     else:
         f, g_res = (mu / kap) ** (2 * calc.K), 0.0
-    power = kap ** (2 * calc.K)
     f_over_mu = np.divide(f, mu, out=np.zeros_like(mu), where=f > 0)
-    # left: kappa^2K W^dag f(rho) W;  right: kappa^2K sqrt(omega) f(G) sqrt(omega)
-    left_op = power * (wtw @ m_omega) @ ((gv * f_over_mu) @ gv.conj().T) @ (m_omega @ wtw)
-    right_input = power * m_omega @ ((gv * f) @ gv.conj().T) @ m_omega
+    # left: W^dag f(rho/kappa) W;  right: sqrt(omega) f(G/kappa) sqrt(omega)
+    left_op = (wtw @ m_omega) @ ((gv * f_over_mu) @ gv.conj().T) @ (m_omega @ wtw)
+    right_input = m_omega @ ((gv * f) @ gv.conj().T) @ m_omega
     left_op = 0.5 * (left_op + left_op.conj().T)
     right_input = 0.5 * (right_input + right_input.conj().T)
 
@@ -765,7 +764,7 @@ def kappa(s: Synthesis, sl: Slice, T: int, calc: CutCalculus | None = None,
 
 
 def cut_projector(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAULT_CAP) -> np.ndarray:
-    """Dense front-side cut operator f(rho), f the weights of `cut_data`.
+    """Dense front-side normalized cut operator f(rho/kappa), f the weights of `cut_data`.
 
     exact-spectral: the orthogonal projector onto the eigenvectors of the cut
     state with eigenvalue > TAU.  power-encoding: (rho/kappa)^{2K}, which is

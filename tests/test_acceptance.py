@@ -257,23 +257,22 @@ def test_criterion_5_end_to_end_estimation():
 
 def test_criterion_6_combination_formula_conformance():
     # hand-computed values for unit inputs
-    ok = dnc.inclusion_exclusion_combine([1.0], {}, {}, [1.0], 2, 1) == pytest.approx(1.0)
+    ok = dnc.inclusion_exclusion_combine([1.0], {}, {}, [1.0], 1) == pytest.approx(1.0)
     ok &= dnc.inclusion_exclusion_combine(
-        [1.0, 1.0], {(1, 2): 1.0}, {}, [1.0, 1.0], 2, 2
+        [1.0, 1.0], {(1, 2): 1.0}, {}, [1.0, 1.0], 2
     ) == pytest.approx(1.0)
     single = [1.0] * 3
     double = {(i, j): 1.0 for i in range(1, 4) for j in range(i + 1, 4)}
     multi = {(1, 3, (2,)): 1.0}
-    ok &= dnc.inclusion_exclusion_combine(single, double, multi, [1.0] * 3, 2, 3) == pytest.approx(1.0)
+    ok &= dnc.inclusion_exclusion_combine(single, double, multi, [1.0] * 3, 3) == pytest.approx(1.0)
     # sign pattern (-1)^(|sigma|+1): |sigma| = 1 gives +
     ok &= dnc.inclusion_exclusion_combine(
-        single, double, {(1, 3, (2,)): 0.5}, [1.0] * 3, 2, 3
+        single, double, {(1, 3, (2,)): 0.5}, [1.0] * 3, 3
     ) == pytest.approx(3.0 - 3.0 + 0.5)
     # hand value with kappa coefficients
-    p = 4 * 2 + 1
     ok &= dnc.inclusion_exclusion_combine(
-        [2.0], {}, {}, [0.9], 2, 1
-    ) == pytest.approx(2.0 / 0.9**p)
+        [2.0], {}, {}, [0.9], 1
+    ) == pytest.approx(2.0 / 0.9)
 
     # branch counts at every internal node
     counts_ok = True

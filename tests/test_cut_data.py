@@ -69,7 +69,7 @@ def column_reference(gates, band, rest, ops):
 
 def dense_reference(s, sl, calc):
     """(weight, kappa, eigvals, left_op, right_input, rho_front, front cut operator)
-    from whole-region states; the cut operator is Pi or (rho/kappa)^2K.
+    from whole-region states; the normalized cut operator is Pi or (rho/kappa)^2K.
 
     Everything here is in the own frame of s (its `gamma`, roles and
     `cut_ops`), apart from the package's cut machinery, which reads s as a
@@ -118,12 +118,12 @@ def dense_reference(s, sl, calc):
         g_kept = g_lam > syn.TAU
         g_kept[np.argmax(g_lam)] = True
         p1 = g_vecs[:, g_kept] @ g_vecs[:, g_kept].conj().T
-        left_op = kap ** (2 * calc.K) * W.conj().T @ pi @ W
-        right_input = kap ** (2 * calc.K) * m @ p1 @ m
+        left_op = W.conj().T @ pi @ W
+        right_input = m @ p1 @ m
         front_op = pi
     else:
-        left_op = W.conj().T @ np.linalg.matrix_power(rho, 2 * calc.K) @ W
-        right_input = m @ np.linalg.matrix_power(G, 2 * calc.K) @ m
+        left_op = W.conj().T @ np.linalg.matrix_power(rho / kap, 2 * calc.K) @ W
+        right_input = m @ np.linalg.matrix_power(G / kap, 2 * calc.K) @ m
         front_op = np.linalg.matrix_power(rho / kap, 2 * calc.K)
     return float(np.real(np.trace(rho))), kap, eigvals, left_op, right_input, rho, front_op
 
@@ -134,12 +134,11 @@ def assert_matches_reference(s, sl, calc=EXACT):
     # cut_data carries the other windows' factors beside its spectrum and
     # operators; multiplied back in, they give the whole-region quantities
     a, b = data.omega_scale, data.front_scale
-    power = (a * b) ** (2 * calc.K)
     assert data.weight == pytest.approx(weight, abs=1e-10)
     assert a * b * data.kappa == pytest.approx(kap, abs=1e-10)
     assert np.abs(a * b * data.eigvals - eigvals).max() < 1e-10
-    assert np.abs(power * b * data.left_op - left_op).max() < 1e-10
-    assert np.abs(power * a * data.right_input - right_input).max() < 1e-10
+    assert np.abs(b * data.left_op - left_op).max() < 1e-10
+    assert np.abs(a * data.right_input - right_input).max() < 1e-10
     assert np.abs(a * data.amat @ data.amat.conj().T - rho).max() < 1e-10
     factors, coeffs = data.projector_factors()
     assert np.abs((factors * coeffs) @ factors.conj().T - front_op).max() < 1e-10
@@ -360,7 +359,7 @@ def test_an_estimate_builds_no_gate_and_keeps_its_table_traffic(monkeypatch):
     monkeypatch.setattr(oracle, "synthesis_state", _counted(calls, "sweep", oracle.synthesis_state))
     table = _Lookups()
     est = dnc.a_full(s, None, 0.1, 3, config=dnc.DncConfig(profile="desk", cap=24), memo=table)
-    assert est.hex() == "0x1.9d4dbf430e3f4p-1"
+    assert est.hex() == "0x1.9d4dbf430e3fbp-1"
     assert calls == {"gate": 0, "value": 193, "sweep": 224}
     assert table.counts == {"window": [301, 63], "call": [68, 129]}
 
@@ -384,7 +383,7 @@ def test_sigma_terms_look_their_windows_up_in_the_estimate_table(monkeypatch):
         est = dnc.a_full(s, None, 0.1, 3, config=cfg, trace=trace)
         runs.append((est, trace.to_dict(), calls["sweep"]))
     (est, tree, sweeps), (est_all, tree_all, sweeps_all) = runs
-    assert est.hex() == est_all.hex() == "0x1.d8b3638033489p-1" and tree == tree_all
+    assert est.hex() == est_all.hex() == "0x1.d8b3638033492p-1" and tree == tree_all
     assert (sweeps, sweeps_all) == (97, 118)
 
 

@@ -132,6 +132,32 @@ def test_an_override_of_a_schedule_input_is_rejected_when_the_config_is_built(ke
         run_experiment(config)
 
 
+@pytest.mark.parametrize(
+    "key, value", [("Delta", 2.0), ("slice_width", 2.0), ("eta", 2.5), ("Delta", True)]
+)
+def test_an_integer_knob_given_as_a_float_or_a_bool_is_rejected(key, value):
+    # a float Delta or slice_width used to reach a slice index as a bare
+    # TypeError; eta 2.5 and Delta True ran without an error
+    with pytest.raises(dnc.ScheduleError, match=f"'{key}' must be an integer"):
+        dnc.DncConfig(overrides={key: value})
+    config = ExperimentConfig.from_json({
+        "circuits": [{"kind": "identity", "dims": [8, 1, 1], "depth": 1}],
+        "deltas": [0.1],
+        "overrides": {key: value},
+    })
+    with pytest.raises(dnc.ScheduleError, match=f"'{key}' must be an integer"):
+        run_experiment(config)
+
+
+def test_a_float_h_still_builds():
+    spec = {"kind": "brickwork", "dims": [16, 1, 1], "depth": 1, "seed": 3, "gates": "weak", "strength": 0.1}
+    est, s, circ = desk_run(spec, 0.1, overrides={"h": 4.0})
+    assert abs(est - references.probability_sweep(circ)) <= 0.1
+    report = run_experiment(ExperimentConfig.from_json(
+        {"circuits": [spec], "deltas": [0.1], "overrides": {"h": 4.0}, "cap": 24}))
+    assert report.all_within_delta()
+
+
 def test_a_paper_override_reaches_the_fields_derived_from_it():
     base = dnc.schedule(1024, 1, 3, 0.1, "paper")
     assert (base.h, base.Delta) == (10**7, 10)
@@ -169,6 +195,19 @@ def test_a_full_brute_force_for_tiny_delta():
     assert dnc.a_full(s, None, tiny, 3) == pytest.approx(
         oracle.synthesis_value_exact(s), abs=1e-14
     )
+
+
+@pytest.mark.parametrize("delta", [-0.1, math.nan])
+def test_a_full_rejects_a_negative_or_nan_delta_before_any_evaluation(monkeypatch, delta):
+    # -0.1 took the brute-force branch, NaN raised a bare ValueError in errmodel.e1
+    s, _ = make_synth({"kind": "brickwork", "dims": [16, 1, 1], "depth": 1, "seed": 3, "gates": "weak", "strength": 0.1})
+    calls = []
+    for name in ("synthesis_value_exact", "synthesis_state"):
+        fn = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
+    with pytest.raises(dnc.ScheduleError, match="delta must be >= 0"):
+        dnc.a_full(s, None, delta, 3, config=dnc.DncConfig(profile="desk", cap=24))
+    assert calls == []
 
 
 @pytest.mark.parametrize("dims, D", [([16], 3), ([16, 2], 4)])
@@ -239,6 +278,47 @@ def test_a_full_on_1024_qubit_chains_keeps_kappa_in_range(depth, overrides):
     est = dnc.a_full(syn.synthesis_of_circuit(circ), None, 0.1, 3, config=cfg, trace=trace)
     assert abs(est - references.probability_sweep(circ)) <= 0.1
     assert min(n.value for n in trace.walk() if n.kind == "kappa") > 0.5
+
+
+def test_paper_scale_K_and_T_leave_a_weak_d2_chain_in_range():
+    # the annotations carry f(rho/kappa), not kappa^2K f(rho/kappa): with the
+    # factor, the children's kappa fell to 1.7e-13 and kappa^(4K+1) underflowed
+    circ = generate_circuit(
+        {"kind": "brickwork", "dims": [64, 1, 1], "depth": 2, "seed": 64, "gates": "weak", "strength": 0.1}
+    )
+    cfg = dnc.DncConfig(profile="desk", cap=24, overrides={"K": 1000, "T": 1000})
+    est = dnc.a_full(syn.synthesis_of_circuit(circ), None, 0.1, 3, config=cfg)
+    assert abs(est - 0.8006044022940625) <= 0.1
+    assert abs(est - references.probability_sweep(circ)) <= 1e-12
+
+
+_POWERS = st.sampled_from([1, 2, 8, 50, 1000])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    depth=st.sampled_from([1, 2]),
+    n=st.integers(min_value=16, max_value=64),
+    seed=st.integers(min_value=0, max_value=2**16),
+    K=_POWERS,
+    T=_POWERS,
+    calculus=st.sampled_from(["exact-spectral", "power-encoding"]),
+)
+def test_estimates_stay_in_range_and_within_delta_for_any_K_and_T(depth, n, seed, K, T, calculus):
+    circ = generate_circuit(
+        {"kind": "brickwork", "dims": [n, 1, 1], "depth": depth, "seed": seed, "gates": "weak", "strength": 0.1}
+    )
+    s = syn.synthesis_of_circuit(circ)
+
+    def estimate(K, T):
+        cfg = dnc.DncConfig(calculus, profile="desk", cap=24, overrides={"K": K, "T": T})
+        return dnc.a_full(s, None, 0.1, 3, config=cfg)
+
+    est = estimate(K, T)
+    assert math.isfinite(est)
+    assert abs(est - references.probability_sweep(circ)) <= 0.1
+    if calculus == "exact-spectral":  # K reaches no annotation and no coefficient
+        assert abs(est - estimate(2, 2)) <= 1e-12
 
 
 class _NoHits(dict):
@@ -408,12 +488,12 @@ def test_select_region_Z_errors_when_too_few():
 
 
 def test_combine_delta1():
-    assert dnc.inclusion_exclusion_combine([3.0], {}, {}, [1.0], K=2, Delta=1) == 3.0
+    assert dnc.inclusion_exclusion_combine([3.0], {}, {}, [1.0], Delta=1) == 3.0
 
 
 def test_combine_delta2_unit_inputs():
     out = dnc.inclusion_exclusion_combine(
-        [1.0, 1.0], {(1, 2): 1.0}, {}, [1.0, 1.0], K=2, Delta=2
+        [1.0, 1.0], {(1, 2): 1.0}, {}, [1.0, 1.0], Delta=2
     )
     assert out == pytest.approx(1.0)
 
@@ -422,38 +502,42 @@ def test_combine_delta3_unit_inputs_and_sign():
     single = [1.0, 1.0, 1.0]
     double = {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0}
     multi = {(1, 3, (2,)): 1.0}
-    out = dnc.inclusion_exclusion_combine(single, double, multi, [1.0] * 3, K=2, Delta=3)
+    out = dnc.inclusion_exclusion_combine(single, double, multi, [1.0] * 3, Delta=3)
     assert out == pytest.approx(3.0 - 3.0 + 1.0)
     # sigma = {2} carries sign (-1)^(|sigma|+1) = +1
-    out2 = dnc.inclusion_exclusion_combine(single, double, {(1, 3, (2,)): 2.0}, [1.0] * 3, K=2, Delta=3)
+    out2 = dnc.inclusion_exclusion_combine(single, double, {(1, 3, (2,)): 2.0}, [1.0] * 3, Delta=3)
     assert out2 == pytest.approx(2.0)
 
 
 def test_combine_kappa_coefficients():
     kap = [0.5, 2.0]
-    K = 1
     out = dnc.inclusion_exclusion_combine(
-        [1.0, 1.0], {(1, 2): 1.0}, {}, kap, K=K, Delta=2
+        [1.0, 1.0], {(1, 2): 1.0}, {}, kap, Delta=2
     )
-    p = 4 * K + 1
-    assert out == pytest.approx(0.5**-p + 2.0**-p - 1.0**-p)
+    assert out == pytest.approx(1 / 0.5 + 1 / 2.0 - 1 / (0.5 * 2.0))
 
 
 def test_combine_missing_keys():
     with pytest.raises(KeyError, match="missing sub-value"):
-        dnc.inclusion_exclusion_combine([1.0, 1.0], {}, {}, [1.0, 1.0], K=1, Delta=2)
+        dnc.inclusion_exclusion_combine([1.0, 1.0], {}, {}, [1.0, 1.0], Delta=2)
 
 
 def test_combine_out_of_range_normalization_raises_schedule_error():
-    # the paper-profile K = 1000 at n = 1024: 0.5^4001 underflows to 0
-    with pytest.raises(dnc.ScheduleError, match=r"kappa = 0\.5, K = 1000"):
-        dnc.inclusion_exclusion_combine([1e-3], {}, {}, [0.5], 1000, 1)
-    # kappa^(4K+1) = 1e-300 is representable but the term overflows
-    with pytest.raises(dnc.ScheduleError, match="K = 1"):
-        dnc.inclusion_exclusion_combine([1e300], {}, {}, [1e-60], 1, 1)
-    # a product kappa_i kappa_j that underflows in a double term
-    with pytest.raises(dnc.ScheduleError):
-        dnc.inclusion_exclusion_combine([0.1, 0.1], {(1, 2): 0.1}, {}, [1e-40, 1e-40], 1, 2)
+    # a term that overflows raises, naming the kappas
+    with pytest.raises(dnc.ScheduleError, match=r"over kappas 1e-60"):
+        dnc.inclusion_exclusion_combine([1e300], {}, {}, [1e-60], 1)
+    with pytest.raises(dnc.ScheduleError, match="out of floating-point range"):
+        dnc.inclusion_exclusion_combine([1e-3], {}, {}, [5e-324], 1)
+    # no power of kappa is formed: the paper-profile K = 1000 at n = 1024
+    # leaves a small kappa one division
+    assert dnc.inclusion_exclusion_combine([1e-3], {}, {}, [0.5], 1) == 2e-3
+    out = dnc.inclusion_exclusion_combine([0.1, 0.1], {(1, 2): 0.1}, {}, [1e-40, 1e-40], 2)
+    assert math.isfinite(out) and out == pytest.approx(2 * 0.1 / 1e-40 - 0.1 / 1e-40 / 1e-40)
+    # kappa_i kappa_j = 1e-400 underflows to 0; the double term divides in turn
+    out = dnc.inclusion_exclusion_combine([1e-300, 1e-300], {(1, 2): 1e-300}, {}, [1e-200, 1e-200], 2)
+    assert out == pytest.approx(2e-100 - 1e100)
+    with pytest.raises(ValueError, match="positive"):
+        dnc.inclusion_exclusion_combine([1.0], {}, {}, [0.0], 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -463,18 +547,16 @@ def test_combine_out_of_range_normalization_raises_schedule_error():
     kappa=st.floats(min_value=0.3, max_value=1.0),
 )
 def test_combine_telescopes_on_constant_inputs(delta, value, kappa):
-    # if every sub-product equals v * kappa-powers, the signed sum returns v
-    K = 2
-    p = 4 * K + 1
-    single = [value * kappa**p] * delta
-    double = {(i, j): value * kappa ** (2 * p) for i in range(1, delta + 1) for j in range(i + 1, delta + 1)}
+    # if every sub-product equals v times its kappas, the signed sum returns v
+    single = [value * kappa] * delta
+    double = {(i, j): value * kappa**2 for i in range(1, delta + 1) for j in range(i + 1, delta + 1)}
     multi = {
-        (i, j, sig): value * kappa ** (2 * p)
+        (i, j, sig): value * kappa**2
         for i in range(1, delta + 1)
         for j in range(i + 2, delta + 1)
         for sig in dnc.nonempty_subsets(range(i + 1, j))
     }
-    out = dnc.inclusion_exclusion_combine(single, double, multi, [kappa] * delta, K=K, Delta=delta)
+    out = dnc.inclusion_exclusion_combine(single, double, multi, [kappa] * delta, Delta=delta)
     assert out == pytest.approx(value, abs=1e-9)
 
 
@@ -540,7 +622,7 @@ def test_a_recursive_delta1_reduces_to_single_product():
     expect = (
         dnc.a_recursive(sp.left, sched, dnc._within(slices, 0, sl.hi), 3, None, eta=sched.eta - 1)
         * dnc.a_recursive(sp.right, sched, dnc._within(slices, sl.lo, 14), 3, None, eta=sched.eta - 1)
-        / data.kappa ** (4 * sched.K + 1)
+        / data.kappa
     )
     got = dnc.a_recursive(s, sched, slices, 3, None)
     assert got == pytest.approx(expect, rel=1e-12)
@@ -795,7 +877,7 @@ def test_oracle_substitution_residual_bounded():
     phi = syn.middle_between_cuts(data[0], data[1])
     double = {(1, 2): vL[0] * oracle.synthesis_value_exact(phi.middle) * vR[1]}
     combined = dnc.inclusion_exclusion_combine(
-        single, double, {}, [d.kappa for d in data], K=sched.K, Delta=2
+        single, double, {}, [d.kappa for d in data], Delta=2
     )
     target = oracle.synthesis_value_exact(s)
     e = max(d.e_residual for d in data)

@@ -194,7 +194,7 @@ def single_cut_estimate(s, sl, calc=CALC):
     sp = syn.split_at_cuts(data)
     vL = oracle.synthesis_value_exact(sp.left)
     vR = oracle.synthesis_value_exact(sp.right)
-    return vL * vR / data.kappa ** (4 * calc.K + 1), sp, data
+    return vL * vR / data.kappa, sp, data
 
 
 def test_split_identity_children_evaluate_to_one():
@@ -408,7 +408,7 @@ def test_two_cut_middle_matches_inserted_term():
     vL = oracle.synthesis_value_exact(left.left)
     vM = oracle.synthesis_value_exact(syn.middle_between_cuts(data_i, data_j).middle)
     vR = oracle.synthesis_value_exact(right.right)
-    est = vL * vM * vR / (data_i.kappa * data_j.kappa) ** (4 * CALC.K + 1)
+    est = vL * vM * vR / data_i.kappa / data_j.kappa
     t_ij = syn.inserted_value(s, [i, j], CALC)
     v = oracle.synthesis_value_exact(s)
     # per-term agreement within the measured residual scale, and the signed
