@@ -5,14 +5,15 @@ up to a residual controlled by the sub-dominant spectrum of the cut state.
 The right child carries the cut data as a small input state on its boundary
 band; the left child carries a small sandwich operator -- both band-local,
 which is what lets the recursion cut children again.  Both carry the cut's
-operator normalized by kappa, so a product divides by each cut's kappa once.
+operator, the projector onto the cut state's kept eigenvectors, so a product
+divides by each cut's kappa once.  T sets kappa = (tr rho^{2T})^{1/(2T)}.
 `cut_data` decides a cut once; the children and the middle between two cuts
 are built from the CutData it returns.
 """
 from dncsim import geomcircuit as gc, oracle, synthesis as syn
 from dncsim.harness import generate_circuit
 
-calc = syn.CutCalculus(mode="exact-spectral", K=2, T=2)
+T = 2
 
 for label, spec in [
     ("near-identity", {"kind": "brickwork", "dims": [12], "depth": 1, "seed": 5, "gates": "weak", "strength": 0.15}),
@@ -22,7 +23,7 @@ for label, spec in [
     circ = generate_circuit(spec)
     s = syn.synthesis_of_circuit(circ)
     sl = gc.Slice(0, 4, 4 + 2 * circ.depth)
-    data = syn.cut_data(s, sl, calc)
+    data = syn.cut_data(s, sl, T)
     sp = syn.split_at_cuts(data)
     vL = oracle.synthesis_value_exact(sp.left)
     vR = oracle.synthesis_value_exact(sp.right)
@@ -38,7 +39,7 @@ for label, spec in [
 circ = generate_circuit({"kind": "brickwork", "dims": [14], "depth": 1, "seed": 9, "gates": "weak", "strength": 0.15})
 s = syn.synthesis_of_circuit(circ)
 i, j = gc.Slice(0, 4, 6), gc.Slice(0, 8, 10)
-data_i, data_j = syn.cut_data(s, i, calc), syn.cut_data(s, j, calc)
+data_i, data_j = syn.cut_data(s, i, T), syn.cut_data(s, j, T)
 middle = syn.middle_between_cuts(data_i, data_j).middle
 left, right = syn.split_at_cuts(data_i).left, syn.split_at_cuts(data_j).right
 vL, vM, vR = (oracle.synthesis_value_exact(x) for x in (left, middle, right))
@@ -47,8 +48,8 @@ print(f"\ntwo-cut product = {est:.6f} vs value {oracle.synthesis_value_exact(s):
 print(f"middle child annotations: {[op.kind for op in middle.cut_ops]}")
 
 # the reference decomposition: inserted values telescope under the signed sum
-t_i = syn.inserted_value(s, [i], calc)
-t_j = syn.inserted_value(s, [j], calc)
-t_ij = syn.inserted_value(s, [i, j], calc)
+t_i = syn.inserted_value(s, [i], T)
+t_j = syn.inserted_value(s, [j], T)
+t_ij = syn.inserted_value(s, [i, j], T)
 print(f"inserted terms: t_i={t_i:.6f} t_j={t_j:.6f} t_ij={t_ij:.6f}")
 print(f"t_i + t_j - t_ij = {t_i + t_j - t_ij:.6f}")

@@ -19,7 +19,7 @@ FAMILIES = [
 ]
 
 delta = 0.05
-print(f"delta = {delta}, desk profile, exact-spectral calculus\n")
+print(f"delta = {delta}, desk profile\n")
 for label, spec, overrides in FAMILIES:
     circ = generate_circuit(spec)
     s = syn.synthesis_of_circuit(circ)

@@ -5,7 +5,7 @@ executable error/runtime models."""
 from . import blockenc, dnc, errmodel, geomcircuit, harness, oracle, synthesis
 from .geomcircuit import LatticeCircuit, Slice, CutRegions, gate, circuit, validate
 from .oracle import synthesis_value_exact, output_probability
-from .synthesis import Synthesis, CutCalculus, synthesis_of_circuit
+from .synthesis import Synthesis, synthesis_of_circuit
 from .dnc import a_full, a_recursive, schedule, ParameterSchedule
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "synthesis_value_exact",
     "output_probability",
     "Synthesis",
-    "CutCalculus",
     "synthesis_of_circuit",
     "a_full",
     "a_recursive",

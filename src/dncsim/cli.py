@@ -32,7 +32,7 @@ def _cmd_simulate(args) -> int:
         return 1
     s = synthesis_of_circuit(circ)
     trace = dnc.TraceNode("run", {"file": args.file, "delta": args.delta})
-    cfg = dnc.DncConfig(calculus=args.calculus, profile=args.profile, cap=args.cap)
+    cfg = dnc.DncConfig(profile=args.profile, cap=args.cap)
     D = args.dim or len(circ.dims)
     est = dnc.a_full(s, None, args.delta, D, config=cfg, trace=trace)
     print(f"estimate: {est:.12g}")
@@ -109,7 +109,6 @@ def main(argv=None) -> int:
     s.add_argument("--delta", type=float, required=True)
     s.add_argument("--profile", choices=("desk", "paper"), default="desk")
     s.add_argument("--dim", type=int, default=None)
-    s.add_argument("--calculus", choices=("exact-spectral", "power-encoding"), default="exact-spectral")
     s.add_argument("--trace", default=None)
     s.add_argument("--oracle", action="store_true", help="also print the dense value")
     s.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP, help=CAP_HELP)

@@ -53,7 +53,6 @@ import numpy as np
 from . import errmodel, oracle
 from .geomcircuit import Slice, cone_gates, enumerate_slices
 from .synthesis import (
-    CutCalculus,
     SplitError,
     Synthesis,
     content_key,
@@ -89,7 +88,9 @@ class ParameterSchedule:
     until a piece is narrower than w0 (where it stops anyway).  `h`
     drives the heavy-slice thresholds 2^(log delta / h); `h_margin` is the
     allowed number of non-heavy slices (the paper couples both roles in one
-    h(n)).
+    h(n)).  `T` sets each cut's kappa.  `K`, the paper's power (rho/kappa)^{2K},
+    reaches no estimate: a cut applies its kept eigenprojector, the limit of
+    that power at a heavy slice; `errmodel.script_bounds` still reads it.
     """
 
     delta: float
@@ -141,6 +142,18 @@ class ParameterSchedule:
         )
 
 
+def check_profile(profile) -> None:
+    """Raise ScheduleError unless the profile is "desk" or "paper"."""
+    if profile not in ("desk", "paper"):
+        raise ScheduleError(f"unknown profile {profile!r}")
+
+
+def check_delta(delta) -> None:
+    """Raise ScheduleError unless delta is a number >= 0 (not a bool, not NaN)."""
+    if isinstance(delta, bool) or not isinstance(delta, (int, float, np.integer, np.floating)) or not delta >= 0:
+        raise ScheduleError(f"delta must be >= 0, got {delta!r}")
+
+
 def check_overrides(overrides) -> None:
     """Raise ScheduleError unless every key names a knob, an integer one given an int (not a bool)."""
     fields = {f.name: f.type for f in dataclasses.fields(ParameterSchedule) if f.name not in ("d", "delta")}
@@ -158,6 +171,7 @@ def schedule(n: int, d: int, D: int, delta: float, profile: str = "paper", **ove
     """Derive the parameter schedule for an n-qubit, depth-d, D-dimensional run."""
     if n < 2 or d < 1 or D < 2 or delta <= 0:
         raise ScheduleError("require n >= 2, d >= 1, D >= 2, delta > 0")
+    check_profile(profile)
     check_overrides(overrides)
     fields = dict(delta=delta, d=d)
 
@@ -178,7 +192,7 @@ def schedule(n: int, d: int, D: int, delta: float, profile: str = "paper", **ove
         put("z_width", 10 * d * (Delta + h + 2))
         put("slice_width", 10 * d)
         put("max_gap", 10 * d)
-    elif profile == "desk":
+    else:  # desk
         put("h", 4)
         put("h_margin", 1)
         put("K", 2)
@@ -193,8 +207,6 @@ def schedule(n: int, d: int, D: int, delta: float, profile: str = "paper", **ove
             raise ScheduleError("w0 must be >= 1")
         # enough levels to halve n down to w0; the width check stops sooner
         put("eta", max(2, math.ceil(math.log2(n / w0))))
-    else:
-        raise ScheduleError(f"unknown profile {profile!r}")
     return ParameterSchedule(**fields)
 
 
@@ -250,14 +262,14 @@ def _jsonable(v):
 
 @dataclass
 class DncConfig:
-    calculus: str = "exact-spectral"  # a CutCalculus mode; K and T come from the schedule
     profile: str = "desk"
     overrides: dict = field(default_factory=dict)
     cap: int = oracle.DEFAULT_CAP
 
     def __post_init__(self):
-        CutCalculus(self.calculus)  # rejects an unknown mode before any work
-        check_overrides(self.overrides)  # and an unknown override, even where no schedule is built
+        # reject an unknown profile or override before any work, even where no schedule is built
+        check_profile(self.profile)
+        check_overrides(self.overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +453,7 @@ def a_full(
     delta, and above the leaves a D more than one past the declared
     dimensions of `s`, raise ScheduleError before any evaluation.
     """
-    if not delta >= 0:
-        raise ScheduleError(f"delta must be >= 0, got {delta}")
+    check_delta(delta)
     cfg = config or DncConfig()
     memo = {} if memo is None else memo
     n = s.n_qubits
@@ -548,11 +559,10 @@ def a_recursive(
     node.meta["region_Z"] = region
     node.meta["chosen"] = [c for c in chosen]
 
-    calc = CutCalculus(cfg.calculus, K=sched.K, T=sched.T)
     Delta = sched.Delta
     data = []
     for sl in chosen:
-        cd = cut_data(s, sl, calc, cap=cfg.cap, memo=memo)
+        cd = cut_data(s, sl, sched.T, cap=cfg.cap, memo=memo)
         data.append(cd)
         knode = node.add(
             "kappa",
@@ -593,7 +603,7 @@ def a_recursive(
         for j in range(i + 2, Delta):
             for sigma in nonempty_subsets(range(i + 2, j + 1)):  # 1-based labels
                 picked = _within([chosen[k - 1] for k in sigma], chosen[i].lo, chosen[j].hi)
-                annotated = phis[(i, j)].with_insertions(picked, calc, cap=cfg.cap, memo=memo)
+                annotated = phis[(i, j)].with_insertions(picked, sched.T, cap=cfg.cap, memo=memo)
                 snode = node.add("sigma_term", slices=(chosen[i], chosen[j]), sigma=sigma)
                 val = a_full(annotated, base, errmodel.e3(sched.eps, Delta), D - 1, cfg, snode, memo)
                 snode.value = val

@@ -135,12 +135,17 @@ class ExperimentConfig:
     circuits: list  # generator specs or {"file": path}
     deltas: list[float]
     profile: str = "desk"
-    calculus: str = "exact-spectral"
     dim: int | None = None  # declared dimension (defaults to len(dims))
     overrides: dict = field(default_factory=dict)
     output_json: str | None = None
     output_csv: str | None = None
     cap: int = oracle.DEFAULT_CAP
+
+    def __post_init__(self):
+        # a delta or profile the run would reject raises here, before any dense value is computed
+        for delta in self.deltas:
+            dnc.check_delta(delta)
+        dnc.check_profile(self.profile)
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
@@ -208,8 +213,7 @@ def _load(entry) -> tuple[str, LatticeCircuit]:
 def run_experiment(config: ExperimentConfig) -> Report:
     """Run estimator vs oracle for every circuit and delta in the config."""
     records = []
-    cfg = dnc.DncConfig(calculus=config.calculus, profile=config.profile,
-                        overrides=dict(config.overrides), cap=config.cap)
+    cfg = dnc.DncConfig(profile=config.profile, overrides=dict(config.overrides), cap=config.cap)
     for entry in config.circuits:
         label, circ = _load(entry)
         report = validate(circ)

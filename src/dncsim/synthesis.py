@@ -42,13 +42,13 @@ behind the cut.  All spectral quantities (kappa, projectors, residuals) are
 computed from the band-sized Gram matrix G = sqrt(omega) W^dagger W
 sqrt(omega) = U diag(mu) U^dagger, so nothing large is ever diagonalized.
 
-Every cut applies one operator to its cut state, normalized by the cut's
-kappa, and `cut_data` decides it once, as a weight f(mu) per eigenvalue of G:
-f = 1 on the kept eigenvalues (above TAU) and 0 elsewhere in the
-exact-spectral calculus, the projector Pi; f = (mu/kappa)^{2K} in the
-power-encoding calculus.  The left child's sandwich, the right child's input
-state and an insertion's front-side projector are all built from f, so the
-signed combination divides a term by the kappa of each of its cuts once.
+Every cut applies one operator to its cut state: the projector Pi onto the
+eigenvectors of G whose eigenvalues `cut_data` keeps (those above TAU).
+Where the cut state is pure, as every heavy cut the estimator has been seen
+to reach is to rounding, Pi is the paper's normalized power (rho/kappa)^{2K}
+for every K.  The left child's sandwich, the right child's input state and
+an insertion's front-side projector are all built from Pi, and the signed
+combination divides a term by the kappa of each of its cuts once.
 
 `cut_data` also partitions the cut once, the gates (`causal_split`) and the
 annotations, and its CutData is the one record of the cut: every piece reads
@@ -80,7 +80,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from operator import sub
 
@@ -296,26 +296,7 @@ def synthesis_of_circuit(circ: LatticeCircuit) -> Synthesis:
     )
 
 
-TAU = 1e-6  # the exact-spectral calculus keeps the cut state's eigenvalues above this (true scale)
-
-
-@dataclass(frozen=True)
-class CutCalculus:
-    """How cut operators are realized.
-
-    exact-spectral: orthogonal eigenprojector above TAU, kappa from trace
-    powers; power-encoding: normalized density-operator powers (rho/kappa)^{2K}.
-    """
-
-    mode: str = "exact-spectral"
-    K: int = 2
-    T: int = 2
-
-    def __post_init__(self):
-        if self.mode not in ("exact-spectral", "power-encoding"):
-            raise ValueError(f"unknown calculus mode {self.mode!r}")
-        if self.K < 1 or self.T < 1:
-            raise ValueError("K and T must be >= 1")
+TAU = 1e-6  # a cut's projector keeps the cut state's eigenvalues above this (true scale)
 
 
 class SplitError(ValueError):
@@ -469,17 +450,17 @@ class CutData:
     (U = `gram_vectors`), kappa, and the operators below are free of those
     scales; the cut state's true spectrum is omega_scale front_scale mu, and
     `weight`, `e_residual`, `g_residual` and the choice of `kept` are at that
-    true scale.  `weights` holds the cut operator as f(mu), one weight per
-    eigenvalue, and all three forms of the operator are built from it:
+    true scale.  The cut operator is the projector onto the `kept`
+    eigenvectors, and all three of its forms are sums over them:
 
-        left_op      (W^dag W sqrt(omega)) U diag(f/mu) U^dag (sqrt(omega) W^dag W)
-        right_input  sqrt(omega) U diag(f) U^dag sqrt(omega)
-        front side   sum_j f_j a_j a_j^dag,  a_j = W sqrt(omega) u_j / sqrt(front_scale mu_j)
+        left_op      (W^dag W sqrt(omega)) U_kept diag(1/mu) U_kept^dag (sqrt(omega) W^dag W)
+        right_input  sqrt(omega) U_kept U_kept^dag sqrt(omega)
+        front side   sum_kept a_j a_j^dag,  a_j = W sqrt(omega) u_j / sqrt(front_scale mu_j)
 
     with omega, W^dagger W and mu those of the band windows, and W on the
-    front at true scale (`amat`).  f is scale free, so the true left_op and
-    right_input carry just front_scale and omega_scale, which cancel against
-    the one on kappa in every term of the signed combination.
+    front at true scale (`amat`).  The projector is scale free, so the true
+    left_op and right_input carry just front_scale and omega_scale, which
+    cancel against the one on kappa in every term of the signed combination.
 
     It is also the one record of the cut: the synthesis cut (`source`), its
     gate partition from `causal_split` (`left_ids`, `cone_ids`), its
@@ -504,7 +485,6 @@ class CutData:
     right_input: np.ndarray  # band PSD input state for the right child
     gram_vectors: np.ndarray  # eigenvectors of the band Gram (columns)
     m_omega: np.ndarray  # sqrt(omega), omega the band window's state
-    weights: np.ndarray  # the normalized cut operator f(mu): 0/1 on kept, or (mu/kappa)^2K
     omega_scale: float  # exact values of the omega side's other windows, multiplied
     front_scale: float  # exact values of the W^dagger W side's other windows, multiplied
     left_ids: tuple  # root gate ids behind the cut, in layer order
@@ -539,18 +519,18 @@ class CutData:
 
     @cached_property
     def insertion(self) -> CutOp:
-        """|0><0| on the slice, then the front-side cut operator."""
-        factors, coeffs = self.projector_factors()
+        """|0><0| on the slice, then the front-side projector (coeffs all 1)."""
+        factors = self.projector_factors()
         sl = self.slice_
-        return CutOp(kind="insertion", qubits=self.front_sites, factors=factors, coeffs=coeffs,
+        return CutOp(kind="insertion", qubits=self.front_sites, factors=factors,
+                     coeffs=np.ones(factors.shape[1]),
                      project_zero=self.source.root_sites(axis=sl.axis, lo=sl.lo, hi=sl.hi))
 
-    def projector_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(factors, coeffs) of the front-side cut operator: its eigenvectors
-        with weight f > 0 (orthonormal columns), and those weights."""
-        on = self.weights > 0
-        norms = np.sqrt(self.front_scale * self.eigvals[on])
-        return self.amat @ self.gram_vectors[:, on] / norms, self.weights[on]
+    def projector_factors(self) -> np.ndarray:
+        """The front-side projector's range: the kept eigenvectors of the cut
+        state, as orthonormal columns."""
+        norms = np.sqrt(self.front_scale * self.eigvals[self.kept])
+        return self.amat @ self.gram_vectors[:, self.kept] / norms
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -627,7 +607,7 @@ def _gram_of_columns(view: Synthesis, band, cap: int) -> np.ndarray:
     return cols.conj().T @ cols
 
 
-def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAULT_CAP,
+def cut_data(s: Synthesis, sl: Slice, T: int, cap: int = oracle.DEFAULT_CAP,
              memo: dict | None = None) -> CutData:
     """Spectral data of the cut state at `sl`, from light-cone windows.
 
@@ -659,7 +639,8 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     `front_scale` (see CutData).  The children's annotations therefore do
     not shrink with the lattice, and equal windows give equal annotations
     to the bit, wherever the cut lies.  The weight, the residuals and the
-    kept eigenvalues are decided at the true scale.
+    kept eigenvalues are decided at the true scale.  T sets kappa
+    (`kappa_from_spectrum`); the projector does not depend on it.
 
     omega, W^dagger W and the Gram are dense 2^|band| x 2^|band| matrices,
     so 2|band| is checked against the cap before any window is swept.  The
@@ -710,15 +691,12 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
     kept = scale * mu > TAU
     if not kept.any():
         kept[0] = True
-    kap = kappa_from_spectrum(mu, calc.T)
+    kap = kappa_from_spectrum(mu, T)
 
-    # the normalized cut operator f(rho/kappa): the kept eigenprojector Pi, or (rho/kappa)^2K
-    if calc.mode == "exact-spectral":
-        f, g_res = kept.astype(float), scale * float(mu[~kept].sum())
-    else:
-        f, g_res = (mu / kap) ** (2 * calc.K), 0.0
-    f_over_mu = np.divide(f, mu, out=np.zeros_like(mu), where=f > 0)
-    # left: W^dag f(rho/kappa) W;  right: sqrt(omega) f(G/kappa) sqrt(omega)
+    # the cut operator, the kept eigenprojector Pi, as 0/1 per eigenvalue of G
+    f = kept.astype(float)
+    f_over_mu = np.divide(f, mu, out=np.zeros_like(mu), where=kept)
+    # left: W^dag Pi W;  right: sqrt(omega) Pi_G sqrt(omega)
     left_op = (wtw @ m_omega) @ ((gv * f_over_mu) @ gv.conj().T) @ (m_omega @ wtw)
     right_input = m_omega @ ((gv * f) @ gv.conj().T) @ m_omega
     left_op = 0.5 * (left_op + left_op.conj().T)
@@ -733,12 +711,11 @@ def cut_data(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAU
         eigvals=mu,
         kept=kept,
         e_residual=max(0.0, 1.0 - weight),
-        g_residual=g_res,
+        g_residual=scale * float(mu[~kept].sum()),
         left_op=left_op,
         right_input=right_input,
         gram_vectors=gv,
         m_omega=m_omega,
-        weights=f,
         omega_scale=omega_scale,
         front_scale=front_scale,
         left_ids=left_ids,
@@ -755,37 +732,29 @@ def slice_weight(s: Synthesis, sl: Slice, cap: int = oracle.DEFAULT_CAP) -> floa
     return oracle.synthesis_value_exact(view, cap=cap)
 
 
-def kappa(s: Synthesis, sl: Slice, T: int, calc: CutCalculus | None = None,
-          cap: int = oracle.DEFAULT_CAP) -> float:
+def kappa(s: Synthesis, sl: Slice, T: int, cap: int = oracle.DEFAULT_CAP) -> float:
     """Normalization constant (tr rho^{2T})^{1/(2T)} of the cut state at `sl`,
     at true scale (CutData.kappa leaves out the other windows' factors)."""
-    data = cut_data(s, sl, replace(calc or CutCalculus(), T=T), cap=cap)
+    data = cut_data(s, sl, T, cap=cap)
     return data.omega_scale * data.front_scale * data.kappa
 
 
-def cut_projector(s: Synthesis, sl: Slice, calc: CutCalculus, cap: int = oracle.DEFAULT_CAP) -> np.ndarray:
-    """Dense front-side normalized cut operator f(rho/kappa), f the weights of `cut_data`.
-
-    exact-spectral: the orthogonal projector onto the eigenvectors of the cut
-    state with eigenvalue > TAU.  power-encoding: (rho/kappa)^{2K}, which is
-    the block of the literal power encoding of rho^{2K} over kappa^{2K} (the
-    block-encoding tests check the two against each other).
-    """
-    data = cut_data(s, sl, calc, cap=cap)
+def cut_projector(s: Synthesis, sl: Slice, cap: int = oracle.DEFAULT_CAP) -> np.ndarray:
+    """Dense front-side cut operator: the orthogonal projector onto the
+    eigenvectors of the cut state with eigenvalue > TAU (true scale)."""
+    data = cut_data(s, sl, 2, cap=cap)  # T sets only kappa
     oracle._check_cap(2 * len(data.front_sites), cap)  # dense 2^|F| x 2^|F| output
-    factors, coeffs = data.projector_factors()
-    return (factors * coeffs) @ factors.conj().T
+    factors = data.projector_factors()
+    return factors @ factors.conj().T
 
 
-def inserted_value(
-    s: Synthesis, slices: list[Slice], calc: CutCalculus, cap: int = oracle.DEFAULT_CAP
-) -> float:
+def inserted_value(s: Synthesis, slices: list[Slice], T: int, cap: int = oracle.DEFAULT_CAP) -> float:
     """Value of s with cut operators inserted at `slices` (rightmost first).
 
     This is the reference decomposition the signed combination approximates;
     each insertion's projector is computed in the context of the plain s.
     """
-    return oracle.synthesis_value_exact(PhiDescriptor(s).with_insertions(slices, calc, cap=cap), cap=cap)
+    return oracle.synthesis_value_exact(PhiDescriptor(s).with_insertions(slices, T, cap=cap), cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -799,11 +768,11 @@ class PhiDescriptor:
 
     middle: Synthesis
 
-    def with_insertions(self, slices, calc: CutCalculus, cap: int = oracle.DEFAULT_CAP,
+    def with_insertions(self, slices, T: int, cap: int = oracle.DEFAULT_CAP,
                         memo: dict | None = None) -> Synthesis:
         """The middle with the insertions of `slices` (in its frame) added;
         `memo` is the estimate's table, which `cut_data` looks windows up in."""
-        ops = tuple(cut_data(self.middle, sl, calc, cap=cap, memo=memo).insertion
+        ops = tuple(cut_data(self.middle, sl, T, cap=cap, memo=memo).insertion
                     for sl in sorted(slices, key=lambda x: -x.lo))
         return _recast(self.middle, ops=self.middle.ops + ops)
 

@@ -97,14 +97,16 @@ def test_rho_power_k2_matches_dense_power():
 
 @pytest.mark.parametrize("n, gates, seed", [(6, "haar", 8), (5, "weak", 9)])
 def test_rho_power_block_over_kappa_is_the_power_encoding_cut_operator(n, gates, seed):
-    # at K = 1 the cut operator (rho/kappa)^2 is the block of the literal
-    # encoding of rho_F^2, over kappa^2
+    # the paper's cut operator at K = 1, (rho_F/kappa)^2, is the block of the
+    # literal encoding of rho_F^2 over kappa^2, with rho_F and kappa those of
+    # cut_data at true scale
     circ = seeded_chain(n, 1, seed, gates)
     s, sl = syn.synthesis_of_circuit(circ), gc.Slice(0, 2, 4)
-    calc = syn.CutCalculus("power-encoding", K=1, T=2)
+    data = syn.cut_data(s, sl, 2)
+    rho = data.omega_scale * data.amat @ data.amat.conj().T
+    kappa = data.omega_scale * data.front_scale * data.kappa
     enc = blockenc.build_rho_power_encoding(circ, gc.cut_regions(circ, sl), 2)
-    kappa = syn.cut_data(s, sl, calc).kappa
-    op = syn.cut_projector(s, sl, calc)
+    op = np.linalg.matrix_power(rho / kappa, 2)
     assert np.abs(blockenc.encoding_block(enc) / kappa**2 - op).max() < 1e-12
 
 

@@ -16,8 +16,7 @@ import pytest
 from dncsim import dnc, geomcircuit as gc, oracle, synthesis as syn
 from dncsim.harness import generate_circuit
 
-EXACT = syn.CutCalculus("exact-spectral", K=2, T=2)
-POWER = syn.CutCalculus("power-encoding", K=2, T=2)
+T = 2  # the T of kappa = (tr rho^{2T})^{1/(2T)}
 
 
 def weak(dims, depth, seed=7, strength=0.3):
@@ -67,9 +66,9 @@ def column_reference(gates, band, rest, ops):
     return W
 
 
-def dense_reference(s, sl, calc):
-    """(weight, kappa, eigvals, left_op, right_input, rho_front, front cut operator)
-    from whole-region states; the normalized cut operator is Pi or (rho/kappa)^2K.
+def dense_reference(s, sl):
+    """(weight, kappa, eigvals, left_op, right_input, rho_front, front projector Pi)
+    from whole-region states.
 
     Everything here is in the own frame of s (its `gamma`, roles and
     `cut_ops`), apart from the package's cut machinery, which reads s as a
@@ -105,32 +104,26 @@ def dense_reference(s, sl, calc):
     lam, vecs = np.clip(lam[::-1], 0.0, None), vecs[:, ::-1]
     eigvals = np.zeros(2**nb)  # the Gram's spectrum: that of rho, padded with zeros
     eigvals[: min(len(lam), 2**nb)] = lam[: 2**nb]
-    kap = syn.kappa_from_spectrum(eigvals, calc.T)
+    kap = syn.kappa_from_spectrum(eigvals, T)
     w, v = np.linalg.eigh(omega)
     m = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     A = W @ m
     G = A.conj().T @ A
-    if calc.mode == "exact-spectral":
-        kept = lam > syn.TAU
-        kept[0] = True
-        pi = vecs[:, kept] @ vecs[:, kept].conj().T
-        g_lam, g_vecs = np.linalg.eigh(0.5 * (G + G.conj().T))
-        g_kept = g_lam > syn.TAU
-        g_kept[np.argmax(g_lam)] = True
-        p1 = g_vecs[:, g_kept] @ g_vecs[:, g_kept].conj().T
-        left_op = W.conj().T @ pi @ W
-        right_input = m @ p1 @ m
-        front_op = pi
-    else:
-        left_op = W.conj().T @ np.linalg.matrix_power(rho / kap, 2 * calc.K) @ W
-        right_input = m @ np.linalg.matrix_power(G / kap, 2 * calc.K) @ m
-        front_op = np.linalg.matrix_power(rho / kap, 2 * calc.K)
-    return float(np.real(np.trace(rho))), kap, eigvals, left_op, right_input, rho, front_op
+    kept = lam > syn.TAU
+    kept[0] = True
+    pi = vecs[:, kept] @ vecs[:, kept].conj().T
+    g_lam, g_vecs = np.linalg.eigh(0.5 * (G + G.conj().T))
+    g_kept = g_lam > syn.TAU
+    g_kept[np.argmax(g_lam)] = True
+    p1 = g_vecs[:, g_kept] @ g_vecs[:, g_kept].conj().T
+    left_op = W.conj().T @ pi @ W
+    right_input = m @ p1 @ m
+    return float(np.real(np.trace(rho))), kap, eigvals, left_op, right_input, rho, pi
 
 
-def assert_matches_reference(s, sl, calc=EXACT):
-    data = syn.cut_data(s, sl, calc)
-    weight, kap, eigvals, left_op, right_input, rho, front_op = dense_reference(s, sl, calc)
+def assert_matches_reference(s, sl):
+    data = syn.cut_data(s, sl, T)
+    weight, kap, eigvals, left_op, right_input, rho, pi = dense_reference(s, sl)
     # cut_data carries the other windows' factors beside its spectrum and
     # operators; multiplied back in, they give the whole-region quantities
     a, b = data.omega_scale, data.front_scale
@@ -140,8 +133,8 @@ def assert_matches_reference(s, sl, calc=EXACT):
     assert np.abs(b * data.left_op - left_op).max() < 1e-10
     assert np.abs(a * data.right_input - right_input).max() < 1e-10
     assert np.abs(a * data.amat @ data.amat.conj().T - rho).max() < 1e-10
-    factors, coeffs = data.projector_factors()
-    assert np.abs((factors * coeffs) @ factors.conj().T - front_op).max() < 1e-10
+    factors = data.projector_factors()
+    assert np.abs(factors @ factors.conj().T - pi).max() < 1e-10
     return data
 
 
@@ -151,7 +144,7 @@ def admissible_slices(s, width):
     for lo in range(s.gamma.dims[0] - width + 1):
         sl = gc.Slice(0, lo, lo + width)
         try:
-            syn.cut_data(s, sl, EXACT)
+            syn.cut_data(s, sl, T)
         except syn.SplitError:
             continue
         out.append(sl)
@@ -167,8 +160,7 @@ def test_cut_data_matches_dense_reference(dims, depth):
     slices = admissible_slices(s, 2 * depth)
     assert len(slices) == dims[0] - 2 * depth + 1
     for sl in slices:
-        assert_matches_reference(s, sl, EXACT)
-    assert_matches_reference(s, slices[len(slices) // 2], POWER)
+        assert_matches_reference(s, sl)
 
 
 @pytest.mark.parametrize(
@@ -183,7 +175,7 @@ def test_cut_data_of_children_matches_dense_reference(dims, depth, i, j):
     # left children carry a sandwich, right children an input state on an M
     # band, and middle children both
     s = syn.synthesis_of_circuit(weak(dims, depth))
-    data_i, data_j = syn.cut_data(s, gc.Slice(0, *i), EXACT), syn.cut_data(s, gc.Slice(0, *j), EXACT)
+    data_i, data_j = syn.cut_data(s, gc.Slice(0, *i), T), syn.cut_data(s, gc.Slice(0, *j), T)
     left = syn.split_at_cuts(data_i).left
     middle = syn.middle_between_cuts(data_i, data_j).middle
     right = syn.split_at_cuts(data_j).right
@@ -191,10 +183,9 @@ def test_cut_data_of_children_matches_dense_reference(dims, depth, i, j):
         slices = admissible_slices(child, 2 * depth)
         assert slices
         for sl in slices:
-            factors, _ = assert_matches_reference(child, sl, EXACT).projector_factors()
+            factors = assert_matches_reference(child, sl).projector_factors()
             # an insertion applies them as an orthogonal projector
             assert np.abs(factors.conj().T @ factors - np.eye(factors.shape[1])).max() < 1e-10
-        assert_matches_reference(child, slices[-1], POWER)
 
 
 def test_front_columns_with_a_band_qubit_no_gate_touches():
@@ -226,15 +217,15 @@ def test_front_columns_with_a_band_qubit_no_gate_touches():
 
 def test_cut_data_rejects_a_slice_on_the_input_band():
     s = syn.synthesis_of_circuit(weak((12,), 1))
-    right = syn.split_at_cuts(syn.cut_data(s, gc.Slice(0, 4, 6), EXACT)).right
+    right = syn.split_at_cuts(syn.cut_data(s, gc.Slice(0, 4, 6), T)).right
     with pytest.raises(syn.SplitError, match="post-selected"):
-        syn.cut_data(right, gc.Slice(0, 0, 2), EXACT)
+        syn.cut_data(right, gc.Slice(0, 0, 2), T)
 
 
 def test_cut_data_at_the_middle_of_a_long_chain_fits_a_small_cap():
     circ = weak((128, 1, 1), 1, seed=128, strength=0.1)
     s = syn.synthesis_of_circuit(circ)
-    data = syn.cut_data(s, gc.Slice(0, 64, 66), EXACT, cap=8)
+    data = syn.cut_data(s, gc.Slice(0, 64, 66), T, cap=8)
     # depth 1, pairs (2k, 2k+1): the cut state is |g00|^2 |0><0| on the front,
     # g the gate on (64, 65)
     (g,) = [g for g in circ.layers[0] if g.qubits[0][0] == 64]
@@ -245,10 +236,10 @@ def test_cut_data_at_the_middle_of_a_long_chain_fits_a_small_cap():
 def test_cut_data_far_from_the_input_band_of_a_right_child():
     circ = weak((96, 1, 1), 1, seed=96, strength=0.1)
     s = syn.synthesis_of_circuit(circ)
-    parent = syn.cut_data(s, gc.Slice(0, 8, 10), EXACT)
+    parent = syn.cut_data(s, gc.Slice(0, 8, 10), T)
     sp = syn.split_at_cuts(parent)
     right = sp.right  # starts at site 8, input state on its site 1
-    data = syn.cut_data(right, gc.Slice(0, 50, 52), EXACT, cap=8)
+    data = syn.cut_data(right, gc.Slice(0, 50, 52), T, cap=8)
     # the input band is post-selected on 0, and the pair (58, 59) of the
     # parent ends at the slice: both factor out of the cut state
     (g,) = [g for g in circ.layers[0] if g.qubits[0][0] == 58]
@@ -414,7 +405,7 @@ def test_the_window_table_keys_on_annotations_and_gate_matrices(change):
     # windows with the same sites, roles and gate qubits are different
     # windows when an annotation's bytes or a gate's matrix differ
     s = syn.synthesis_of_circuit(weak((16,), 1))
-    right = syn.split_at_cuts(syn.cut_data(s, gc.Slice(0, 2, 4), EXACT)).right  # input state on (1,)
+    right = syn.split_at_cuts(syn.cut_data(s, gc.Slice(0, 2, 4), T)).right  # input state on (1,)
     if change == "annotation bytes":
         (op,) = right.cut_ops
         other = syn.Synthesis(right.gamma, right.L, right.M, right.N, right.declared_axes,
@@ -425,11 +416,11 @@ def test_the_window_table_keys_on_annotations_and_gate_matrices(change):
         other = _with_matrices(right, lambda g: g.matrix[::-1])  # rows swapped: still unitary
     sl = gc.Slice(0, 4, 6)
     memo = _AskedTable()
-    first = syn.cut_data(right, sl, EXACT, memo=memo)
+    first = syn.cut_data(right, sl, T, memo=memo)
     memo.asked.clear()
     memo.stored.clear()
-    got = syn.cut_data(other, sl, EXACT, memo=memo)
-    want = syn.cut_data(other, sl, EXACT)
+    got = syn.cut_data(other, sl, T, memo=memo)
+    want = syn.cut_data(other, sl, T)
     # a window of `other` finds an entry only where it holds nothing that changed
     hits = [memo[key][1] for key in memo.asked if dict.__contains__(memo, key) and key not in memo.stored]
     misses = len(memo.asked) - len(hits)
@@ -446,7 +437,7 @@ def test_the_window_table_keys_on_annotations_and_gate_matrices(change):
 def test_tabled_band_matrices_are_read_only():
     s = syn.synthesis_of_circuit(weak((16,), 1))
     memo = {}
-    syn.cut_data(s, gc.Slice(0, 4, 6), EXACT, memo=memo)
+    syn.cut_data(s, gc.Slice(0, 4, 6), T, memo=memo)
     arrays = [value for value, _ in memo.values() if isinstance(value, np.ndarray)]
     assert len(arrays) == 2  # omega and W^dagger W of the band windows
     for a in arrays:
@@ -456,7 +447,7 @@ def test_tabled_band_matrices_are_read_only():
 
 def test_cut_data_is_immutable():
     s = syn.synthesis_of_circuit(weak((16,), 1))
-    data = syn.cut_data(s, gc.Slice(0, 4, 6), EXACT)
+    data = syn.cut_data(s, gc.Slice(0, 4, 6), T)
     assert data.front_sites == s.root_sites(axis=0, lo=6)  # a cached property still fills
     with pytest.raises(dataclasses.FrozenInstanceError):
         data.weight = 0.5

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -302,23 +303,25 @@ _POWERS = st.sampled_from([1, 2, 8, 50, 1000])
     seed=st.integers(min_value=0, max_value=2**16),
     K=_POWERS,
     T=_POWERS,
-    calculus=st.sampled_from(["exact-spectral", "power-encoding"]),
 )
-def test_estimates_stay_in_range_and_within_delta_for_any_K_and_T(depth, n, seed, K, T, calculus):
+def test_estimates_stay_in_range_and_within_delta_for_any_K_and_T(depth, n, seed, K, T):
     circ = generate_circuit(
         {"kind": "brickwork", "dims": [n, 1, 1], "depth": depth, "seed": seed, "gates": "weak", "strength": 0.1}
     )
     s = syn.synthesis_of_circuit(circ)
 
-    def estimate(K, T):
-        cfg = dnc.DncConfig(calculus, profile="desk", cap=24, overrides={"K": K, "T": T})
-        return dnc.a_full(s, None, 0.1, 3, config=cfg)
+    def estimate(K):
+        cfg = dnc.DncConfig(profile="desk", cap=24, overrides={"K": K, "T": T})
+        trace = dnc.TraceNode("run")
+        est = dnc.a_full(s, None, 0.1, 3, config=cfg, trace=trace)
+        return est, json.dumps(trace.to_dict())
 
-    est = estimate(K, T)
+    est, trace = estimate(K)
     assert math.isfinite(est)
     assert abs(est - references.probability_sweep(circ)) <= 0.1
-    if calculus == "exact-spectral":  # K reaches no annotation and no coefficient
-        assert abs(est - estimate(2, 2)) <= 1e-12
+    # K reaches no annotation, no coefficient and no trace entry: bit for bit
+    est2, trace2 = estimate(2)
+    assert est.hex() == est2.hex() and trace == trace2
 
 
 class _NoHits(dict):
@@ -450,7 +453,7 @@ def test_slice_weight_synthesis_matches_full_system_weight():
 
 def test_slice_weight_synthesis_on_a_child_shifts_origin_and_annotations():
     s, _ = make_synth({"kind": "brickwork", "dims": [16], "depth": 1, "seed": 4, "gates": "weak", "strength": 0.2})
-    right = syn.split_at_cuts(syn.cut_data(s, gc.Slice(0, 2, 4), syn.CutCalculus())).right
+    right = syn.split_at_cuts(syn.cut_data(s, gc.Slice(0, 2, 4), 2)).right
     assert right.gamma.dims == (14,)
     far = dnc.slice_weight_synthesis(right, gc.Slice(0, 6, 8))  # slab [5, 9)
     assert far.M == ((1,), (2,)) and far.L == ((0,), (3,))
@@ -616,8 +619,7 @@ def test_a_recursive_delta1_reduces_to_single_product():
     slices = gc.enumerate_slices(circ, 0, sched.slice_width, sched.max_gap)
     region, chosen = dnc.select_region_Z(s, sched, slices)
     sl = chosen[0]
-    calc = syn.CutCalculus("exact-spectral", K=sched.K, T=sched.T)
-    data = syn.cut_data(s, sl, calc)
+    data = syn.cut_data(s, sl, sched.T)
     sp = syn.split_at_cuts(data)
     expect = (
         dnc.a_recursive(sp.left, sched, dnc._within(slices, 0, sl.hi), 3, None, eta=sched.eta - 1)
@@ -665,19 +667,12 @@ def test_end_to_end_two_level_recursion():
         assert abs(est - oracle.synthesis_value_exact(s, cap=24)) <= 0.05
 
 
-def test_end_to_end_power_encoding_calculus():
-    spec = {"kind": "brickwork", "dims": [16, 1, 1], "depth": 1, "seed": 5, "gates": "weak", "strength": 0.15}
-    s, circ = make_synth(spec)
-    cfg = dnc.DncConfig(profile="desk", calculus="power-encoding", cap=24)
-    est = dnc.a_full(s, None, 0.05, 3, config=cfg)
-    assert abs(est - oracle.synthesis_value_exact(s)) <= 0.05
-
-
-def test_config_names_the_calculus_mode_and_rejects_unknown_ones():
-    # K and T come from the schedule, so the mode is all a run chooses
-    assert [f.name for f in dataclasses.fields(dnc.DncConfig)] == ["calculus", "profile", "overrides", "cap"]
-    with pytest.raises(ValueError, match="unknown calculus mode"):
-        dnc.DncConfig(calculus="power")
+def test_config_is_profile_overrides_and_cap_and_rejects_an_unknown_profile():
+    # every cut applies its kept eigenprojector, and K and T come from the
+    # schedule, so a run chooses only its profile, overrides and cap
+    assert [f.name for f in dataclasses.fields(dnc.DncConfig)] == ["profile", "overrides", "cap"]
+    with pytest.raises(dnc.ScheduleError, match="unknown profile"):
+        dnc.DncConfig(profile="papr")
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +765,7 @@ def test_heavy_slices_keep_their_frame_on_a_shifted_synthesis():
     s, _ = make_synth(
         {"kind": "brickwork", "dims": [24, 1, 1], "depth": 1, "seed": 3, "gates": "weak", "strength": 0.1}
     )
-    right = syn.split_at_cuts(syn.cut_data(s, gc.Slice(0, 5, 7), syn.CutCalculus())).right
+    right = syn.split_at_cuts(syn.cut_data(s, gc.Slice(0, 5, 7), 2)).right
     trace = dnc.TraceNode("run")
     dnc.a_full(right, None, 0.1, 3, trace=trace)
     (top,) = trace.children
@@ -866,8 +861,7 @@ def test_oracle_substitution_residual_bounded():
     sched = dnc.schedule(16, 1, 3, 0.05, profile="desk")
     slices = gc.enumerate_slices(circ, 0, sched.slice_width, sched.max_gap)
     _, chosen = dnc.select_region_Z(s, sched, slices)
-    calc = syn.CutCalculus("exact-spectral", K=sched.K, T=sched.T)
-    data = [syn.cut_data(s, sl, calc) for sl in chosen]
+    data = [syn.cut_data(s, sl, sched.T) for sl in chosen]
     vL, vR = [], []
     for k, sl in enumerate(chosen):
         sp = syn.split_at_cuts(data[k])

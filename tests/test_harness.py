@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dncsim import blockenc, cli, geomcircuit as gc, harness, oracle
+from dncsim import blockenc, cli, dnc, geomcircuit as gc, harness, oracle
 from dncsim.harness import ExperimentConfig, generate_circuit, run_experiment
 
 
@@ -133,6 +133,42 @@ def test_config_rejects_unknown_keys_but_loads_the_retired_base():
         ExperimentConfig.from_json({"circuits": [], "deltas": [0.1], "profle": "paper", "cpa": 10})
     cfg = ExperimentConfig.from_json({"schema_version": 1, "circuits": [], "deltas": [0.1], "base": "exact"})
     assert (cfg.profile, cfg.cap) == ("desk", oracle.DEFAULT_CAP)
+
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"deltas": [0.1, -0.1]}, "delta must be >= 0"),
+        ({"deltas": [float("nan")]}, "delta must be >= 0"),
+        ({"deltas": ["0.1"]}, "delta must be >= 0"),
+        ({"deltas": [True]}, "delta must be >= 0"),
+        ({"profile": "papr"}, "unknown profile"),
+    ],
+)
+def test_config_rejects_a_bad_delta_or_profile_before_any_dense_work(monkeypatch, change, match):
+    # a negative delta raised after 16 exact evaluations (the circuit's value and
+    # the first delta's estimate), an unknown profile after 1
+    calls = []
+    exact = oracle.synthesis_value_exact
+    monkeypatch.setattr(oracle, "synthesis_value_exact", lambda *a, **kw: calls.append(1) or exact(*a, **kw))
+    spec = {"kind": "brickwork", "dims": [20, 1, 1], "depth": 1, "seed": 3, "gates": "weak", "strength": 0.1}
+    with pytest.raises(dnc.ScheduleError, match=match):
+        run_experiment(ExperimentConfig.from_json({"circuits": [spec], "deltas": [0.1], **change}))
+    assert calls == []
+
+
+def test_only_the_predicted_bound_of_a_record_moves_with_K():
+    # K reaches no estimate and no trace; it enters only the error model
+    spec = {"kind": "brickwork", "dims": [20, 1, 1], "depth": 1, "seed": 3, "gates": "weak", "strength": 0.1}
+    records = [
+        run_experiment(ExperimentConfig(circuits=[spec], deltas=[0.1, 0.05], overrides={"K": K}, cap=24)).records
+        for K in (2, 8)
+    ]
+    moved = {k for a, b in zip(*records) for k in a if a[k] != b[k]}
+    assert moved <= {"predicted_bound", "wall_time"}
+    assert "predicted_bound" in moved
+    assert all(r["node_counts"].get("kappa") for r in records[0])  # the estimates cut
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,7 @@ def test_the_band_matrices_of_a_cut_are_capped_before_any_window_is_swept():
 
     def cut():
         with pytest.raises(oracle.OracleCapacityError, match="32 qubits > cap 24"):
-            syn.cut_data(s, gc.Slice(0, 16, 24), syn.CutCalculus(), cap=24)
+            syn.cut_data(s, gc.Slice(0, 16, 24), 2, cap=24)
 
     assert _peak_bytes(cut) <= 16 * 2**24 / 256
     # the estimate reaches that cut after its slice-weight scan

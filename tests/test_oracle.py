@@ -5,7 +5,7 @@ import pytest
 
 from dncsim import geomcircuit as gc, oracle
 from dncsim.harness import generate_circuit
-from dncsim.synthesis import CutCalculus, CutOp, Synthesis, cut_data, split_at_cuts, synthesis_of_circuit
+from dncsim.synthesis import CutOp, Synthesis, cut_data, split_at_cuts, synthesis_of_circuit
 
 
 def bell_circuit():
@@ -390,8 +390,7 @@ def test_synthesis_state_with_input_state_matches_unitary():
     # ancillas; tracing them out must give U (omega x |0><0|) U^dagger
     circ = generate_circuit({"kind": "brickwork", "dims": [10], "depth": 1, "seed": 9, "gates": "haar"})
     s = synthesis_of_circuit(circ)
-    calc = CutCalculus("exact-spectral", K=2, T=2)
-    right = split_at_cuts(cut_data(s, gc.Slice(0, 2, 4), calc)).right
+    right = split_at_cuts(cut_data(s, gc.Slice(0, 2, 4), 2)).right
     (op,) = [op for op in right.cut_ops if op.kind == "input_state"]
     sites = right.gamma.sites()
     ns, nb = len(sites), len(op.qubits)
