@@ -153,7 +153,8 @@ class ExperimentConfig:
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema_version {version}")
         keys = set(cls.__dataclass_fields__)
-        unknown = sorted(set(data) - keys - {"schema_version", "base"})  # `base` is retired, still loads
+        # `base` and `calculus` are retired: they still load and are ignored
+        unknown = sorted(set(data) - keys - {"schema_version", "base", "calculus"})
         if unknown:
             raise ValueError(f"unknown experiment config keys: {', '.join(unknown)}")
         return cls(**{k: v for k, v in data.items() if k in keys})

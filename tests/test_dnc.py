@@ -310,18 +310,20 @@ def test_estimates_stay_in_range_and_within_delta_for_any_K_and_T(depth, n, seed
     )
     s = syn.synthesis_of_circuit(circ)
 
-    def estimate(K):
+    def estimate(K, T):
         cfg = dnc.DncConfig(profile="desk", cap=24, overrides={"K": K, "T": T})
         trace = dnc.TraceNode("run")
         est = dnc.a_full(s, None, 0.1, 3, config=cfg, trace=trace)
         return est, json.dumps(trace.to_dict())
 
-    est, trace = estimate(K)
+    est, trace = estimate(K, T)
     assert math.isfinite(est)
     assert abs(est - references.probability_sweep(circ)) <= 0.1
     # K reaches no annotation, no coefficient and no trace entry: bit for bit
-    est2, trace2 = estimate(2)
+    est2, trace2 = estimate(2, T)
     assert est.hex() == est2.hex() and trace == trace2
+    # T sets kappa only, which the combine divides out again
+    assert abs(est - estimate(2, 2)[0]) <= 1e-12
 
 
 class _NoHits(dict):

@@ -135,6 +135,12 @@ def test_config_rejects_unknown_keys_but_loads_the_retired_base():
     assert (cfg.profile, cfg.cap) == ("desk", oracle.DEFAULT_CAP)
 
 
+def test_config_loads_the_retired_calculus_key():
+    # the estimator has one cut operator now; configs that named it still load
+    cfg = ExperimentConfig.from_json({"schema_version": 1, "circuits": [], "deltas": [0.1], "calculus": "exact-spectral"})
+    assert not hasattr(cfg, "calculus")
+
+
 
 @pytest.mark.parametrize(
     "change, match",
