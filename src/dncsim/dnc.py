@@ -15,24 +15,21 @@ Each estimate solves each distinct recursive subproblem once.  On a chain
 most of the ~4^eta calls of `a_recursive` repeat one that another call has
 already solved: the cuts' annotations come from their band windows alone
 (`synthesis.cut_data`), so equal pieces carry equal annotations to the bit.
-`a_full` creates one table per estimate and passes it down; `a_recursive`
-looks each call up before doing any work, keyed on the piece's
+`a_full` creates one table per estimate and passes it down; only
+`synthesis._tabled` reads or writes it, keyed on a tag and a piece's
 `synthesis.content_key` (its dims and role bytes, each gate's layer,
 own-frame qubits and the identity of its matrix object, and the exact bytes
-of its annotations), its heavy slices, eta, D and the schedule.  A hit
-returns the stored value and attaches the stored trace subtree under the
-caller's node; that subtree is shared and never changed, so the trace reads
-as if the call had run.
-The same table holds the window evaluations of `synthesis.cut_data` (each
-window's omega, W^dagger W or exact value, keyed on its
-`synthesis.content_key`), so cuts of different pieces share the windows they
-have in common.  The dense leaves of `a_full` (`brute_force`, and `base`
-when it is None) are left out on purpose: tabling them as well cut a weak
-`[128,1,1]` estimate's exact evaluations from 193 to 167 but bought no
-measurable time (chain_scale `estimates_per_s` 31.0 vs 30.5 /s, medians of
-six alternating 10 s benchmark pairs on a 2-core machine), while it would
-keep every leaf piece alive until the estimate ends.  Nothing is kept from
-one estimate to the next.
+of its annotations).  A call of `a_recursive` is tagged with its heavy
+slices, eta, D and the schedule and stores its value and trace node; hit or
+miss, the node is attached under the caller's, shared and never changed, so
+the trace reads as if the call had run.  The windows of `cut_data` (omega,
+W^dagger W or exact value) share the table, so cuts of different pieces
+share the windows they have in common.  The dense leaves of `a_full`
+(`brute_force`, and `base` when it is None) are left out on purpose: each
+would pay for a `content_key`, desk leaves rarely repeat, and tabling them
+slowed desk_corpus's in-process estimate time by about 5% (medians of
+alternating processes on a 2-core machine) with every value unchanged.
+Nothing is kept from one estimate to the next.
 
 Every synthesis is a box of a root circuit (see `synthesis`), and every
 one below the one `a_full` is given (the children and middles of the cuts,
@@ -55,13 +52,13 @@ from .geomcircuit import Slice, cone_gates, enumerate_slices
 from .synthesis import (
     SplitError,
     Synthesis,
-    content_key,
     cut_data,
     middle_between_cuts,
     split_at_cuts,
     _ALL_L,
     _recast,
     _segment,
+    _tabled,
 )
 
 
@@ -155,7 +152,7 @@ def check_delta(delta) -> None:
 
 
 def check_overrides(overrides) -> None:
-    """Raise ScheduleError unless every key names a knob, an integer one given an int (not a bool)."""
+    """Raise ScheduleError unless every key names a knob, given an int (or, for a float knob, a float); no bool or NaN."""
     fields = {f.name: f.type for f in dataclasses.fields(ParameterSchedule) if f.name not in ("d", "delta")}
     unknown = sorted(set(overrides) - set(fields))
     if unknown:
@@ -165,6 +162,9 @@ def check_overrides(overrides) -> None:
     for name, value in overrides.items():
         if fields[name] == "int" and (isinstance(value, bool) or not isinstance(value, int)):
             raise ScheduleError(f"schedule override {name!r} must be an integer, got {value!r}")
+        if fields[name] == "float" and (
+                isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value)):
+            raise ScheduleError(f"schedule override {name!r} must be a number (not NaN), got {value!r}")
 
 
 def schedule(n: int, d: int, D: int, delta: float, profile: str = "paper", **overrides) -> ParameterSchedule:
@@ -429,11 +429,6 @@ def heavy_slices(
     return heavy, enough
 
 
-def _trace_child(trace: TraceNode | None, kind: str, **meta) -> TraceNode:
-    """A new child of `trace`, or a detached node when the caller keeps no trace."""
-    return trace.add(kind, **meta) if trace is not None else TraceNode(kind, meta)
-
-
 def a_full(
     s: Synthesis,
     base,
@@ -457,7 +452,9 @@ def a_full(
     cfg = config or DncConfig()
     memo = {} if memo is None else memo
     n = s.n_qubits
-    node = _trace_child(trace, "a_full", dims=s.declared_dims, D=D, delta=delta)
+    node = TraceNode("a_full", dict(dims=s.declared_dims, D=D, delta=delta))
+    if trace is not None:
+        trace.children.append(node)
 
     if delta <= _brute_cutoff(n):
         val = oracle.synthesis_value_exact(s, cap=cfg.cap)
@@ -502,17 +499,6 @@ def _within(slices: list[Slice], lo: int, hi: int) -> list[Slice]:
     return [Slice(sl.axis, sl.lo - lo, sl.hi - lo) for sl in slices if lo <= sl.lo and sl.hi <= hi]
 
 
-def _call_key(s: Synthesis, sched: ParameterSchedule, K_heavy: list[Slice], D: int, eta: int) -> tuple:
-    """Everything an `a_recursive` call depends on besides `base` and the
-    config, which one estimate shares: equal keys mean equal calls.
-
-    The piece is keyed on `synthesis.content_key` (gate matrices by identity,
-    so the table holds each keyed synthesis), the call on its heavy slices,
-    eta, D and the schedule.
-    """
-    return content_key(s) + (tuple(K_heavy), eta, D, sched)
-
-
 def a_recursive(
     s: Synthesis,
     sched: ParameterSchedule,
@@ -529,7 +515,8 @@ def a_recursive(
 
     K_heavy is given in the frame of `s`; each child gets the slices inside
     it, in its own frame.  `memo` is the estimate's table of work (see the
-    module docstring); a call without one starts a new table.
+    module docstring); a call without one starts a new table.  The call is
+    looked up there, and its trace node attached under `trace`, hit or miss.
     """
     cfg = config or DncConfig()
     if eta is None:
@@ -537,23 +524,25 @@ def a_recursive(
     if not K_heavy:
         raise SpacingError("K_heavy is empty")
     memo = {} if memo is None else memo
-    key = _call_key(s, sched, K_heavy, D, eta)
-    if key in memo:
-        val, node, _ = memo[key]
-        if trace is not None:
-            trace.children.append(node)  # shared, and never changed once stored
-        return val
+    tag = (tuple(K_heavy), eta, D, sched)
+    val, node = _tabled(memo, tag, s, lambda: _recurse(s, sched, K_heavy, D, base, eta, cfg, memo))
+    if trace is not None:
+        trace.children.append(node)
+    return val
+
+
+def _recurse(s, sched, K_heavy, D, base, eta, cfg, memo) -> tuple[float, TraceNode]:
+    """An `a_recursive` call's work: (its value, its detached trace node).  Children go through `a_recursive`."""
     axis = K_heavy[0].axis
     length = s.dims[axis]
-    node = _trace_child(trace, "a_recursive", width=length, eta=eta, D=D, dims=s.declared_dims)
+    node = TraceNode("a_recursive", dict(width=length, eta=eta, D=D, dims=s.declared_dims))
 
     if length < sched.w0 or eta < 1:
         reduced = dimension_reduce(s, axis)
         val = a_full(reduced, base, sched.eps, D - 1, cfg, node, memo)
         node.meta["stopped"] = True
         node.value = val
-        memo[key] = (val, node, s)
-        return val
+        return val, node
 
     region, chosen = select_region_Z(s, sched, K_heavy)
     node.meta["region_Z"] = region
@@ -612,8 +601,7 @@ def a_recursive(
     kappas = [cd.kappa for cd in data]
     total = inclusion_exclusion_combine(single, double, multi, kappas, Delta)
     node.value = total
-    memo[key] = (total, node, s)
-    return total
+    return total, node
 
 
 # ---------------------------------------------------------------------------

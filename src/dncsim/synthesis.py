@@ -329,11 +329,12 @@ def content_key(s: Synthesis) -> tuple:
 
 
 def _tabled(memo: dict | None, tag, view: Synthesis, compute):
-    """`compute()` of the window `view`, looked up in (and stored to) the
-    estimate's table `memo` under `tag` and the window's `content_key`.
+    """`compute()` of the piece `view`, looked up in (and stored to) the
+    estimate's table `memo` under (tag, content_key(view)): the one reader and
+    writer of the table, for `cut_data`'s windows and `dnc.a_recursive`'s calls.
 
-    The entry holds `view`, whose matrix ids its key names; a stored array is
-    made read-only, since every later hit shares it.
+    The entry (out, view) holds `view`, whose matrix ids its key names; a
+    stored array is made read-only, since every later hit shares it.
     """
     if memo is None:
         return compute()

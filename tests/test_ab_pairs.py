@@ -78,3 +78,13 @@ def test_summarize_counts_wins_in_the_direction_of_each_metric():
     assert setup["worse_by"] == pytest.approx(-0.075) and setup["flag"] == "ok"
     assert rate["worse_by"] == pytest.approx(0.025) and rate["flag"] == "ok"
     assert setup["bound"] == 0.25 and rate["bound"] == 0.24
+
+
+def test_both_sides_are_checked_out_as_siblings_with_paths_of_one_length(tmp_path):
+    # a side whose checkout lies elsewhere, or at a longer path, ran
+    # measurably differently with the same code
+    sides = ab.checkout_paths(tmp_path)
+    assert set(sides) == {"parent", "change"}
+    parent, change = sides["parent"], sides["change"]
+    assert parent != change and parent.parent == change.parent == tmp_path
+    assert len(str(parent)) == len(str(change))

@@ -326,9 +326,15 @@ def test_each_window_is_swept_once_per_estimate(monkeypatch):
     assert (values_all, sweeps_all) == (329, 525)
 
 
+def _is_call(key) -> bool:
+    """Whether a table key is an `a_recursive` call's: its tag ends with the schedule."""
+    tag = key[0]
+    return isinstance(tag, tuple) and isinstance(tag[-1], dnc.ParameterSchedule)
+
+
 class _Lookups(dict):
-    """A table of work that counts its hits and misses, windows apart from calls:
-    a window's key is (tag, content_key), a call's is longer."""
+    """A table of work that counts its hits and misses, windows apart from calls
+    (both keyed (tag, content_key); told apart by the tag)."""
 
     def __init__(self):
         super().__init__()
@@ -336,7 +342,7 @@ class _Lookups(dict):
 
     def __contains__(self, key):
         found = super().__contains__(key)
-        self.counts["window" if len(key) == 2 else "call"][not found] += 1
+        self.counts["call" if _is_call(key) else "window"][not found] += 1
         return found
 
 
@@ -353,6 +359,24 @@ def test_an_estimate_builds_no_gate_and_keeps_its_table_traffic(monkeypatch):
     assert est.hex() == "0x1.9d4dbf430e3fbp-1"
     assert calls == {"gate": 0, "value": 193, "sweep": 224}
     assert table.counts == {"window": [301, 63], "call": [68, 129]}
+
+
+def test_the_table_has_one_entry_layout():
+    # calls and windows alike are stored by synthesis._tabled: the key is
+    # (tag, content_key(view)) and the entry (out, view); a call's out is its
+    # value and its trace node
+    s = syn.synthesis_of_circuit(weak((128, 1, 1), 1, seed=128, strength=0.1))
+    table = {}
+    dnc.a_full(s, None, 0.1, 3, config=dnc.DncConfig(profile="desk", cap=24), memo=table)
+    kinds = {"call": 0, "window": 0}
+    for key, entry in table.items():
+        (tag, content), (out, view) = key, entry
+        assert isinstance(view, syn.Synthesis) and content == syn.content_key(view)
+        if _is_call(key):
+            value, node = out
+            assert isinstance(value, float) and node.kind == "a_recursive" and node.value == value
+        kinds["call" if _is_call(key) else "window"] += 1
+    assert kinds == {"call": 129, "window": 63}  # the misses of the traffic test above
 
 
 def test_sigma_terms_look_their_windows_up_in_the_estimate_table(monkeypatch):

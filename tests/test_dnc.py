@@ -159,6 +159,25 @@ def test_a_float_h_still_builds():
     assert report.all_within_delta()
 
 
+@pytest.mark.parametrize(
+    "key, value", [("h", "4"), ("eps", "1e-9"), ("h", None), ("h", True), ("h", float("nan"))]
+)
+def test_a_float_knob_given_a_non_number_a_bool_or_nan_is_rejected(monkeypatch, key, value):
+    # these used to raise a bare TypeError from inside the estimate, run as
+    # h = 1 (True), or raise "delta must be >= 0, got nan" (h NaN)
+    calls = []
+    for name in ("synthesis_value_exact", "synthesis_state"):
+        fn = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, _fn=fn, **kw: calls.append(_fn) or _fn(*a, **kw))
+    s, _ = make_synth({"kind": "brickwork", "dims": [16, 1, 1], "depth": 1, "seed": 3, "gates": "weak",
+                       "strength": 0.1})
+    with pytest.raises(dnc.ScheduleError, match=f"'{key}' must be a number"):
+        dnc.a_full(s, None, 0.1, 3, config=dnc.DncConfig(profile="desk", cap=24, overrides={key: value}))
+    with pytest.raises(dnc.ScheduleError, match=f"'{key}' must be a number"):
+        dnc.schedule(16, 1, 3, 0.1, profile="paper", **{key: value})
+    assert calls == []
+
+
 def test_a_paper_override_reaches_the_fields_derived_from_it():
     base = dnc.schedule(1024, 1, 3, 0.1, "paper")
     assert (base.h, base.Delta) == (10**7, 10)

@@ -1,13 +1,15 @@
-"""Alternating A/B pairs of the benchmark: a parent commit against this checkout.
+"""Alternating A/B pairs of the benchmark: a parent commit against HEAD.
 
     python3 tools/ab_pairs.py --workload chain_scale --seed 21 --pairs 10
     python3 tools/ab_pairs.py --workload chain_scale --seed 21 --pairs 20 --setup-only
 
-The parent (`--parent`, default HEAD~1) is checked out with `git worktree`
-into a temporary directory, or read from `--parent-dir` if given.  Each pair
-runs `perfbench/run.py` once on each side, the parent first in even pairs
-and this checkout first in odd ones, so a drift of the machine does not
-favour one side.  For every metric it prints both medians, both quartiles and
+The parent (`--parent`, default HEAD~1) and HEAD are both checked out with
+`git worktree` under one temporary directory, as sibling directories whose
+names have the same length, so neither side runs from a longer or different
+path; uncommitted changes under src/ or perfbench/ would not be measured, so
+the tool refuses to run with any.  Each pair runs `perfbench/run.py` once on
+each side, the parent first in even pairs and the change first in odd ones,
+so a drift of the machine does not favour one side.  For every metric it prints both medians, both quartiles and
 the number of pairs the change won (by the direction in BENCHMARK.json), and
 the relative change of the medians, in the direction that is worse.  A metric
 is flagged `worse` when that change passes its BENCHMARK.json bound, and
@@ -33,6 +35,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def git(*args, cwd=ROOT) -> str:
     return subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def checkout_paths(tmp: Path) -> dict[str, Path]:
+    """Where each side is checked out: siblings under `tmp`, names of one length."""
+    return {"parent": tmp / "parent", "change": tmp / "change"}
 
 
 def run_side(root: Path, args) -> dict:
@@ -90,7 +97,6 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=10.0)
     p.add_argument("--parent", default="HEAD~1", help="the commit to compare with")
-    p.add_argument("--parent-dir", type=Path, help="an existing checkout of the parent (no worktree)")
     p.add_argument("--setup-only", action="store_true", help="time setups only (run.py --setup-only)")
     p.add_argument("--out", type=Path, help="where to write the pairs (default under bench/)")
     args = p.parse_args(argv)
@@ -100,18 +106,17 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    parent_hash = git("rev-parse", args.parent)
-    change_hash = git("rev-parse", "HEAD")
-    dirty = bool(git("status", "--porcelain", "--", "src", "perfbench"))
-    worktree = None
-    if args.parent_dir is None:
-        worktree = Path(tempfile.mkdtemp(prefix="ab_parent_"))
-        git("worktree", "add", "--detach", str(worktree), parent_hash)
-    parent_root = args.parent_dir or worktree
-    sides = {"parent": parent_root, "change": ROOT}
+    if git("status", "--porcelain", "--", "src", "perfbench"):
+        p.exit(2, "ab_pairs: src/ or perfbench/ has uncommitted changes, which would not be measured; "
+                  "commit or stash them first\n")
+    commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
+    tmp = Path(tempfile.mkdtemp(prefix="ab_pairs_"))
+    sides = checkout_paths(tmp)
 
     pairs = []
     try:
+        for side, root in sides.items():
+            git("worktree", "add", "--detach", str(root), commits[side])
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"first": order[0]}
@@ -122,9 +127,8 @@ def main(argv=None) -> int:
             line = "  ".join(f"{side} {pair[side]['metrics'][metric]['value']:.6g}" for side in ("parent", "change"))
             print(f"pair {i + 1}/{args.pairs} ({order[0]} first): {metric} {line}", flush=True)
     finally:
-        if worktree is not None:
-            git("worktree", "remove", "--force", str(worktree))
-            shutil.rmtree(worktree, ignore_errors=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+        git("worktree", "prune")
 
     summary = summarize(pairs, better, bounds)
     print(f"{'metric':20s} {'parent median [q1, q3]':40s} {'change median [q1, q3]':40s} wins   worse by")
@@ -147,7 +151,7 @@ def main(argv=None) -> int:
     record = {
         "workload": args.workload, "seed": args.seed, "seconds": None if args.setup_only else args.seconds,
         "setup_only": args.setup_only,
-        "parent": parent_hash, "change": change_hash, "change_dirty": dirty,
+        "parent": commits["parent"], "change": commits["change"],
         "command": "python3 perfbench/run.py", "summary": summary, "pairs": pairs,
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
