@@ -6,18 +6,19 @@
 The parent (`--parent`, default HEAD~1) and HEAD are both checked out with
 `git worktree` under one temporary directory, as sibling directories whose
 names have the same length, so neither side runs from a longer or different
-path; uncommitted changes under src/ or perfbench/ would not be measured, so
+path.  Uncommitted changes under src/ or perfbench/ would not be measured, so
 the tool refuses to run with any.  Each pair runs `perfbench/run.py` once on
 each side, the parent first in even pairs and the change first in odd ones,
-so a drift of the machine does not favour one side.  For every metric it prints both medians, both quartiles and
-the number of pairs the change won (by the direction in BENCHMARK.json), and
-the relative change of the medians, in the direction that is worse.  A metric
-is flagged `worse` when that change passes its BENCHMARK.json bound, and
-`unresolved` when the parent's own spread (its quartile distance over its
-median) is wider than the bound, unless every run of the change is better
-than every run of the parent.  It prints the operations each side attempted
-and failed, and writes every pair, with both commit hashes, to
-bench/BENCH_<workload>_seed<N>.json (..._setup.json with --setup-only).
+so a drift of the machine does not favour one side.  For every metric it
+prints both medians, both quartiles and the number of pairs the change won
+(by the direction in BENCHMARK.json), and the relative change of the
+medians, in the direction that is worse.  A metric is flagged `worse` when
+that change passes its BENCHMARK.json bound, and `unresolved` when the
+parent's own spread (its quartile distance over its median) is wider than
+the bound, unless every run of the change is better than every run of the
+parent.  It prints the operations each side attempted and failed, and writes
+every pair, with both commit hashes, to bench/BENCH_<workload>_seed<N>.json
+(..._setup.json with --setup-only).
 """
 from __future__ import annotations
 
