@@ -17,6 +17,10 @@ neighboring factors run in parallel; the realized depth is 2d+1 for one
 factor and (k+1)d + k in general.  `_build` checks every encoding it makes
 against the depth budget (2k+1)d (3d for one factor) and against any
 two-qubit gate at L-infinity distance > 1.
+
+`encoding_block` evaluates an encoding on wires: a SWAP exchanges the
+qubits two wires hold and is never multiplied in, so the swap layers cost
+no arithmetic, and the cap counts the wires the sweep holds at once.
 """
 from __future__ import annotations
 
@@ -168,22 +172,45 @@ def build_rho_power_encoding(circ: LatticeCircuit, regions: CutRegions, k: int, 
     )
 
 
+def _is_swap(g: Gate) -> bool:
+    """Whether g's matrix is exactly SWAP: identity or the name first, then the entries."""
+    swap = NAMED_GATES["SWAP"]
+    return g.matrix is swap or (g.name == "SWAP" and np.array_equal(g.matrix, swap))
+
+
 def encoding_block(enc: BlockEncoding, cap: int = oracle.DEFAULT_CAP) -> np.ndarray:
     """Dense matrix <0_anc| U |0_anc> on the data register.
 
-    A live-width sweep over the operator: each data qubit is opened at its
-    first gate as an identity pair, an output axis and an input axis that
-    no later gate touches (the input axes index the block's columns); a
-    data qubit that no gate touches is opened as one at the end.  Every
-    ancilla is opened at its first gate and projected on 0 after its
-    last, so the state never holds more than the sweep's frontier and the
-    data columns it has reached.  With no data qubits the block is 1x1.
-    The cap bounds the sweep's width (`oracle.apply_gates`), not the registers.
+    A live-width sweep over the operator on wires.  The gates are walked in
+    layer order with a map from each qubit to the wire that holds it: a
+    SWAP exchanges two entries of the map and is never multiplied in (each
+    of its entries is 0 or 1, so the values are the matrix product's), and
+    every other gate acts on the wires of its qubits.  Each data qubit's
+    input is paired on its own wire: opened at the wire's first gate as an
+    identity pair, an output axis and an input axis that no later gate
+    touches (the input axes index the block's columns).  Each ancilla is
+    projected on 0 after the last gate on the wire that holds it at the
+    end, and the block's rows are read from the wires that hold the data
+    qubits at the end; one that no gate touched is |0> there.  So the state
+    never holds more than the sweep's frontier and the data columns it has
+    reached, and the cap counts the wires the sweep holds, not the
+    registers (`oracle.apply_gates`).  With no data qubits the block is 1x1.
     """
+    wire: dict[Coord, Coord] = {}  # a qubit a SWAP has moved -> the wire that holds it
+    gates = []
+    for _, g in enc.circuit.gates():
+        wires = tuple(wire.get(q, q) for q in g.qubits)
+        if _is_swap(g):
+            wire[g.qubits[0]], wire[g.qubits[1]] = wires[1], wires[0]
+        else:
+            gates.append((g.matrix, wires))
     cols = {q: i for i, q in enumerate(enc.data)}  # an input axis is labelled by its data position
-    t, live = oracle.apply_gates(np.ones(()), oracle._pairs(enc.circuit), [], enc.ancilla, cols, cap)
+    close = [wire.get(q, q) for q in enc.ancilla]
+    rows = [wire.get(q, q) for q in enc.data]
+    t, live = oracle.apply_gates(np.ones(()), gates, [], close, cols, cap)
+    t, live = oracle._open(t, live, rows, cap)
     dim = 2 ** len(enc.data)
-    axes = [live.index(q) for q in enc.data] + [live.index(cols[q]) for q in enc.data]
+    axes = [live.index(w) for w in rows] + [live.index(cols[q]) for q in enc.data]
     return t.transpose(axes).reshape(dim, dim)
 
 

@@ -1,4 +1,10 @@
-"""Command-line interface: validate, simulate, verify-encodings, experiment, predict."""
+"""Command-line interface: validate, simulate, verify-encodings, experiment, predict.
+
+Exit status: 0 on success; 1 when a circuit fails validation or an encoding
+deviates from its target; 2 when an experiment's estimate lies outside its
+delta; 3 when a command stops on one of the package's typed errors
+(`ERRORS`), which it prints as one line on stderr.
+"""
 from __future__ import annotations
 
 import argparse
@@ -6,9 +12,10 @@ import json
 import sys
 
 from . import blockenc, dnc, errmodel, harness, oracle
-from .geomcircuit import Slice, cut_regions, load_circuit, validate
-from .synthesis import synthesis_of_circuit
+from .geomcircuit import CutError, Slice, cut_regions, load_circuit, validate
+from .synthesis import SplitError, synthesis_of_circuit
 
+ERRORS = (oracle.OracleCapacityError, dnc.SpacingError, CutError, dnc.ScheduleError, SplitError)
 CAP_HELP = "qubits of the widest dense tensor a sweep may hold: its live width, not the circuit's size"
 
 
@@ -135,7 +142,11 @@ def main(argv=None) -> int:
     r.set_defaults(func=_cmd_predict)
 
     args = p.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -29,7 +29,10 @@ M and N qubits that no annotation touches closed), the M projection, the
 annotations and the N projection, at live width.  Its squared norm is
 `synthesis_value_exact`; `synthesis.cut_data` reduces it to the band state
 omega, and with the band paired as N it is the front contraction W.
-`encoding_block` pairs the data register and closes the ancillas.
+`blockenc.encoding_block` runs an encoding's gates on wires, with its SWAPs
+as relabelings: it pairs the data inputs on their own wires, closes the
+wires that end holding ancillas and reads the block from the wires that end
+holding the data.
 `output_probability` and `reduced_state` close nothing; they hold every
 qubit a gate touches, and `reduced_state` traces B out of that state with
 `reduce`.  The cap bounds the widest tensor the engine holds, not the
@@ -41,6 +44,7 @@ Tolerance ladder: 1e-12 for unitarity, 1e-10 for algebraic identities,
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,27 +95,39 @@ def _open(t: np.ndarray, live: list, qubits, cap: int = DEFAULT_CAP) -> tuple[np
     return t, live
 
 
-def _gate(t: np.ndarray, m: np.ndarray, axes, front: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The one gate kernel: multiply m (2^a x 2^len(axes)) into `axes` of t.
-
-    t with `axes` moved first is copied into the work buffer `front` and m
-    multiplied into `out`: the transpose and product np.tensordot forms, so
-    the result is the same to the bit.  It is a view of `out` with m's a
-    output axes first, then t's other axes in their order.
-    """
-    perm = list(axes) + [i for i in range(t.ndim) if i not in axes]
-    moved = front[: t.size].reshape([t.shape[i] for i in perm])
-    np.copyto(moved, t.transpose(perm))
+def _step(shape, m: np.ndarray, axes) -> tuple:
+    """How the kernel multiplies m (2^a x 2^len(axes)) into `axes` of a
+    tensor of `shape`: (m, the transpose that moves `axes` first, the moved
+    shape, the moved tensor's columns as a 2^len(axes)-row matrix, the
+    result's shape)."""
+    perm = list(axes) + [i for i in range(len(shape)) if i not in axes]
+    moved = [shape[i] for i in perm]
     rows, cols = m.shape
-    prod = out[: rows * (t.size // cols)].reshape(rows, -1)
-    np.dot(m, moved.reshape(cols, -1), out=prod)
-    return prod.reshape([2] * (rows.bit_length() - 1) + list(moved.shape[len(axes):]))  # rows = 2^a
+    rest = math.prod(moved) // cols
+    return m, perm, moved, rest, [2] * (rows.bit_length() - 1) + moved[len(axes):]  # rows = 2^a
+
+
+def _gate(t: np.ndarray, step: tuple, front: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The one gate kernel: one `_step` on t.
+
+    t with the gate's axes moved first is copied into the work buffer
+    `front` and m multiplied into `out`: the transpose and product
+    np.tensordot forms, so the result is the same to the bit.  It is a view
+    of `out` with m's a output axes first, then t's other axes in their order.
+    """
+    m, perm, shape, rest, result = step
+    rows, cols = m.shape
+    moved = front[: cols * rest].reshape(shape)
+    np.copyto(moved, t.transpose(perm))
+    prod = out[: rows * rest].reshape(rows, rest)
+    np.dot(m, moved.reshape(cols, rest), out=prod)
+    return prod.reshape(result)
 
 
 def apply_gate(t: np.ndarray, matrix: np.ndarray, axes: list[int]) -> np.ndarray:
     """Apply a k-qubit gate matrix to the given qubit axes of a state tensor."""
     front, out = (np.empty(t.size, np.result_type(t, complex)) for _ in range(2))
-    return np.moveaxis(_gate(t, matrix, axes, front, out), range(len(axes)), axes)
+    return np.moveaxis(_gate(t, _step(t.shape, matrix, axes), front, out), range(len(axes)), axes)
 
 
 def sweep_order(gates) -> list[int]:
@@ -189,10 +205,13 @@ def apply_gates(t: np.ndarray, gates, live, close=(), pairs=None, cap: int = DEF
     the batch axes.  Every gate goes through the one kernel `_gate` and two
     work buffers, allocated once per call at the peak live width, which the
     plan fixes before the loop (a fresh pair per gate spends about a third
-    of a dense evaluation faulting in pages).  The result may be a view of a
-    work buffer; the input is never written.  The cap bounds the peak, or
-    the result if the untouched pairs make it wider, with the batch axes
-    counted as qubits, and is checked before the buffers are allocated.
+    of a dense evaluation faulting in pages).  The plan also fixes each
+    step's transpose and shapes (`_step`), and slices a gate's matrix only
+    where one of its qubits opens, closes or pairs.  The result may be a
+    view of a work buffer; the input is never written.  The cap bounds the
+    peak, or the result if the untouched pairs make it wider, with the
+    batch axes counted as qubits, and is checked before the buffers are
+    allocated.
     """
     gates, close, live, pairs = list(gates), set(close), list(live), pairs or {}
     order = sweep_order(gates)
@@ -203,28 +222,33 @@ def apply_gates(t: np.ndarray, gates, live, close=(), pairs=None, cap: int = DEF
         t = t[tuple(0 if x else slice(None) for x in idle)]
         live = [q for q, x in zip(live, idle) if not x]
     batch, peak, plan = t.size >> len(live), len(live), []
+    extra = list(t.shape[len(live):])  # the batch axes, after the qubits
     for step, i in enumerate(order):
         m, qs = gates[i]
         opens = [q not in live for q in qs]
         ends = [q in close and last[q] == step for q in qs]
-        cols = [pairs[q] for q, o in zip(qs, opens) if o and q in pairs]
-        zero_in = [o and q not in pairs for q, o in zip(qs, opens)] if cols else opens
-        m = m.reshape([2] * (2 * len(qs)))[tuple(0 if x else slice(None) for x in ends + zero_in)]
         old = [q for q, o in zip(qs, opens) if not o]
-        keep = [q for q, e in zip(qs, ends) if not e]
-        if cols:  # the paired input axes move to the rows, after the outputs
-            ins = [o for o, z in zip(opens, zero_in) if not z]  # the inputs left, True if paired
-            src = [len(keep) + j for j, o in enumerate(ins) if o]
-            m = np.moveaxis(m, src, range(len(keep), len(keep) + len(cols)))
-        plan.append((m.reshape(2 ** (len(keep) + len(cols)), 2 ** len(old)), [live.index(q) for q in old]))
+        if True in opens or True in ends:
+            cols = [pairs[q] for q, o in zip(qs, opens) if o and q in pairs]
+            zero_in = [o and q not in pairs for q, o in zip(qs, opens)] if cols else opens
+            m = m.reshape([2] * (2 * len(qs)))[tuple([0 if x else slice(None) for x in ends + zero_in])]
+            keep = [q for q, e in zip(qs, ends) if not e]
+            if cols:  # the paired input axes move to the rows, after the outputs
+                ins = [o for o, z in zip(opens, zero_in) if not z]  # the inputs left, True if paired
+                first = [j for j, o in enumerate(ins) if o] + [j for j, o in enumerate(ins) if not o]
+                m = m.transpose(list(range(len(keep))) + [len(keep) + j for j in first])
+            m = m.reshape(2 ** (len(keep) + len(cols)), 2 ** len(old))
+        else:  # the matrix as it is, C-ordered as a reshape would leave it
+            m, keep, cols = np.ascontiguousarray(m), list(qs), []
+        plan.append(_step([2] * len(live) + extra, m, [live.index(q) for q in old]))
         live = keep + cols + [q for q in live if q not in old]
         peak = max(peak, len(live))
     end = len(live) + sum(2 - (q in close) for q in idle_pairs)  # with the untouched pairs opened
     _check_cap(max(peak, end) + (batch - 1).bit_length(), cap)
     if plan:
         front, out = (np.empty(batch << peak, np.result_type(t, complex)) for _ in range(2))
-        for m, axes in plan:
-            t = _gate(t, m, axes, front, out)
+        for s in plan:
+            t = _gate(t, s, front, out)
     for q in idle_pairs:  # no gate touches it: an identity pair, or its |0> row if closed
         if q in close:
             t, live = np.multiply.outer(np.eye(2)[0], t), [pairs[q]] + live

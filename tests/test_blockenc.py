@@ -273,3 +273,40 @@ def test_two_axis_sigma_encoding_block_matches_circuit_unitary():
     enc = blockenc.build_sigma_encoding(circ, gc.cut_regions(circ, gc.Slice(0, 0, 2)))
     assert len(enc.data) == 4 and enc.circuit.n_qubits == 8
     assert np.abs(blockenc.encoding_block(enc) - unitary_block(enc)).max() < 1e-12
+
+
+def test_two_axis_sigma_encoding_block_runs_on_16_wires():
+    # 256x256 block: its rows and columns alone are 16 axes, and the sweep
+    # holds no more, since a SWAP relabels two wires instead of opening a column
+    circ = generate_circuit({"kind": "brickwork", "dims": [4, 2], "depth": 1, "seed": 1, "gates": "haar"})
+    regions = gc.cut_regions(circ, gc.Slice(0, 0, 2))
+    enc = blockenc.build_sigma_encoding(circ, regions)
+    with pytest.raises(oracle.OracleCapacityError, match="16 qubits > cap 15"):
+        blockenc.encoding_block(enc, cap=15)
+    block = blockenc.encoding_block(enc, cap=16)
+    assert np.abs(block - oracle.reduced_state(circ, regions).matrix).max() < 1e-12
+
+
+@pytest.mark.parametrize("side", ["F", "B"])
+def test_rho_fourth_power_encoding_block_matches_its_target_at_cap_4(side):
+    circ = generate_circuit({"kind": "brickwork", "dims": [4], "depth": 1, "seed": 4, "gates": "weak", "strength": 0.1})
+    enc = blockenc.build_rho_power_encoding(circ, gc.cut_regions(circ, gc.Slice(0, 1, 3)), blockenc.MAX_POWER, side)
+    assert enc.target.k == 4 and len(enc.data) == 1
+    block = blockenc.encoding_block(enc, cap=4)
+    assert np.abs(block - blockenc._target_operator(enc.target, oracle.DEFAULT_CAP)).max() < 1e-12
+    with pytest.raises(oracle.OracleCapacityError, match="> cap 3"):
+        blockenc.encoding_block(enc, cap=3)
+
+
+def test_sigma_encoding_block_reads_a_data_qubit_only_a_swap_touches():
+    # no gate of C touches (3,), so only the swap layer reaches its data
+    # qubit: its input wire is closed and its output wire never opened
+    rng = np.random.default_rng(38)
+    u2 = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    circ = gc.circuit((4,), [[Gate(u2, ((1,), (2,)))]])
+    regions = gc.cut_regions(circ, gc.Slice(0, 1, 3))
+    assert regions.front == ((3,),)
+    enc = blockenc.build_sigma_encoding(circ, regions)
+    assert (3, 0, 0) in enc.data
+    assert {g.name for _, g in enc.circuit.gates() if {(3, 0, 0), (3, 1, 0)} & set(g.qubits)} == {"SWAP"}
+    assert np.abs(blockenc.encoding_block(enc) - unitary_block(enc)).max() < 1e-12

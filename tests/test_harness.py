@@ -282,3 +282,20 @@ def test_predicted_bound_comes_from_the_schedule_that_ran(capsys):
     assert cli.main(["predict", "--n", "16", "--d", "1", "--D", "3", "--delta", "0.1", "--profile", "desk"]) == 0
     printed = re.search(r"predicted error bound: (\S+)", capsys.readouterr().out).group(1)
     assert bound == pytest.approx(float(printed), rel=1e-5)
+
+
+def test_cli_prints_a_typed_error_as_one_line_and_exits_3(tmp_path, capsys):
+    # sigma on M u F of Slice(0,4,6) is a 2^12 x 2^12 matrix: 24 qubits > cap 22
+    circ = generate_circuit(
+        {"kind": "brickwork", "dims": [16, 1, 1], "depth": 1, "seed": 16, "gates": "weak", "strength": 0.1}
+    )
+    path = tmp_path / "c.json"
+    gc.save_circuit(circ, path)
+    for argv, message in [
+        (["verify-encodings", str(path), "--cut", "0:4:6"], "24 qubits > cap 22"),
+        (["simulate", str(path), "--delta", "0.1", "--cap", "1"], "2 qubits > cap 1"),
+    ]:
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [f"error: OracleCapacityError: oracle capacity exceeded: {message}"]
