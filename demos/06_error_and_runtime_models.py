@@ -4,8 +4,6 @@ The closed-form error bound evaluated at production-scale parameters sits far
 below the target accuracy; the geometry-mirroring call-count predictor
 matches measured traces node for node.
 """
-import math
-
 from dncsim import dnc, errmodel, synthesis as syn
 from dncsim.harness import generate_circuit
 
@@ -14,17 +12,12 @@ print("E1(1/4, h=1) =", errmodel.e1(0.25, 1))
 print("E2(1, n=16)  =", errmodel.e2(1.0, 16), "= 2^-80")
 print("E3(0.08, 3)  =", errmodel.e3(0.08, 3))
 
-# lemma bounds and the closed-form recursion bound at production scale
+# lemma bounds and the closed-form recursion bound at production scale,
+# from the paper-profile schedule of a depth-1, D = 3 run
 n = 2**10
-ln = math.log2(n)
 delta = 0.1
-model = errmodel.ErrorModel(
-    n=n, d=1, D=3,
-    h=ln**7, Delta=math.ceil(ln), K=math.ceil(ln**3), T=math.ceil(ln**3),
-    eta=math.ceil(ln / (3 * math.log2(4 / 3))),
-    e_of_n=errmodel.default_e_of_n(delta, n), g_of_n=0.0,
-)
-eps = delta * 2.0 ** (-10 * ln * math.log2(ln))
+sched = dnc.schedule(n, 1, 3, delta, "paper")
+model, eps = sched.error_model(n, 3), sched.eps
 b1, b2, b3 = errmodel.script_bounds(model, eps)
 print(f"\nper-term bounds at n = 2^10: {b1:.2e} <= {b2:.2e} <= {b3:.2e}")
 print(f"recursion error bound: {errmodel.predicted_error(model, eps):.2e}  (target delta = {delta})")

@@ -2,8 +2,9 @@
 
 Exit status: 0 on success; 1 when a circuit fails validation or an encoding
 deviates from its target; 2 when an experiment's estimate lies outside its
-delta; 3 when a command stops on one of the package's typed errors
-(`ERRORS`), which it prints as one line on stderr.
+delta, or on a usage error (argparse prints the usage line); 3 when a
+command stops on one of the package's typed errors (`ERRORS`), which it
+prints as one line on stderr.
 """
 from __future__ import annotations
 
@@ -17,6 +18,15 @@ from .synthesis import SplitError, synthesis_of_circuit
 
 ERRORS = (oracle.OracleCapacityError, dnc.SpacingError, CutError, dnc.ScheduleError, SplitError)
 CAP_HELP = "qubits of the widest dense tensor a sweep may hold: its live width, not the circuit's size"
+
+
+def _cut(text: str) -> tuple[int, int, int]:
+    """The argparse type of `--cut`: three integers axis:lo:hi."""
+    try:
+        axis, lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected axis:lo:hi, three integers, got {text!r}") from None
+    return axis, lo, hi
 
 
 def _cmd_validate(args) -> int:
@@ -40,7 +50,7 @@ def _cmd_simulate(args) -> int:
     s = synthesis_of_circuit(circ)
     trace = dnc.TraceNode("run", {"file": args.file, "delta": args.delta})
     cfg = dnc.DncConfig(profile=args.profile, cap=args.cap)
-    D = args.dim or len(circ.dims)
+    D = len(circ.dims) if args.dim is None else args.dim
     est = dnc.a_full(s, None, args.delta, D, config=cfg, trace=trace)
     print(f"estimate: {est:.12g}")
     if args.oracle:
@@ -56,8 +66,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify_encodings(args) -> int:
     circ = load_circuit(args.file)
-    axis, lo, hi = (int(x) for x in args.cut.split(":"))
-    regions = cut_regions(circ, Slice(axis, lo, hi))
+    regions = cut_regions(circ, Slice(*args.cut))
     encs = [("sigma", blockenc.build_sigma_encoding(circ, regions))]
     for k in range(1, args.k + 1):
         for side in ("F", "B"):
@@ -123,8 +132,9 @@ def main(argv=None) -> int:
 
     e = sub.add_parser("verify-encodings", help="check block-encoding identities at a cut")
     e.add_argument("file")
-    e.add_argument("--cut", required=True, metavar="axis:lo:hi")
-    e.add_argument("--k", type=int, default=2)
+    e.add_argument("--cut", type=_cut, required=True, metavar="axis:lo:hi")
+    e.add_argument("--k", type=int, choices=range(blockenc.MAX_POWER + 1), default=2,
+                   help="the highest power of rho to encode; 0 checks sigma alone")
     e.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP, help=CAP_HELP)
     e.set_defaults(func=_cmd_verify_encodings)
 

@@ -445,10 +445,12 @@ def a_full(
     is the estimate's table of work (recursive calls and cut windows); a
     call without one starts a new table, so a repeated subproblem is solved
     (and `base` called for its leaves) once per estimate.  A negative or NaN
-    delta, and above the leaves a D more than one past the declared
-    dimensions of `s`, raise ScheduleError before any evaluation.
+    delta, a D below 2, and above the leaves a D more than one past the
+    declared dimensions of `s`, raise ScheduleError before any evaluation.
     """
     check_delta(delta)
+    if D < 2:
+        raise ScheduleError(f"D must be >= 2, got {D}")
     cfg = config or DncConfig()
     memo = {} if memo is None else memo
     n = s.n_qubits
@@ -479,9 +481,9 @@ def _scan_and_recurse(s, base, delta, D, cfg, node, memo) -> float:
             f"{len(s.declared_axes)} (dims {s.declared_dims})")
     sched = schedule(s.n_qubits, s.depth, D, delta, cfg.profile, **cfg.overrides)
     axis = widest_axis(s)
-    slices = enumerate_slices(s, axis, sched.slice_width, sched.max_gap)
-    if not slices:
+    if s.dims[axis] < sched.slice_width:  # no slice fits on the axis: reduce the dimension
         return a_full(dimension_reduce(s, axis), base, delta, D - 1, cfg, node, memo)
+    slices = enumerate_slices(s, axis, sched.slice_width, sched.max_gap)
 
     def subsolver(wsyn: Synthesis, err: float) -> float:
         reduced = dimension_reduce(wsyn, axis)

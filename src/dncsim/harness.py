@@ -142,10 +142,12 @@ class ExperimentConfig:
     cap: int = oracle.DEFAULT_CAP
 
     def __post_init__(self):
-        # a delta or profile the run would reject raises here, before any dense value is computed
+        # a delta, profile or dim the run would reject raises here, before any dense value is computed
         for delta in self.deltas:
             dnc.check_delta(delta)
         dnc.check_profile(self.profile)
+        if self.dim is not None and (isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 2):
+            raise dnc.ScheduleError(f"dim must be an integer >= 2, got {self.dim!r}")
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
@@ -224,7 +226,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
         target = oracle.synthesis_value_exact(s, cap=config.cap)
         for delta in config.deltas:
             trace = dnc.TraceNode("run", {"label": label, "delta": delta})
-            D = config.dim or len(circ.dims)
+            D = len(circ.dims) if config.dim is None else config.dim
             t0 = time.perf_counter()
             est = dnc.a_full(s, None, delta, D, config=cfg, trace=trace)
             wall = time.perf_counter() - t0

@@ -26,7 +26,10 @@ a frontier a few columns wide.
 
 A synthesis has one evaluation, `synthesis_state`: the sweep from |0> (the
 M and N qubits that no annotation touches closed), the M projection, the
-annotations and the N projection, at live width.  Its squared norm is
+annotations and the N projection, at live width.  A right child's input
+state Y Y^dagger enters as its purification sum_j y_j (x) |j>: the band on
+its qubit axes, live from the start, and j on one trailing batch axis,
+which no gate touches and every later step carries.  Its squared norm is
 `synthesis_value_exact`; `synthesis.cut_data` reduces it to the band state
 omega, and with the band paired as N it is the front contraction W.
 `blockenc.encoding_block` runs an encoding's gates on wires, with its SWAPs
@@ -444,33 +447,30 @@ def synthesis_state(s, cap: int = DEFAULT_CAP, pairs=None) -> tuple[np.ndarray, 
     """The one evaluation of a synthesis, at live width: (t, live) as
     `apply_gates` returns them.
 
-    The sweep starts from |0> with the input states purified on ancillas,
-    held from the start; then M is projected on 0, the sandwiches and
-    insertions are applied, and N is projected on 0.  L and the ancillas
-    stay live, so the squared norm of t is the synthesis value and `reduce`
-    traces over them.  An M or N qubit no annotation touches is closed after
-    its last gate (it commutes with the rest); `pairs` and the cap go to
-    `apply_gates`, so the cap bounds the sweep's width, not the lattice.
+    The sweep starts from |0>, or from the purification sum_j y_j (x) |j> of
+    the synthesis' input state Y Y^dagger (at most one), held from the start
+    with its band on qubit axes and j on a trailing batch axis; then M is
+    projected on 0, the sandwiches and insertions are applied, and N is
+    projected on 0.  L and the batch axis stay, so the squared norm of t is
+    the synthesis value and `reduce` traces over them.  An M or N qubit no
+    annotation touches is closed after its last gate (it commutes with the
+    rest); `pairs` and the cap go to `apply_gates`, so the cap bounds the
+    sweep's width, not the lattice.
 
     It reads the synthesis as a box of its root circuit (`s.pairs()`,
     `s.registers`, `s.ops`), so `live` and `pairs` are in root coordinates:
     a piece is swept in place, without moving a coordinate, and gives the
     tensor its own-frame copy would (the sweep is translation invariant).
     """
-    anc: list[Coord] = []
-    held: list[Coord] = []
-    block = np.ones(())
-    for op in s.ops:
-        if op.kind != "input_state":
-            continue
-        r = len(op.qubits)
-        a = [(-1 - len(anc) - j,) * len(s.dims) for j in range(r)]
-        anc.extend(a)
-        held.extend(list(op.qubits) + a)
-        # purified vector on band + ancillas: sum_j sqrt(w_j) |e_j>|j>
-        w, v = np.linalg.eigh(op.matrix)
-        block = np.multiply.outer(block, (v * np.sqrt(np.clip(w, 0.0, None))).reshape([2] * (2 * r)))
+    inputs = [op for op in s.ops if op.kind == "input_state"]
     ops = [op for op in s.ops if op.kind != "input_state"]
+    held, block = [], np.ones(())
+    if len(inputs) > 1:
+        raise ValueError(f"a synthesis loads at most one input state, got {len(inputs)}")
+    for op in inputs:
+        if op.factors is None:
+            raise ValueError("an input state is loaded from its factors Y (the state Y Y^dagger)")
+        held, block = list(op.qubits), op.factors.reshape([2] * len(op.qubits) + [-1])
     touched = dict.fromkeys(q for op in ops for q in op.project_zero + op.qubits)
     m, n = s.registers
     close = [q for q in m + n if q not in touched]
@@ -490,6 +490,6 @@ def synthesis_state(s, cap: int = DEFAULT_CAP, pairs=None) -> tuple[np.ndarray, 
 def synthesis_value_exact(s, cap: int = DEFAULT_CAP) -> float:
     """Exact <0_N| phi_S |0_N> for a synthesis (cut-operator annotations
     included): the squared norm of `synthesis_state`, which leaves the
-    traced registers (L and the purification ancillas) to be summed here."""
+    traced registers (L and the purification's batch axis) to be summed here."""
     t, _ = synthesis_state(s, cap)
     return float(np.real(np.vdot(t, t)))

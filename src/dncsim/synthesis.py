@@ -107,7 +107,8 @@ class CutOp:
     """Operator annotation attached to a synthesis.
 
     kinds:
-      input_state  PSD matrix: initial state of `qubits` (loaded by purification)
+      input_state  factors Y (2^k x r): initial state Y Y^dagger of `qubits`,
+                   loaded as its purification sum_j y_j (x) |j> on a batch axis
       sandwich     matrix (or low-rank factors) applied after the M projection
       insertion    |0><0| on `project_zero`, then the low-rank projector on `qubits`
     """
@@ -462,6 +463,10 @@ class CutData:
     front at true scale (`amat`).  The projector is scale free, so the true
     left_op and right_input carry just front_scale and omega_scale, which
     cancel against the one on kappa in every term of the signed combination.
+    The children read them as annotations built once per cut: `sandwich`,
+    the Hermitian root of left_op, and `input_state`, whose factors Y
+    (right_input = Y Y^dagger, from one eigendecomposition) the sweep loads
+    as a purification on a batch axis.
 
     It is also the one record of the cut: the synthesis cut (`source`), its
     gate partition from `causal_split` (`left_ids`, `cone_ids`), its
@@ -515,8 +520,10 @@ class CutData:
 
     @cached_property
     def input_state(self) -> CutOp:
-        """The right-hand side's input state, on the band."""
-        return CutOp(kind="input_state", qubits=self.band, matrix=self.right_input)
+        """The right-hand side's input state on the band, as its purification:
+        factors Y = V sqrt(w) from the eigensystem of `right_input` = Y Y^dagger."""
+        w, v = np.linalg.eigh(self.right_input)
+        return CutOp(kind="input_state", qubits=self.band, factors=v * np.sqrt(np.clip(w, 0.0, None)))
 
     @cached_property
     def insertion(self) -> CutOp:

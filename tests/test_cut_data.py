@@ -26,19 +26,15 @@ def weak(dims, depth, seed=7, strength=0.3):
 
 
 def full_width_state(circ, ops):
-    """circ on |0> with the input states of `ops` purified on ancillas, every
-    site and ancilla held from the start and the gates run one at a time in
-    layer order: (t, axis of each qubit)."""
-    anc, held, block = [], [], np.ones(())
+    """circ on |0>, its input-state band (if `ops` has one) loaded as the
+    purification sum_j y_j (x) |j> of Y Y^dagger with j on a trailing batch
+    axis, every site held from the start and the gates run one at a time in
+    layer order: (t, axis of each site)."""
+    held, block = [], np.ones(())
     for op in ops:
         if op.kind == "input_state":
-            r = len(op.qubits)
-            a = [(-1 - len(anc) - j,) * len(circ.dims) for j in range(r)]
-            anc += a
-            held += list(op.qubits) + a
-            w, v = np.linalg.eigh(op.matrix)
-            block = np.multiply.outer(block, (v * np.sqrt(np.clip(w, 0.0, None))).reshape([2] * (2 * r)))
-    index = {q: i for i, q in enumerate(list(circ.sites()) + anc)}
+            held, block = list(op.qubits), op.factors.reshape([2] * len(op.qubits) + [-1])
+    index = {q: i for i, q in enumerate(circ.sites())}
     t = oracle.product_state(len(index), [index[q] for q in held], block)
     for _, g in circ.gates():
         t = oracle.apply_gate(t, g.matrix, [index[q] for q in g.qubits])
@@ -432,7 +428,7 @@ def test_the_window_table_keys_on_annotations_and_gate_matrices(change):
     if change == "annotation bytes":
         (op,) = right.cut_ops
         other = syn.Synthesis(right.gamma, right.L, right.M, right.N, right.declared_axes,
-                              (dataclasses.replace(op, matrix=0.5 * op.matrix),))
+                              (dataclasses.replace(op, factors=np.sqrt(0.5) * op.factors),))
     elif change == "gate matrix object":
         other = _with_matrices(right, lambda g: g.matrix.copy())
     else:

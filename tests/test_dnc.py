@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -907,3 +908,23 @@ def test_oracle_substitution_residual_bounded():
     print(f"oracle-substitution residual {resid:.3e} budget {budget:.3e} (e={e:.3e}, g={g:.3e})")
     assert resid <= budget
     assert resid <= 0.05
+
+
+@pytest.mark.parametrize("dims", [(16, 1, 1, 1), (24, 1, 1)])
+def test_a_d4_estimate_reduces_a_short_axis_without_a_warning(dims):
+    # at D = 4 the recursion meets axes shorter than a slice; it reduces the
+    # dimension there instead of asking enumerate_slices, which warns
+    s, _ = make_synth({"kind": "brickwork", "dims": list(dims), "depth": 1, "seed": 3, "gates": "weak",
+                       "strength": 0.1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = dnc.a_full(s, None, 0.1, 4, config=dnc.DncConfig(profile="desk", cap=24))
+    assert abs(est - oracle.synthesis_value_exact(s, cap=24)) <= 0.1
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.5, 1e-12])
+def test_a_full_rejects_a_dimension_below_2(delta):
+    # delta 0.5 returned 1/2 and a tiny delta a dense value, whatever D was
+    s, _ = make_synth({"kind": "identity", "dims": [16, 1, 1], "depth": 1})
+    with pytest.raises(dnc.ScheduleError, match="D must be >= 2, got 0"):
+        dnc.a_full(s, None, delta, 0)

@@ -299,3 +299,41 @@ def test_cli_prints_a_typed_error_as_one_line_and_exits_3(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines() == [f"error: OracleCapacityError: oracle capacity exceeded: {message}"]
+
+
+@pytest.mark.parametrize("dim", [0, 1, -3, 2.0, True, "3"])
+def test_config_rejects_a_dim_that_is_not_an_integer_from_2(dim):
+    with pytest.raises(dnc.ScheduleError, match="dim must be an integer >= 2"):
+        ExperimentConfig(circuits=[], deltas=[0.1], dim=dim)
+    assert ExperimentConfig(circuits=[], deltas=[0.1], dim=2).dim == 2
+
+
+def test_cli_simulate_dim_0_is_an_error_not_every_axis(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    gc.save_circuit(generate_circuit({"kind": "identity", "dims": [16, 1, 1], "depth": 1}), path)
+    for delta in ("0.1", "0.5"):
+        assert cli.main(["simulate", str(path), "--delta", delta, "--dim", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: ScheduleError: D must be >= 2, got 0"]
+
+
+@pytest.mark.parametrize("args", [["--cut", "0:2:4", "--k", "5"], ["--cut", "0:2"], ["--cut", "0:a:4"]])
+def test_cli_verify_encodings_takes_a_bad_k_or_cut_as_a_usage_error(tmp_path, capsys, args):
+    path = tmp_path / "c.json"
+    gc.save_circuit(generate_circuit({"kind": "brickwork", "dims": [6], "depth": 1, "seed": 6, "gates": "weak"}), path)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["verify-encodings", str(path)] + args)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[0].startswith("usage: dncsim verify-encodings")
+    assert err.splitlines()[-1].startswith("dncsim verify-encodings: error: argument --")
+
+
+def test_cli_verify_encodings_k_0_checks_sigma_alone(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    gc.save_circuit(generate_circuit({"kind": "brickwork", "dims": [6], "depth": 1, "seed": 6, "gates": "weak"}), path)
+    assert cli.main(["verify-encodings", str(path), "--cut", "0:2:4", "--k", "0"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["sigma"]

@@ -32,17 +32,14 @@ def _zero(t, axes):
 
 
 def full_width_value(s) -> float:
-    """<0_N| phi_S |0_N> with every qubit held from the start, gates in layer order."""
-    anc, held, block = [], [], np.ones(())
+    """<0_N| phi_S |0_N> with every qubit held from the start, gates in layer
+    order; an input state Y Y^dagger is loaded as sum_j y_j (x) |j>, with j on
+    a trailing batch axis."""
+    held, block = [], np.ones(())
     for op in s.cut_ops:
         if op.kind == "input_state":
-            r = len(op.qubits)
-            a = [(-1 - len(anc) - j,) * len(s.gamma.dims) for j in range(r)]
-            anc += a
-            held += list(op.qubits) + a
-            w, v = np.linalg.eigh(op.matrix)
-            block = np.multiply.outer(block, (v * np.sqrt(np.clip(w, 0.0, None))).reshape([2] * (2 * r)))
-    qubits = list(s.gamma.sites()) + anc
+            held, block = list(op.qubits), op.factors.reshape([2] * len(op.qubits) + [-1])
+    qubits = list(s.gamma.sites())
     index = {q: i for i, q in enumerate(qubits)}
     t = oracle.product_state(len(qubits), [index[q] for q in held], block)
     for _, g in s.gamma.gates():
@@ -67,6 +64,12 @@ def _psd(rng, k):
     z = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
     m = z @ z.conj().T
     return m / np.trace(m).real
+
+
+def _factor(rng, k):
+    """Y with Y Y^dagger a random density operator on k qubits."""
+    z = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+    return z / np.linalg.norm(z)
 
 
 def random_synthesis(rng, dims, depth):
@@ -105,7 +108,7 @@ def random_synthesis(rng, dims, depth):
     ops = []
     if rng.random() < 0.6:
         k = int(rng.integers(1, 3))
-        ops.append(CutOp("input_state", pick(k), matrix=_psd(rng, k)))
+        ops.append(CutOp("input_state", pick(k), factors=_factor(rng, k)))
     if rng.random() < 0.6:
         k = int(rng.integers(1, 3))
         ops.append(CutOp("sandwich", pick(k), matrix=_psd(rng, k)))
@@ -130,7 +133,7 @@ def random_synthesis(rng, dims, depth):
     depth=st.integers(1, 3),
 )
 def test_synthesis_value_matches_the_full_width_evaluation(seed, dims, depth):
-    # at most 9 sites and 2 purification ancillas
+    # at most 9 sites and a purification batch of 4 (2 qubits)
     s = random_synthesis(np.random.default_rng(seed), dims, depth)
     assert abs(oracle.synthesis_value_exact(s) - full_width_value(s)) <= 1e-12
 

@@ -1,9 +1,10 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dncsim import geomcircuit as gc, oracle
+from dncsim import dnc, geomcircuit as gc, oracle
 from dncsim.harness import generate_circuit
 from dncsim.synthesis import CutOp, Synthesis, cut_data, split_at_cuts, synthesis_of_circuit
 
@@ -343,9 +344,9 @@ def test_synthesis_value_capacity_error():
 
 
 def test_synthesis_value_with_input_state_annotation():
-    # loading omega = I/2 on one qubit and projecting it to zero gives tr 1/2
+    # loading omega = Y Y^dagger = I/2 on one qubit and projecting it to zero gives tr 1/2
     circ = generate_circuit({"kind": "identity", "dims": [2], "depth": 1})
-    op = CutOp(kind="input_state", qubits=((0,),), matrix=np.eye(2, dtype=complex) / 2)
+    op = CutOp(kind="input_state", qubits=((0,),), factors=np.eye(2, dtype=complex) / np.sqrt(2))
     s = Synthesis(
         gamma=circ, L=(), M=((0,),), N=((1,),), declared_axes=(0,), cut_ops=(op,)
     )
@@ -359,13 +360,13 @@ def test_synthesis_value_with_input_state_annotation():
 
 def traced_state(s):
     """synthesis_state of s with every site in L, widened to every site:
-    (t, live), the sites first in `s.gamma.sites()` order, then the
-    purification ancillas."""
+    (t, live), the sites in `s.gamma.sites()` order, then the purification's
+    batch axis if s loads an input state."""
     sites = list(s.gamma.sites())
     traced = Synthesis(s.gamma, tuple(sites), (), (), s.declared_axes, s.cut_ops)
     t, live = oracle._open(*oracle.synthesis_state(traced), sites)
-    anc = [q for q in live if q not in set(sites)]
-    return t.transpose([live.index(q) for q in sites + anc]), sites + anc
+    assert sorted(live) == sorted(sites)  # lattice sites only
+    return t.transpose([live.index(q) for q in sites] + list(range(len(live), t.ndim))), sites
 
 
 @pytest.mark.parametrize(
@@ -386,8 +387,9 @@ def test_synthesis_state_matches_unitary_column(dims, depth):
 
 
 def test_synthesis_state_with_input_state_matches_unitary():
-    # a right child of a split starts from a mixed band state, loaded through
-    # ancillas; tracing them out must give U (omega x |0><0|) U^dagger
+    # a right child of a split starts from a mixed band state omega = Y Y^dagger,
+    # loaded as its purification on a batch axis; tracing that axis out must
+    # give U (omega x |0><0|) U^dagger
     circ = generate_circuit({"kind": "brickwork", "dims": [10], "depth": 1, "seed": 9, "gates": "haar"})
     s = synthesis_of_circuit(circ)
     right = split_at_cuts(cut_data(s, gc.Slice(0, 2, 4), 2)).right
@@ -395,7 +397,7 @@ def test_synthesis_state_with_input_state_matches_unitary():
     sites = right.gamma.sites()
     ns, nb = len(sites), len(op.qubits)
     t, qubits = traced_state(right)
-    assert qubits[:ns] == list(sites) and len(qubits) == ns + nb
+    assert qubits == list(sites) and t.shape == (2,) * ns + (2**nb,)
     m = t.reshape(2**ns, -1)
     rho = m @ m.conj().T
 
@@ -408,9 +410,54 @@ def test_synthesis_state_with_input_state_matches_unitary():
         band_mask |= 1 << (ns - 1 - order[q])
     sel = idx[(idx & ~band_mask) == 0]
     rho0 = np.zeros((2**ns, 2**ns), dtype=complex)
-    rho0[np.ix_(sel, sel)] = op.matrix[np.ix_(band_bits[sel], band_bits[sel])]
+    omega = op.factors @ op.factors.conj().T
+    rho0[np.ix_(sel, sel)] = omega[np.ix_(band_bits[sel], band_bits[sel])]
     U = oracle.circuit_unitary(right.gamma, cap=10)
     assert np.abs(rho - U @ rho0 @ U.conj().T).max() < 1e-12
+
+
+def test_a_right_child_loads_its_input_state_as_factors_on_a_batch_axis():
+    circ = generate_circuit({"kind": "brickwork", "dims": [12], "depth": 1, "seed": 4, "gates": "weak", "strength": 0.3})
+    data = cut_data(synthesis_of_circuit(circ), gc.Slice(0, 2, 4), 2)
+    op = data.input_state
+    assert op.matrix is None and op is data.input_state  # built once per cut
+    assert np.abs(op.factors @ op.factors.conj().T - data.right_input).max() < 1e-12
+    right = split_at_cuts(data).right
+    t, live = oracle.synthesis_state(right)
+    lattice = set(right.root_sites())
+    assert all(q in lattice for q in live)  # no coordinate outside the lattice
+    assert t.shape == (2,) * len(live) + (2 ** len(op.qubits),)
+
+
+def test_an_estimate_runs_no_decomposition_in_the_oracle(monkeypatch):
+    # the purification is the cut's factors, so the oracle never diagonalizes
+    circ = generate_circuit({"kind": "brickwork", "dims": [24, 1, 1], "depth": 1, "seed": 24, "gates": "weak",
+                             "strength": 0.1})
+    s = synthesis_of_circuit(circ)
+    callers = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    est = dnc.a_full(s, None, 0.1, 3, config=dnc.DncConfig(profile="desk", cap=24))
+    assert "dncsim.synthesis" in callers  # the estimate did cut
+    assert "dncsim.oracle" not in callers
+    assert abs(est - oracle.synthesis_value_exact(s, cap=24)) <= 0.1
+
+
+def test_a_synthesis_loads_one_input_state_from_its_factors():
+    circ = generate_circuit({"kind": "identity", "dims": [4], "depth": 1})
+    y = np.eye(2, dtype=complex) / np.sqrt(2)
+    for ops in (
+        (CutOp("input_state", ((0,),), factors=y), CutOp("input_state", ((3,),), factors=y)),
+        (CutOp("input_state", ((0,),), matrix=y @ y),),
+    ):
+        s = Synthesis(circ, L=(), M=((0,),), N=((1,), (2,), (3,)), declared_axes=(0,), cut_ops=ops)
+        with pytest.raises(ValueError, match="input state"):
+            oracle.synthesis_value_exact(s)
 
 
 def test_product_state_places_block_axes_in_the_given_order():

@@ -277,7 +277,7 @@ def test_two_cut_middle_child_roles_annotations_and_origin():
     assert set(mid.N) == set(mid.gamma.sites()) - set(band_i) - set(band_j)
     assert [op.kind for op in mid.cut_ops] == ["input_state", "sandwich"]
     assert mid.cut_ops[0].qubits == band_i and mid.cut_ops[1].qubits == band_j
-    assert np.array_equal(mid.cut_ops[0].matrix, data_i.right_input)
+    assert np.array_equal(mid.cut_ops[0].factors, data_i.input_state.factors)
 
 
 def test_right_child_split_again_adds_origins_and_shifts_annotations():
