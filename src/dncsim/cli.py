@@ -2,9 +2,11 @@
 
 Exit status: 0 on success; 1 when a circuit fails validation or an encoding
 deviates from its target; 2 when an experiment's estimate lies outside its
-delta, or on a usage error (argparse prints the usage line); 3 when a
-command stops on one of the package's typed errors (`ERRORS`), which it
-prints as one line on stderr.
+delta, or on a usage error: a bad argument (argparse prints the usage
+line), or a file that cannot be opened or is not JSON (`FILE_ERRORS`); 3
+when a command stops on one of the package's typed errors (`ERRORS`), an
+experiment config with an unknown key among them.  A file or typed error is
+printed as one line on stderr.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from .geomcircuit import CutError, Slice, cut_regions, load_circuit, validate
 from .synthesis import SplitError, synthesis_of_circuit
 
 ERRORS = (oracle.OracleCapacityError, dnc.SpacingError, CutError, dnc.ScheduleError, SplitError)
+FILE_ERRORS = (OSError, json.JSONDecodeError)
 CAP_HELP = "qubits of the widest dense tensor a sweep may hold: its live width, not the circuit's size"
 
 
@@ -157,6 +160,9 @@ def main(argv=None) -> int:
     except ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except FILE_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -153,12 +153,12 @@ class ExperimentConfig:
     def from_json(cls, data: dict) -> "ExperimentConfig":
         version = data.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported config schema_version {version}")
+            raise dnc.ScheduleError(f"unsupported config schema_version {version}")
         keys = set(cls.__dataclass_fields__)
         # `base` and `calculus` are retired: they still load and are ignored
         unknown = sorted(set(data) - keys - {"schema_version", "base", "calculus"})
         if unknown:
-            raise ValueError(f"unknown experiment config keys: {', '.join(unknown)}")
+            raise dnc.ScheduleError(f"unknown experiment config keys: {', '.join(unknown)}")
         return cls(**{k: v for k, v in data.items() if k in keys})
 
 

@@ -22,7 +22,12 @@ axis) right after its last gate.  A qubit the caller pairs is opened instead
 as an identity pair, an output axis and an input axis, so the sweep runs
 over an operator's columns as it reaches them; a paired qubit no gate
 touches is opened at the end.  A shallow circuit then never holds more than
-a frontier a few columns wide.
+a frontier a few columns wide.  What a sweep does apart from its matrices
+(its order, every step's shapes, its peak and its result's qubits) depends
+only on its layout: the gates' qubits, the input's shape and the qubits
+held, closed and paired.  `_plan` works it out once per layout and keeps it
+in a bounded table, so the many pieces of an estimate, and fresh circuits
+on a lattice already swept, run on a plan without making it again.
 
 A synthesis has one evaluation, `synthesis_state`: the sweep from |0> (the
 M and N qubits that no annotation touches closed), the M projection, the
@@ -39,14 +44,16 @@ holding the data.
 `output_probability` and `reduced_state` close nothing; they hold every
 qubit a gate touches, and `reduced_state` traces B out of that state with
 `reduce`.  The cap bounds the widest tensor the engine holds, not the
-qubits a circuit has: `apply_gates` checks its plan's peak and `_open` the
-widened tensor, each before it allocates; `reduce` checks its dense output.
+qubits a circuit has: `apply_gates` checks its plan's peak on every call,
+from the table or not, and `_open` the widened tensor, each before it
+allocates; `reduce` checks its dense output.
 
 Tolerance ladder: 1e-12 for unitarity, 1e-10 for algebraic identities,
 1e-8 of slack for positive semidefiniteness.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +62,7 @@ import numpy as np
 from .geomcircuit import Coord, LatticeCircuit, in_lattice
 
 DEFAULT_CAP = 22  # qubits of the widest tensor a sweep may hold (live, paired and batch axes)
+PLAN_TABLE_SIZE = 1024  # sweep plans `apply_gates` keeps, by layout; the least recently used goes first
 
 
 class OracleCapacityError(RuntimeError):
@@ -98,27 +106,27 @@ def _open(t: np.ndarray, live: list, qubits, cap: int = DEFAULT_CAP) -> tuple[np
     return t, live
 
 
-def _step(shape, m: np.ndarray, axes) -> tuple:
-    """How the kernel multiplies m (2^a x 2^len(axes)) into `axes` of a
-    tensor of `shape`: (m, the transpose that moves `axes` first, the moved
-    shape, the moved tensor's columns as a 2^len(axes)-row matrix, the
-    result's shape)."""
-    perm = list(axes) + [i for i in range(len(shape)) if i not in axes]
-    moved = [shape[i] for i in perm]
-    rows, cols = m.shape
+def _step(shape, mshape, axes) -> tuple:
+    """How the kernel multiplies a 2^a x 2^len(axes) matrix (`mshape`) into
+    `axes` of a tensor of `shape`: (the transpose that moves `axes` first,
+    the moved shape, the moved tensor's columns as a 2^len(axes)-row matrix,
+    the result's shape)."""
+    perm = tuple(axes) + tuple(i for i in range(len(shape)) if i not in axes)
+    moved = tuple(shape[i] for i in perm)
+    rows, cols = mshape
     rest = math.prod(moved) // cols
-    return m, perm, moved, rest, [2] * (rows.bit_length() - 1) + moved[len(axes):]  # rows = 2^a
+    return perm, moved, rest, (2,) * (rows.bit_length() - 1) + moved[len(axes):]  # rows = 2^a
 
 
-def _gate(t: np.ndarray, step: tuple, front: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The one gate kernel: one `_step` on t.
+def _gate(t: np.ndarray, m: np.ndarray, step: tuple, front: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The one gate kernel: m multiplied into t as one `_step` says.
 
     t with the gate's axes moved first is copied into the work buffer
     `front` and m multiplied into `out`: the transpose and product
     np.tensordot forms, so the result is the same to the bit.  It is a view
     of `out` with m's a output axes first, then t's other axes in their order.
     """
-    m, perm, shape, rest, result = step
+    perm, shape, rest, result = step
     rows, cols = m.shape
     moved = front[: cols * rest].reshape(shape)
     np.copyto(moved, t.transpose(perm))
@@ -130,7 +138,7 @@ def _gate(t: np.ndarray, step: tuple, front: np.ndarray, out: np.ndarray) -> np.
 def apply_gate(t: np.ndarray, matrix: np.ndarray, axes: list[int]) -> np.ndarray:
     """Apply a k-qubit gate matrix to the given qubit axes of a state tensor."""
     front, out = (np.empty(t.size, np.result_type(t, complex)) for _ in range(2))
-    return np.moveaxis(_gate(t, _step(t.shape, matrix, axes), front, out), range(len(axes)), axes)
+    return np.moveaxis(_gate(t, matrix, _step(t.shape, matrix.shape, axes), front, out), range(len(axes)), axes)
 
 
 def sweep_order(gates) -> list[int]:
@@ -182,6 +190,85 @@ def sweep_order(gates) -> list[int]:
     return order
 
 
+@functools.lru_cache(maxsize=PLAN_TABLE_SIZE)
+def _gate_step(shape: tuple, axes: tuple, opens: tuple, ends: tuple, paired: tuple) -> tuple:
+    """(recipe, `_step`) of one gate of a plan, on a tensor of `shape`.
+
+    `axes` are the axes of the gate's qubits that are live, and `opens`,
+    `ends` and `paired` say per qubit whether it opens at this gate, closes
+    after it and, if it opens, is paired.  The recipe is None when the
+    matrix is used as it is, else (its [2] * 2k shape, the index that keeps
+    its rows for output 0 where a qubit closes and its columns for input 0
+    where one opens unpaired, the transpose that moves the paired inputs to
+    the rows after the outputs or None, the 2-D shape).  Equal steps of
+    different plans are one object in this table.
+    """
+    k = len(opens)
+    if True in opens or True in ends:
+        zero_in = tuple(o and not p for o, p in zip(opens, paired))
+        index = tuple(0 if x else slice(None) for x in ends + zero_in)
+        rows, first = k - sum(ends), None
+        if True in paired:
+            ins = [o for o, z in zip(opens, zero_in) if not z]  # the inputs left, True if paired
+            moved = [j for j, o in enumerate(ins) if o] + [j for j, o in enumerate(ins) if not o]
+            first = tuple(range(rows)) + tuple(rows + j for j in moved)
+        mshape = (2 ** (rows + sum(paired)), 2 ** len(axes))
+        recipe = ((2,) * (2 * k), index, first, mshape)
+    else:
+        mshape, recipe = (2**k, 2**k), None
+    return recipe, _step(shape, mshape, axes)
+
+
+@functools.lru_cache(maxsize=PLAN_TABLE_SIZE)
+def _plan(layout: tuple, shape: tuple, live: tuple, close: tuple, pairs: tuple) -> tuple:
+    """The plan of an `apply_gates` call, from its layout alone: each gate's
+    qubits in order, the input's shape, `live`, `close` (in the caller's
+    order: a tuple of a few qubits is a third of the size of a frozenset)
+    and `pairs` (as items).  It
+    holds no arrays, so one plan serves every call on the same layout,
+    whatever the matrices, and it does not depend on the cap, so a call
+    that the cap stops leaves a plan that a wider cap can run.  Returns
+    (steps, narrow, width, size, live, tail):
+
+      steps   (gate position, recipe, `_step`) per gate in `sweep_order`,
+              from `_gate_step`;
+      narrow  the index that projects on 0 the live qubits closed before the
+              first gate (no gate touches them), or None;
+      width   the qubits the cap counts: the peak live width, or the result's
+              if the untouched pairs make it wider, plus the batch axes;
+      size    the amplitudes of each work buffer, at the peak;
+      live    the qubits and labels of the result, in axis order;
+      tail    per untouched paired qubit, in order, whether it is closed.
+    """
+    close, pairs = set(close), dict(pairs)
+    order = sweep_order([(None, qs) for qs in layout])
+    last = {q: step for step, i in enumerate(order) for q in layout[i]}
+    idle_pairs = [q for q in pairs if q not in last and q not in live]
+    idle = [q in close and q not in last for q in live]
+    narrow = tuple(0 if x else slice(None) for x in idle) if any(idle) else None
+    extra = shape[len(live):]  # the batch axes, after the qubits
+    live = [q for q, x in zip(live, idle) if not x]
+    peak, steps = len(live), []
+    for step, i in enumerate(order):
+        qs = layout[i]
+        opens = tuple(q not in live for q in qs)
+        ends = tuple(q in close and last[q] == step for q in qs)
+        paired = tuple(o and q in pairs for q, o in zip(qs, opens))
+        old = [q for q, o in zip(qs, opens) if not o]
+        axes = tuple(live.index(q) for q in old)
+        steps.append((i,) + _gate_step((2,) * len(live) + extra, axes, opens, ends, paired))
+        # the gate's open outputs, then its paired inputs, then the other live qubits
+        live = [q for q, e in zip(qs, ends) if not e] + [pairs[q] for q, p in zip(qs, paired) if p] + [
+            q for q in live if q not in old]
+        peak = max(peak, len(live))
+    end = len(live) + sum(2 - (q in close) for q in idle_pairs)  # with the untouched pairs opened
+    for q in idle_pairs:
+        live = ([pairs[q]] if q in close else [q, pairs[q]]) + live
+    batch = math.prod(extra)
+    width = max(peak, end) + (batch - 1).bit_length()
+    return tuple(steps), narrow, width, batch << peak, tuple(live), tuple(q in close for q in idle_pairs)
+
+
 def apply_gates(t: np.ndarray, gates, live, close=(), pairs=None, cap: int = DEFAULT_CAP) -> tuple[np.ndarray, list]:
     """Run gates on the live qubits of a state tensor; returns (t, live).
 
@@ -206,58 +293,42 @@ def apply_gates(t: np.ndarray, gates, live, close=(), pairs=None, cap: int = DEF
 
     The result holds the returned qubits and labels on its leading axes, then
     the batch axes.  Every gate goes through the one kernel `_gate` and two
-    work buffers, allocated once per call at the peak live width, which the
-    plan fixes before the loop (a fresh pair per gate spends about a third
-    of a dense evaluation faulting in pages).  The plan also fixes each
-    step's transpose and shapes (`_step`), and slices a gate's matrix only
-    where one of its qubits opens, closes or pairs.  The result may be a
-    view of a work buffer; the input is never written.  The cap bounds the
-    peak, or the result if the untouched pairs make it wider, with the
-    batch axes counted as qubits, and is checked before the buffers are
-    allocated.
+    work buffers, allocated once per call at the peak live width (a fresh
+    pair per gate spends about a third of a dense evaluation faulting in
+    pages).  Everything but the matrices is fixed by the plan (`_plan`): the
+    order, each step's transpose and shapes, where a gate's matrix is sliced
+    (only where one of its qubits opens, closes or pairs), the peak and the
+    result's qubits.  The plan outlives the call: it is kept in a table keyed
+    by the layout, so a fresh circuit on a layout already swept is planned
+    no more (the table keeps the `PLAN_TABLE_SIZE` layouts used last).  The
+    result may be a view of a work buffer; the input is never written.  The
+    cap bounds the peak, or the result if the untouched pairs make it wider,
+    with the batch axes counted as qubits, and every call checks it before
+    the buffers are allocated.
     """
-    gates, close, live, pairs = list(gates), set(close), list(live), pairs or {}
-    order = sweep_order(gates)
-    last = {q: step for step, i in enumerate(order) for q in gates[i][1]}
-    idle_pairs = [q for q in pairs if q not in last and q not in live]
-    idle = [q in close and q not in last for q in live]
-    if any(idle):
-        t = t[tuple(0 if x else slice(None) for x in idle)]
-        live = [q for q, x in zip(live, idle) if not x]
-    batch, peak, plan = t.size >> len(live), len(live), []
-    extra = list(t.shape[len(live):])  # the batch axes, after the qubits
-    for step, i in enumerate(order):
-        m, qs = gates[i]
-        opens = [q not in live for q in qs]
-        ends = [q in close and last[q] == step for q in qs]
-        old = [q for q, o in zip(qs, opens) if not o]
-        if True in opens or True in ends:
-            cols = [pairs[q] for q, o in zip(qs, opens) if o and q in pairs]
-            zero_in = [o and q not in pairs for q, o in zip(qs, opens)] if cols else opens
-            m = m.reshape([2] * (2 * len(qs)))[tuple([0 if x else slice(None) for x in ends + zero_in])]
-            keep = [q for q, e in zip(qs, ends) if not e]
-            if cols:  # the paired input axes move to the rows, after the outputs
-                ins = [o for o, z in zip(opens, zero_in) if not z]  # the inputs left, True if paired
-                first = [j for j, o in enumerate(ins) if o] + [j for j, o in enumerate(ins) if not o]
-                m = m.transpose(list(range(len(keep))) + [len(keep) + j for j in first])
-            m = m.reshape(2 ** (len(keep) + len(cols)), 2 ** len(old))
-        else:  # the matrix as it is, C-ordered as a reshape would leave it
-            m, keep, cols = np.ascontiguousarray(m), list(qs), []
-        plan.append(_step([2] * len(live) + extra, m, [live.index(q) for q in old]))
-        live = keep + cols + [q for q in live if q not in old]
-        peak = max(peak, len(live))
-    end = len(live) + sum(2 - (q in close) for q in idle_pairs)  # with the untouched pairs opened
-    _check_cap(max(peak, end) + (batch - 1).bit_length(), cap)
-    if plan:
-        front, out = (np.empty(batch << peak, np.result_type(t, complex)) for _ in range(2))
-        for s in plan:
-            t = _gate(t, s, front, out)
-    for q in idle_pairs:  # no gate touches it: an identity pair, or its |0> row if closed
-        if q in close:
-            t, live = np.multiply.outer(np.eye(2)[0], t), [pairs[q]] + live
-        else:
-            t, live = np.multiply.outer(np.eye(2), t), [q, pairs[q]] + live
-    return t, live
+    gates = list(gates)
+    layout = tuple(tuple(qs) for _, qs in gates)  # a tuple of qubits is its own tuple, not a copy
+    steps, narrow, width, size, live, tail = _plan(layout, t.shape, tuple(live), tuple(close),
+                                                   tuple((pairs or {}).items()))
+    _check_cap(width, cap)
+    if narrow is not None:
+        t = t[narrow]
+    if steps:
+        front, out = (np.empty(size, np.result_type(t, complex)) for _ in range(2))
+        for i, recipe, step in steps:
+            m = gates[i][0]
+            if recipe is None:  # C-ordered as a reshape would leave it
+                m = np.ascontiguousarray(m)
+            else:
+                full, index, first, mshape = recipe
+                m = m.reshape(full)[index]
+                if first is not None:
+                    m = m.transpose(first)
+                m = m.reshape(mshape)
+            t = _gate(t, m, step, front, out)
+    for closed in tail:  # no gate touches it: its |0> row if closed, else an identity pair
+        t = np.multiply.outer(np.eye(2)[0] if closed else np.eye(2), t)
+    return t, list(live)
 
 
 def apply_sandwich(t: np.ndarray, op, axes: list[int]) -> np.ndarray:

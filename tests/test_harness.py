@@ -337,3 +337,33 @@ def test_cli_verify_encodings_k_0_checks_sigma_alone(tmp_path, capsys):
     assert cli.main(["verify-encodings", str(path), "--cut", "0:2:4", "--k", "0"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split()[0] for row in rows] == ["sigma"]
+
+
+@pytest.mark.parametrize("config", [
+    {"circuits": [], "deltas": [0.1], "dims": 3},
+    {"schema_version": 99, "circuits": [], "deltas": [0.1]},
+])
+def test_cli_experiment_takes_a_bad_config_as_a_typed_error(tmp_path, capsys, config):
+    with pytest.raises(dnc.ScheduleError):
+        ExperimentConfig.from_json(config)
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(config))
+    assert cli.main(["experiment", str(cpath)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ScheduleError: ")
+
+
+@pytest.mark.parametrize("text", [None, '{"dims": [4], "depth"'])
+@pytest.mark.parametrize("command", [["simulate", "--delta", "0.1"], ["validate"], ["experiment"]])
+def test_cli_takes_a_missing_or_truncated_file_as_a_usage_error(tmp_path, capsys, text, command):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(command[:1] + [str(path)] + command[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    kind = "FileNotFoundError" if text is None else "JSONDecodeError"
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {kind}: ")
