@@ -223,12 +223,12 @@ def _gate_step(shape: tuple, axes: tuple, opens: tuple, ends: tuple, paired: tup
 def _plan(layout: tuple, shape: tuple, live: tuple, close: tuple, pairs: tuple) -> tuple:
     """The plan of an `apply_gates` call, from its layout alone: each gate's
     qubits in order, the input's shape, `live`, `close` (in the caller's
-    order: a tuple of a few qubits is a third of the size of a frozenset)
-    and `pairs` (as items).  It
-    holds no arrays, so one plan serves every call on the same layout,
-    whatever the matrices, and it does not depend on the cap, so a call
-    that the cap stops leaves a plan that a wider cap can run.  Returns
-    (steps, narrow, width, size, live, tail):
+    order: a tuple of a few qubits is several times smaller than a
+    frozenset) and `pairs` (as items).  It holds no arrays, so one plan
+    serves every call on the same layout, whatever the matrices, and it
+    does not depend on the cap, so a call that the cap stops leaves a plan
+    that a wider cap can run.  Returns (steps, narrow, width, size, live,
+    tail):
 
       steps   (gate position, recipe, `_step`) per gate in `sweep_order`,
               from `_gate_step`;
