@@ -3,7 +3,7 @@
 The post-selected block of each constructed unitary equals its target exactly
 (scale 1, error 0); every encoding keeps each gate nearest-neighbor within the
 depth budgets 3d (one factor) and (2k+1)d (k factors), which the builders
-check as they build it.
+check once per layout, when they make its record.
 """
 import numpy as np
 

@@ -80,7 +80,7 @@ def _cmd_verify_encodings(args) -> int:
         k = enc.target.k
         dev = blockenc.verify_encoding(enc, cap=args.cap)
         worst = max(worst, dev)
-        print(f"{name:<10} {k:>2} {dev:>12.3e} {enc.circuit.depth:>6} {(2 * k + 1) * circ.depth:>7}")
+        print(f"{name:<10} {k:>2} {dev:>12.3e} {enc.layout.depth:>6} {(2 * k + 1) * circ.depth:>7}")
     return 0 if worst < 1e-8 else 1
 
 

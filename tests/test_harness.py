@@ -232,6 +232,23 @@ def test_cli_verify_encodings(tmp_path, capsys, monkeypatch):
     assert [row.split()[-2:] for row in rows] == [["3", "3"]] * 3 + [["5", "5"]] * 2
 
 
+def test_cli_verify_encodings_prints_the_depth_of_the_record(tmp_path, capsys, monkeypatch):
+    # a depth-2 chain: sigma and rho^1 are 2d+1 = 5 deep, rho^2 (k+1)d+k = 8,
+    # read from each encoding's record, so no encoding circuit is built
+    path = tmp_path / "c.json"
+    gc.save_circuit(generate_circuit({"kind": "brickwork", "dims": [5], "depth": 2, "seed": 5, "gates": "haar"}), path)
+    placed = []
+    real_placed = blockenc._placed
+    monkeypatch.setattr(blockenc, "_placed", lambda *a: placed.append(1) or real_placed(*a))
+    assert cli.main(["verify-encodings", str(path), "--cut", "0:0:4", "--k", "2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["target", "k", "deviation", "depth", "budget"]
+    assert [row.split()[:2] for row in rows] == [["sigma", "1"], ["rho_F^1", "1"], ["rho_B^1", "1"],
+                                                 ["rho_F^2", "2"], ["rho_B^2", "2"]]
+    assert [row.split()[-2:] for row in rows] == [["5", "6"]] * 3 + [["8", "10"]] * 2
+    assert placed == []
+
+
 def test_cli_experiment_exit_code(tmp_path, capsys):
     config = {
         "schema_version": 1,
