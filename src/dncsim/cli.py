@@ -1,12 +1,14 @@
 """Command-line interface: validate, simulate, verify-encodings, experiment, predict.
 
-Exit status: 0 on success; 1 when a circuit fails validation or an encoding
-deviates from its target; 2 when an experiment's estimate lies outside its
-delta, or on a usage error: a bad argument (argparse prints the usage
-line), or a file that cannot be opened or is not JSON (`FILE_ERRORS`); 3
-when a command stops on one of the package's typed errors (`ERRORS`), an
-experiment config with an unknown key among them.  A file or typed error is
-printed as one line on stderr.
+Exit status: 0 on success; 1 when a circuit fails validation (an
+experiment's circuit file too, printed as `simulate` prints it) or an
+encoding deviates from its target; 2 when an experiment's estimate lies
+outside its delta, or on a usage error: a bad argument (argparse prints the
+usage line), or a file that cannot be opened or is not JSON
+(`FILE_ERRORS`); 3 when a command stops on one of the package's typed errors
+(`ERRORS`), every malformed experiment config and a `predict` outside its
+cost model among them.  A file or typed error is printed as one line on
+stderr.
 """
 from __future__ import annotations
 
@@ -32,24 +34,27 @@ def _cut(text: str) -> tuple[int, int, int]:
     return axis, lo, hi
 
 
+def _violations(violations, file) -> int:
+    """Print a circuit's validation violations to `file`, one line each; the exit status 1."""
+    for v in violations:
+        print(f"violation: {v}", file=file)
+    return 1
+
+
 def _cmd_validate(args) -> int:
     circ = load_circuit(args.file)
     report = validate(circ)
     if report.ok:
         print(f"ok: {circ.n_qubits} qubits, depth {circ.depth}, dims {list(circ.dims)}")
         return 0
-    for v in report.violations:
-        print(f"violation: {v}")
-    return 1
+    return _violations(report.violations, sys.stdout)
 
 
 def _cmd_simulate(args) -> int:
     circ = load_circuit(args.file)
     report = validate(circ)
     if not report.ok:
-        for v in report.violations:
-            print(f"violation: {v}", file=sys.stderr)
-        return 1
+        return _violations(report.violations, sys.stderr)
     s = synthesis_of_circuit(circ)
     trace = dnc.TraceNode("run", {"file": args.file, "delta": args.delta})
     cfg = dnc.DncConfig(profile=args.profile, cap=args.cap)
@@ -87,7 +92,10 @@ def _cmd_verify_encodings(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.config) as f:
         config = harness.ExperimentConfig.from_json(json.load(f))
-    report = harness.run_experiment(config)
+    try:
+        report = harness.run_experiment(config)
+    except harness._InvalidCircuit as exc:
+        return _violations(exc.violations, sys.stderr)
     report.write(config.output_json, config.output_csv)
     for r in report.records:
         status = "ok" if harness.within_delta(r) else "FAIL"
@@ -100,15 +108,16 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_predict(args) -> int:
     sched = dnc.schedule(args.n, args.d, args.D, args.delta, profile=args.profile)
+    model = sched.error_model(args.n, args.D)
+    bound = errmodel.predicted_error(model, sched.eps)
+    try:
+        rt = errmodel.predicted_runtime(args.n ** (1.0 / args.D), args.D, args.d, args.w, args.delta, model)
+    except ValueError as exc:  # outside the cost model's domain, e.g. e2's n >= 4 on a level below
+        raise dnc.ScheduleError(f"no runtime prediction: {exc}") from None
     print("schedule:")
     for k, v in vars(sched).items():
         print(f"  {k} = {v}")
-    model = sched.error_model(args.n, args.D)
-    bound = errmodel.predicted_error(model, sched.eps)
     print(f"predicted error bound: {bound:.6g} (target delta {args.delta})")
-    rt = errmodel.predicted_runtime(
-        args.n ** (1.0 / args.D), args.D, args.d, args.w, args.delta, model
-    )
     print(f"predicted cost: {rt['cost']:.6g} abstract units")
     print(f"call counts: {rt['counts']}")
     print(f"envelope: {rt['envelope']['form']}, fitted constant {rt['envelope']['fit_constant']:.4g}")

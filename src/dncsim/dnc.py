@@ -8,8 +8,12 @@ and combines recursively-estimated sub-synthesis values by signed
 inclusion-exclusion.
 
 Every run can be instrumented with a TraceNode tree whose per-node child
-counts are deterministic functions of the schedule and lattice geometry
-(see expected_node_counts).
+counts are deterministic functions of the schedule and lattice geometry.
+Each rule of the recursion is written once, and `expected_node_counts`
+predicts those counts by walking the same functions on geometry alone: the
+leaf choice (`_leaf`), the cut axis (`widest_axis`), the slice tiling
+(`enumerate_slices`), the slab around a slice (`_slab`), the region and its
+cuts (`select_region_Z`) and the slices each child gets (`_within`).
 
 Each estimate solves each distinct recursive subproblem once.  On a chain
 most of the ~4^eta calls of `a_recursive` repeat one that another call has
@@ -43,7 +47,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,18 +131,8 @@ class ParameterSchedule:
 
     def error_model(self, n: int, D: int) -> errmodel.ErrorModel:
         """The error model of an n-qubit, D-dimensional run under this schedule."""
-        return errmodel.ErrorModel(
-            n=n,
-            d=self.d,
-            D=D,
-            h=self.h,
-            Delta=self.Delta,
-            K=self.K,
-            T=self.T,
-            eta=self.eta,
-            e_of_n=errmodel.default_e_of_n(self.delta, n),
-            g_of_n=0.0,
-        )
+        return errmodel.ErrorModel(n=n, d=self.d, D=D, h=self.h, Delta=self.Delta, K=self.K, T=self.T,
+                                   eta=self.eta, e_of_n=errmodel.default_e_of_n(self.delta, n), g_of_n=0.0)
 
 
 def check_profile(profile) -> None:
@@ -294,19 +290,24 @@ def dimension_reduce(s: Synthesis, axis: int) -> Synthesis:
     return _recast(s, declared_axes=tuple(a for a in s.declared_axes if a != axis))
 
 
+def _slab(s, sl: Slice) -> tuple[int, int]:
+    """[lo, hi) along the slice's axis of the slab around `sl`: the slice and
+    d sites on either side, within the lattice, which holds the slice's
+    backward light cone.  `s` is anything with `dims` and `depth`."""
+    return max(0, sl.lo - s.depth), min(s.dims[sl.axis], sl.hi + s.depth)
+
+
 def slice_weight_synthesis(s: Synthesis, sl: Slice) -> Synthesis:
     """The slice-weight quantity tr <0_M| phi |0_M> as a slab-restricted synthesis.
 
     Only gates in the backward light cone of the slice matter, so the circuit
-    is restricted to a slab |slice| + 2d wide around it; the slice is
-    the M register, the rest of the slab is traced, and N is empty.  The
-    slice seeds the cone as an interval, so no site of s is visited.
+    is restricted to its slab (`_slab`); the slice is the M register, the
+    rest of the slab is traced, and N is empty.  The slice seeds the cone as
+    an interval, so no site of s is visited.
     """
-    d = s.depth
     axis = sl.axis
     o = s.origin[axis]
-    slab_lo = max(0, sl.lo - d)
-    slab_hi = min(s.dims[axis], sl.hi + d)
+    slab_lo, slab_hi = _slab(s, sl)
     cone, reached = cone_gates(s.root, (), "backward", among=s.ids, slab=(axis, o + sl.lo, o + sl.hi))
     if any(q[axis] < o + slab_lo or q[axis] >= o + slab_hi for q in reached):
         raise AssertionError("backward cone of the slice escaped its slab")
@@ -395,8 +396,16 @@ def nonempty_subsets(indices) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _brute_cutoff(n: int) -> float:
-    return float(n) ** -(math.log2(n) ** 2)
+def _leaf(n: int, delta: float, D: int) -> str | None:
+    """The leaf `a_full` takes on n qubits at `delta` and D, as its trace node
+    kind, or None where it weighs slices and recurses: brute force while delta
+    is at most n^-(log2 n)^2, 1/2 from delta = 1/2 on, else the base solver
+    at D = 2."""
+    if delta <= float(n) ** -(math.log2(n) ** 2):
+        return "brute_force"
+    if delta >= 0.5:
+        return "return_half"
+    return "base" if D == 2 else None
 
 
 def heavy_slices(
@@ -453,22 +462,21 @@ def a_full(
         raise ScheduleError(f"D must be >= 2, got {D}")
     cfg = config or DncConfig()
     memo = {} if memo is None else memo
-    n = s.n_qubits
     node = TraceNode("a_full", dict(dims=s.declared_dims, D=D, delta=delta))
     if trace is not None:
         trace.children.append(node)
 
-    if delta <= _brute_cutoff(n):
-        val = oracle.synthesis_value_exact(s, cap=cfg.cap)
-        node.add("brute_force").value = val
-    elif delta >= 0.5:
-        val = 0.5
-        node.add("return_half").value = val
-    elif D == 2:
-        val = oracle.synthesis_value_exact(s, cap=cfg.cap) if base is None else base(s, delta)
-        node.add("base").value = val
-    else:
+    leaf = _leaf(s.n_qubits, delta, D)
+    if leaf is None:
         val = _scan_and_recurse(s, base, delta, D, cfg, node, memo)
+    elif leaf == "return_half":
+        val = 0.5
+    elif leaf == "base" and base is not None:
+        val = base(s, delta)
+    else:  # brute force, or the base leaf evaluated exactly
+        val = oracle.synthesis_value_exact(s, cap=cfg.cap)
+    if leaf is not None:
+        node.add(leaf).value = val
     node.value = val
     return val
 
@@ -548,7 +556,7 @@ def _recurse(s, sched, K_heavy, D, base, eta, cfg, memo) -> tuple[float, TraceNo
 
     region, chosen = select_region_Z(s, sched, K_heavy)
     node.meta["region_Z"] = region
-    node.meta["chosen"] = [c for c in chosen]
+    node.meta["chosen"] = list(chosen)
 
     Delta = sched.Delta
     data = []
@@ -611,94 +619,75 @@ def _recurse(s, sched, K_heavy, D, base, eta, cfg, memo) -> tuple[float, TraceNo
 # ---------------------------------------------------------------------------
 
 
+class _Geometry(NamedTuple):
+    """What the estimator's rules read of a synthesis; the predictor walks them on it."""
+
+    dims: tuple[int, ...]
+    depth: int
+    declared_axes: tuple[int, ...]
+
+
 def expected_node_counts(
     dims: tuple[int, ...], d: int, D: int, sched: ParameterSchedule, delta: float
 ) -> dict:
     """Predicted per-kind trace node counts for an all-heavy run.
 
-    Mirrors the driver/recursion control flow on interval geometry alone, so
-    it is exact whenever every enumerated slice is classified heavy (identity
-    and near-identity corpora).  Used to check runtime-predictor conformance
-    against measured traces.
+    Walks the estimator's rules on geometry alone: its leaf choice (`_leaf`),
+    cut axis (`widest_axis`), slice tiling (`enumerate_slices`), slabs
+    (`_slab`), region and cuts (`select_region_Z`) and the children's slices
+    (`_within`), each read on a `_Geometry` in place of a synthesis, under
+    `sched` at every level.  So it is exact whenever every enumerated slice
+    is classified heavy (identity and near-identity corpora), and it raises
+    SpacingError where such a run does.  Used to check runtime-predictor
+    conformance against measured traces.
     """
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
 
-    def bump(kind, amount=1):
-        counts[kind] = counts.get(kind, 0) + amount
+    def resized(g, axis, width):
+        return g._replace(dims=g.dims[:axis] + (width,) + g.dims[axis + 1:])
 
-    def slices_along(axis, length):
-        out = []
-        lo = 0
-        while lo + sched.slice_width <= length:
-            out.append(Slice(axis, lo, lo + sched.slice_width))
-            lo += sched.slice_width + sched.max_gap
-        return out
+    def reduced(g, axis):
+        return g._replace(declared_axes=tuple(a for a in g.declared_axes if a != axis))
 
-    def full(dims_, declared, D_, delta_):
-        bump("a_full")
-        n = int(np.prod(dims_))
-        if delta_ <= _brute_cutoff(n):
-            bump("brute_force")
+    def full(g, D_, delta_):
+        counts["a_full"] += 1
+        leaf = _leaf(math.prod(g.dims), delta_, D_)
+        if leaf is not None:
+            counts[leaf] += 1
             return
-        if delta_ >= 0.5:
-            bump("return_half")
+        axis = widest_axis(g)
+        if g.dims[axis] < sched.slice_width:
+            full(reduced(g, axis), D_ - 1, delta_)
             return
-        if D_ == 2:
-            bump("base")
-            return
-        axis = min(declared, key=lambda a: (-dims_[a], a))
-        slc = slices_along(axis, dims_[axis])
-        if not slc:
-            full(dims_, tuple(a for a in declared if a != axis), D_ - 1, delta_)
-            return
-        reduced = tuple(a for a in declared if a != axis)
-        for sl in slc:
-            bump("slice_weight")
-            slab_lo = max(0, sl.lo - d)
-            slab_hi = min(dims_[axis], sl.hi + d)
-            slab_dims = tuple(
-                slab_hi - slab_lo if k == axis else w for k, w in enumerate(dims_)
-            )
-            full(slab_dims, reduced, D_ - 1, errmodel.e1(delta_, sched.h))
-        recurse(dims_, declared, axis, slc, D_, sched.eta)
+        slices = enumerate_slices(g, axis, sched.slice_width, sched.max_gap)
+        for sl in slices:
+            counts["slice_weight"] += 1
+            lo, hi = _slab(g, sl)
+            full(reduced(resized(g, axis, hi - lo), axis), D_ - 1, errmodel.e1(delta_, sched.h))
+        recurse(g, slices, D_, sched.eta)
 
-    def recurse(dims_, declared, axis, heavy, D_, eta):
-        bump("a_recursive")
-        length = dims_[axis]
+    def recurse(g, heavy, D_, eta):
+        counts["a_recursive"] += 1
+        axis = heavy[0].axis
+        length = g.dims[axis]
         if length < sched.w0 or eta < 1:
-            full(dims_, tuple(a for a in declared if a != axis), D_ - 1, sched.eps)
+            full(reduced(g, axis), D_ - 1, sched.eps)
             return
-        z = min(sched.z_width, length)
-        zlo = (length - z) // 2
-        zhi = zlo + z
-        inside = [sl for sl in heavy if sl.lo >= zlo and sl.hi <= zhi]
-        if len(inside) < sched.Delta:
-            raise SpacingError("conformance predictor: too few heavy slices in Z")
-        chosen = inside[: sched.Delta]
-        bump("kappa", sched.Delta)
-        for sl in chosen:  # each child gets the heavy slices inside it, as a_recursive does
-            bump("left")
-            left_dims = tuple(sl.hi if k == axis else w for k, w in enumerate(dims_))
-            recurse(left_dims, declared, axis, _within(heavy, 0, sl.hi), D_, eta - 1)
-            bump("right")
-            right_dims = tuple(length - sl.lo if k == axis else w for k, w in enumerate(dims_))
-            recurse(right_dims, declared, axis, _within(heavy, sl.lo, length), D_, eta - 1)
-        for i in range(sched.Delta):
+        _, chosen = select_region_Z(g, sched, heavy)
+        counts["kappa"] += sched.Delta
+        for sl in chosen:
+            counts["left"] += 1
+            recurse(resized(g, axis, sl.hi), _within(heavy, 0, sl.hi), D_, eta - 1)
+            counts["right"] += 1
+            recurse(resized(g, axis, length - sl.lo), _within(heavy, sl.lo, length), D_, eta - 1)
+        for i in range(sched.Delta):  # the middle of cuts i < j, once plain and once per sigma term
             for j in range(i + 1, sched.Delta):
-                bump("middle")
-                mdims = tuple(
-                    chosen[j].hi - chosen[i].lo if k == axis else w for k, w in enumerate(dims_)
-                )
-                full(mdims, declared, D_ - 1, sched.eps)
-        for i in range(sched.Delta):
-            for j in range(i + 2, sched.Delta):
+                middle = resized(g, axis, chosen[j].hi - chosen[i].lo)
+                counts["middle"] += 1
+                full(middle, D_ - 1, sched.eps)
                 for _sigma in nonempty_subsets(range(i + 2, j + 1)):
-                    bump("sigma_term")
-                    mdims = tuple(
-                        chosen[j].hi - chosen[i].lo if k == axis else w
-                        for k, w in enumerate(dims_)
-                    )
-                    full(mdims, declared, D_ - 1, errmodel.e3(sched.eps, sched.Delta))
+                    counts["sigma_term"] += 1
+                    full(middle, D_ - 1, errmodel.e3(sched.eps, sched.Delta))
 
-    full(tuple(dims), tuple(range(len(dims))), D, delta)
-    return counts
+    full(_Geometry(tuple(dims), d, tuple(range(len(dims)))), D, delta)
+    return dict(counts)

@@ -340,33 +340,16 @@ def _matrix_from_json(rows) -> np.ndarray:
 
 
 def circuit_to_json(circ: LatticeCircuit) -> dict:
-    layers = []
-    for layer in circ.layers:
-        layers.append(
-            [
-                {
-                    "gate": g.name if g.name else _matrix_to_json(g.matrix),
-                    "qubits": [list(q) for q in g.qubits],
-                }
-                for g in layer
-            ]
-        )
+    layers = [[{"gate": g.name if g.name else _matrix_to_json(g.matrix), "qubits": [list(q) for q in g.qubits]}
+               for g in layer] for layer in circ.layers]
     return {"dims": list(circ.dims), "depth": circ.depth, "layers": layers}
 
 
 def circuit_from_json(data: dict) -> LatticeCircuit:
-    layers = []
-    for layer in data["layers"]:
-        gates = []
-        for entry in layer:
-            spec = entry["gate"]
-            qubits = tuple(tuple(q) for q in entry["qubits"])
-            if isinstance(spec, str):
-                gates.append(Gate(NAMED_GATES[spec], qubits, name=spec))
-            else:
-                gates.append(Gate(_matrix_from_json(spec), qubits))
-        layers.append(tuple(gates))
-    return LatticeCircuit(tuple(data["dims"]), int(data["depth"]), tuple(layers))
+    """The circuit of a JSON file's data; each gate goes through `gate`, by name or matrix."""
+    layers = tuple(tuple(gate(e["gate"] if isinstance(e["gate"], str) else _matrix_from_json(e["gate"]), e["qubits"])
+                         for e in layer) for layer in data["layers"])
+    return LatticeCircuit(tuple(data["dims"]), int(data["depth"]), layers)
 
 
 def save_circuit(circ: LatticeCircuit, path) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -63,18 +64,42 @@ def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / abs(d))
 
 
+def _check_spec(spec) -> tuple[str, tuple[int, ...], int, int, float]:
+    """(kind, dims, depth, seed, strength) of a generator spec, or
+    ScheduleError (a ValueError) for any spec `generate_circuit` cannot
+    build; an experiment config calls it when it is built."""
+    if not isinstance(spec, dict):
+        raise dnc.ScheduleError(f"a circuit entry must be an object, got {spec!r}")
+    kind = spec.get("kind")
+    seeded = kind in ("product", "brickwork")
+    if not seeded and kind not in ("identity", "x_layer", "cluster"):
+        raise dnc.ScheduleError(f"unknown circuit kind {kind!r}")
+    if seeded and "seed" not in spec:
+        raise dnc.ScheduleError("generator seed is mandatory for random circuits")
+    try:
+        dims = tuple(int(w) for w in spec["dims"])
+        depth = int(spec.get("depth", 1))
+        seed = int(spec.get("seed", 0))
+        strength = float(spec.get("strength", 0.1))
+    except (KeyError, TypeError, ValueError):
+        raise dnc.ScheduleError(f"generator spec {spec!r} needs dims, a list of integers, integer "
+                                f"depth and seed, and a number strength") from None
+    if any(w < 1 for w in dims) or depth < 1 or seed < 0:
+        raise dnc.ScheduleError("dims must be positive, depth >= 1 and seed >= 0")
+    if kind == "brickwork" and spec.get("gates", "haar") not in ("haar", "weak"):
+        raise dnc.ScheduleError(f"unknown brickwork gate family {spec['gates']!r}")
+    return kind, dims, depth, seed, strength
+
+
 def generate_circuit(spec: dict) -> LatticeCircuit:
     """Build a seeded geometrically-local layered circuit from a generator spec.
 
     spec keys: kind (identity | x_layer | product | brickwork | cluster),
     dims, depth, seed (mandatory for random kinds), strength (weak kinds),
-    gates ("haar" | "weak" for brickwork).
+    gates ("haar" | "weak" for brickwork).  A spec `_check_spec` rejects
+    raises ScheduleError.
     """
-    dims = tuple(int(w) for w in spec["dims"])
-    depth = int(spec.get("depth", 1))
-    kind = spec["kind"]
-    if any(w < 1 for w in dims) or depth < 1:
-        raise ValueError("dims must be positive and depth >= 1")
+    kind, dims, depth, seed, strength = _check_spec(spec)
     sites = [tuple(q) for q in np.ndindex(*dims)]
 
     if kind == "identity":
@@ -85,44 +110,27 @@ def generate_circuit(spec: dict) -> LatticeCircuit:
         return LatticeCircuit(dims, depth, (layer,) + rest)
 
     if kind == "cluster":
-        hlayer = tuple(Gate(NAMED_GATES["H"], (q,), name="H") for q in sites)
-        layers = [hlayer]
-        for pairs in _pair_layers(dims, max(1, depth - 1)):
-            layers.append(
-                tuple(Gate(NAMED_GATES["CZ"], (a, b), name="CZ") for a, b in pairs)
-            )
+        layers = [tuple(Gate(NAMED_GATES["H"], (q,), name="H") for q in sites)]
+        layers += [tuple(Gate(NAMED_GATES["CZ"], (a, b), name="CZ") for a, b in pairs)
+                   for pairs in _pair_layers(dims, max(1, depth - 1))]
         return LatticeCircuit(dims, len(layers), tuple(layers))
 
-    if "seed" not in spec:
-        raise ValueError("generator seed is mandatory for random circuits")
-    rng = np.random.default_rng(int(spec["seed"]))
-    strength = float(spec.get("strength", 0.1))
+    rng = np.random.default_rng(seed)
 
     if kind == "product":
-        layers = []
-        for _ in range(depth):
-            layers.append(
-                tuple(Gate(_weak_unitary(rng, 2, strength), (q,)) for q in sites)
-            )
+        layers = [tuple(Gate(_weak_unitary(rng, 2, strength), (q,)) for q in sites) for _ in range(depth)]
         return LatticeCircuit(dims, depth, tuple(layers))
 
-    if kind == "brickwork":
-        gates = spec.get("gates", "haar")
-        layers = []
-        for pairs in _pair_layers(dims, depth):
-            layer = []
-            for a, b in pairs:
-                if gates == "haar":
-                    m = _haar_unitary(rng, 4)
-                elif gates == "weak":
-                    m = _weak_unitary(rng, 4, strength)
-                else:
-                    raise ValueError(f"unknown brickwork gate family {gates!r}")
-                layer.append(Gate(np.asarray(m, dtype=complex), (a, b)))
-            layers.append(tuple(layer))
-        return LatticeCircuit(dims, depth, tuple(layers))
-
-    raise ValueError(f"unknown circuit kind {kind!r}")
+    # brickwork
+    haar = spec.get("gates", "haar") == "haar"
+    layers = []
+    for pairs in _pair_layers(dims, depth):
+        layer = []
+        for a, b in pairs:
+            m = _haar_unitary(rng, 4) if haar else _weak_unitary(rng, 4, strength)
+            layer.append(Gate(np.asarray(m, dtype=complex), (a, b)))
+        layers.append(tuple(layer))
+    return LatticeCircuit(dims, depth, tuple(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +150,18 @@ class ExperimentConfig:
     cap: int = oracle.DEFAULT_CAP
 
     def __post_init__(self):
-        # a delta, profile or dim the run would reject raises here, before any dense value is computed
+        # what the run would reject raises here, before any dense value; overrides are checked as the run starts
+        for name, kind in (("circuits", list), ("deltas", list), ("overrides", dict), ("cap", int)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise dnc.ScheduleError(f"{name} must be of type {kind.__name__}, got {value!r}")
+        for entry in self.circuits:
+            if not (isinstance(entry, dict) and "file" in entry):
+                _check_spec(entry)
+        paths = [entry["file"] for entry in self.circuits if "file" in entry]  # open() takes an int as a descriptor
+        for path in paths + [p for p in (self.output_json, self.output_csv) if p is not None]:
+            if not isinstance(path, (str, os.PathLike)):
+                raise dnc.ScheduleError(f"a file path must be a string, got {path!r}")
         for delta in self.deltas:
             dnc.check_delta(delta)
         dnc.check_profile(self.profile)
@@ -151,6 +170,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise dnc.ScheduleError(f"an experiment config must be a JSON object, got {type(data).__name__}")
         version = data.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise dnc.ScheduleError(f"unsupported config schema_version {version}")
@@ -184,17 +205,7 @@ class Report:
             with open(json_path, "w") as f:
                 json.dump(self.to_json(), f, indent=1)
         if csv_path:
-            cols = [
-                "label",
-                "n",
-                "delta",
-                "oracle",
-                "estimate",
-                "abs_error",
-                "predicted_bound",
-                "nodes",
-                "wall_time",
-            ]
+            cols = ["label", "n", "delta", "oracle", "estimate", "abs_error", "predicted_bound", "nodes", "wall_time"]
             with open(csv_path, "w", newline="") as f:
                 w = csv.writer(f)
                 w.writerow(cols)
@@ -202,26 +213,34 @@ class Report:
                     w.writerow([r.get(c) for c in cols])
 
 
+class _InvalidCircuit(ValueError):
+    """A circuit of an experiment fails validation; `violations` says why, each led by its label."""
+
+    def __init__(self, label: str, violations: list[str]):
+        super().__init__(f"{label}: invalid circuit: {violations}")
+        self.violations = [f"{label}: {v}" for v in violations]
+
+
 def _load(entry) -> tuple[str, LatticeCircuit]:
+    """(label, circuit) of a config entry; one that fails validation raises `_InvalidCircuit`."""
     if "file" in entry:
-        return entry["file"], load_circuit(entry["file"])
-    circ = generate_circuit(entry)
-    label = "{}-{}-d{}-s{}".format(
-        entry["kind"], "x".join(map(str, entry["dims"])), entry.get("depth", 1),
-        entry.get("seed", "-"),
-    )
+        label, circ = entry["file"], load_circuit(entry["file"])
+    else:
+        label = "{}-{}-d{}-s{}".format(entry["kind"], "x".join(map(str, entry["dims"])), entry.get("depth", 1),
+                                       entry.get("seed", "-"))
+        circ = generate_circuit(entry)
+    report = validate(circ)
+    if not report.ok:
+        raise _InvalidCircuit(label, report.violations)
     return label, circ
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
-    """Run estimator vs oracle for every circuit and delta in the config."""
+    """Run estimator vs oracle for every circuit and delta in the config, once
+    all are loaded and valid (the first invalid one raises `_InvalidCircuit`)."""
     records = []
     cfg = dnc.DncConfig(profile=config.profile, overrides=dict(config.overrides), cap=config.cap)
-    for entry in config.circuits:
-        label, circ = _load(entry)
-        report = validate(circ)
-        if not report.ok:
-            raise ValueError(f"{label}: invalid circuit: {report.violations}")
+    for label, circ in [_load(entry) for entry in config.circuits]:
         s = synthesis_of_circuit(circ)
         target = oracle.synthesis_value_exact(s, cap=config.cap)
         for delta in config.deltas:

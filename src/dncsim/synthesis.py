@@ -50,9 +50,10 @@ for every K.  The left child's sandwich, the right child's input state and
 an insertion's front-side projector are all built from Pi, and the signed
 combination divides a term by the kappa of each of its cuts once.
 
-`cut_data` also partitions the cut once, the gates (`causal_split`) and the
-annotations, and its CutData is the one record of the cut: every piece reads
-it.  `split_at_cuts(data)` gives the left and right children,
+`cut_data` also partitions the cut once (`causal_split`: its gates, its
+annotations and its band, whose lower edge only it derives from the depth),
+and its CutData is the one record of the cut: every piece reads it.
+`split_at_cuts(data)` gives the left and right children,
 `middle_between_cuts(data_i, data_j)` the middle between two cuts of one
 synthesis, and `CutData.insertion` the annotation of a sigma term.
 
@@ -288,13 +289,7 @@ def _mark(roles: bytes, dims, axis: int, lo: int, hi: int, role: bytes) -> bytes
 
 def synthesis_of_circuit(circ: LatticeCircuit) -> Synthesis:
     """Trivial synthesis: L = M = empty, N = all qubits."""
-    return Synthesis(
-        gamma=circ,
-        L=(),
-        M=(),
-        N=circ.sites(),
-        declared_axes=tuple(range(len(circ.dims))),
-    )
+    return Synthesis(gamma=circ, L=(), M=(), N=circ.sites(), declared_axes=tuple(range(len(circ.dims))))
 
 
 TAU = 1e-6  # a cut's projector keeps the cut state's eigenvalues above this (true scale)
@@ -468,18 +463,21 @@ class CutData:
     (right_input = Y Y^dagger, from one eigendecomposition) the sweep loads
     as a purification on a batch axis.
 
-    It is also the one record of the cut: the synthesis cut (`source`), its
-    gate partition from `causal_split` (`left_ids`, `cone_ids`), its
-    annotation partition (`left_ops`, `right_ops`) and the `cap`.  The
-    pieces of the cut (`split_at_cuts`, `middle_between_cuts`) and its
-    front-side operators (`amat`, `insertion`) are built from this record,
-    so a cut is partitioned once.  Like the sweeps, the record is in the
-    root coordinates of source: its sites (`band`, `front_sites`), the
-    annotations it builds, and its gate ids, which name the root's gates.
+    It is also the one record of the cut: the synthesis cut (`source`), the
+    partition `causal_split` made (the band's lower edge `band_lo` and its
+    sites `band`, the gates `left_ids` and `cone_ids`, the annotations
+    `left_ops` and `right_ops`) and the `cap`.  The pieces of the cut
+    (`split_at_cuts`, `middle_between_cuts`) and its front-side operators
+    (`amat`, `insertion`) are built from this record, so a cut is
+    partitioned, and its band placed, once.  Like the sweeps, the record is
+    in the root coordinates of source: its sites (`band`, `front_sites`),
+    the annotations it builds, and its gate ids, which name the root's
+    gates; `band_lo` alone is in the frame of source.
     """
 
     source: Synthesis
     slice_: Slice
+    band_lo: int  # the band's lower edge along the slice's axis, in the frame of source
     band: tuple[Coord, ...]  # in the root coordinates of source, as every site here
     weight: float  # trace of the cut state
     kappa: float  # of the band windows' spectrum mu
@@ -508,9 +506,9 @@ class CutData:
     @cached_property
     def amat(self) -> np.ndarray:
         """W sqrt(omega) on the front sites; dense on the front, so built on first use."""
-        s, axis, lo = self.source, self.slice_.axis, self.slice_.hi - self.source.depth
+        s, axis = self.source, self.slice_.axis
         sandwiches = [op for op in self.right_ops if op.kind == "sandwich"]
-        view = _segment(s, axis, lo, s.dims[axis], self.cone_ids, sandwiches, _ALL_L)
+        view = _segment(s, axis, self.band_lo, s.dims[axis], self.cone_ids, sandwiches, _ALL_L)
         return _front_columns(view, self.band, self.cap) @ self.m_omega
 
     @cached_property
@@ -563,14 +561,18 @@ def kappa_from_spectrum(eigvals, T: int) -> float:
 
 
 def causal_split(s: Synthesis, sl: Slice):
-    """Partition gates at a slice: (left gate ids, cone gate ids, band sites).
+    """The one partition of a cut at a slice: (band_lo, left gate ids, cone
+    gate ids, left annotations, right annotations, band sites).
 
-    Cone gates are the forward light cone of the front region; the circuit
-    equals (cone gates, in layer order) applied after (remaining gates).
-    The cone acts only on the band (last d sites of the slice) and the front.
-    Gate ids are root gate ids in layer order and the band is in root
-    coordinates; the front seeds the cone as an interval.  Every cut path
-    starts here, so a slice off the lattice raises SplitError.
+    The band is the last d sites of the slice, [band_lo, sl.hi) with band_lo
+    = sl.hi - d, and every reader of the cut takes its edge from here.  Cone
+    gates are the forward light cone of the front region; the circuit equals
+    (cone gates, in layer order) applied after (remaining gates), and the
+    cone acts only on the band and the front.  An annotation lies behind the
+    slice (left) or from the band on (right); one that straddles raises
+    SplitError.  Gate ids are root gate ids in layer order and the band is
+    in root coordinates; the front seeds the cone as an interval.  Every cut
+    path starts here, so a slice off the lattice raises SplitError.
     """
     dims, axis, d = s.dims, sl.axis, s.depth
     if not 0 <= axis < len(dims):
@@ -581,26 +583,23 @@ def causal_split(s: Synthesis, sl: Slice):
         raise CutError(
             f"insufficient light-cone separation: slice width {sl.width} < 2d = {2 * d}"
         )
+    band_lo = sl.hi - d
     o = s.origin[axis]
     cone, reached = cone_gates(s.root, (), "forward", among=s.ids, slab=(axis, o + sl.hi, o + dims[axis]))
-    if any(q[axis] < o + sl.hi - d for q in reached):
+    if any(q[axis] < o + band_lo for q in reached):
         raise AssertionError("light cone of the front escaped its band")
-    in_cone = set(cone)
-    return tuple(i for i in s.ids if i not in in_cone), cone, s.root_sites(axis=axis, lo=sl.hi - d, hi=sl.hi)
-
-
-def _partition_ops(s: Synthesis, sl: Slice):
     left_ops, right_ops = [], []
-    o = s.origin[sl.axis]
     for op in s.ops:
-        lo, hi = (x - o for x in op.extent(sl.axis))
+        lo, hi = (x - o for x in op.extent(axis))
         if hi < sl.lo:
             left_ops.append(op)
-        elif lo >= sl.hi - s.depth:
+        elif lo >= band_lo:
             right_ops.append(op)
         else:
             raise SplitError(f"cut operator on {op.qubits} straddles the slice")
-    return tuple(left_ops), tuple(right_ops)
+    in_cone = set(cone)
+    return (band_lo, tuple(i for i in s.ids if i not in in_cone), cone, tuple(left_ops), tuple(right_ops),
+            s.root_sites(axis=axis, lo=band_lo, hi=sl.hi))
 
 
 def _band_state(view: Synthesis, band, cap: int) -> np.ndarray:
@@ -663,19 +662,18 @@ def cut_data(s: Synthesis, sl: Slice, T: int, cap: int = oracle.DEFAULT_CAP,
     repeat along a lattice, then sweep each distinct window once per
     estimate.  Without one (the default) every window is swept.
     """
-    axis, d = sl.axis, s.depth
-    left_ids, cone_ids, band = causal_split(s, sl)
-    left_ops, right_ops = _partition_ops(s, sl)
+    axis = sl.axis
+    band_lo, left_ids, cone_ids, left_ops, right_ops, band = causal_split(s, sl)
     if any(op.kind == "insertion" for op in s.ops):
         raise SplitError("cannot split through a synthesis with insertion operators")
     oracle._check_cap(2 * len(band), cap)  # the dense band matrices
 
     # --- band state omega from the backward cone of band, C and left annotations;
     # C, conditioned on zero: the slice below the band and the M sites behind it
-    if b"M" in _carve_roles(s.roles, s.dims, axis, sl.hi - d, sl.hi):
+    if b"M" in _carve_roles(s.roles, s.dims, axis, band_lo, sl.hi):
         raise SplitError("the cut band is post-selected; the slice overlaps an input band")
     seed = s.root_sites("M", axis, 0, sl.lo) + tuple(q for op in left_ops for q in op.qubits)
-    cond = ((sl.hi, s.dims[axis], b"L"), (sl.lo, sl.hi - d, b"M"))
+    cond = ((sl.hi, s.dims[axis], b"L"), (sl.lo, band_lo, b"M"))
     omega, omega_scale = _band_windows(
         s, axis, band, left_ids, (sl.lo, sl.hi), seed,
         lambda lo, hi, ids: _segment(s, axis, lo, hi, ids, left_ops, _ONLY_M, cond), cap, _band_state, memo)
@@ -683,7 +681,7 @@ def cut_data(s: Synthesis, sl: Slice, T: int, cap: int = oracle.DEFAULT_CAP,
     # --- W^dagger W from the backward cone of band and front sandwiches
     sandwiches = [op for op in right_ops if op.kind == "sandwich"]
     wtw, front_scale = _band_windows(
-        s, axis, band, cone_ids, (sl.hi - d, sl.hi), tuple(q for op in sandwiches for q in op.qubits),
+        s, axis, band, cone_ids, (band_lo, sl.hi), tuple(q for op in sandwiches for q in op.qubits),
         lambda lo, hi, ids: _segment(s, axis, lo, hi, ids, sandwiches, _ALL_L), cap, _gram_of_columns, memo)
 
     m_omega = _psd_sqrt(omega)
@@ -713,6 +711,7 @@ def cut_data(s: Synthesis, sl: Slice, T: int, cap: int = oracle.DEFAULT_CAP,
     return CutData(
         source=s,
         slice_=sl,
+        band_lo=band_lo,
         band=band,
         weight=weight,
         kappa=kap,
@@ -799,12 +798,11 @@ def split_at_cuts(data: CutData) -> SplitResult:
     state.  Both children keep the annotations of the source on their side,
     and their gates are the two sides of the partition `cut_data` recorded.
     """
-    s, sl = data.source, data.slice_
-    band = sl.hi - s.depth
+    s, sl, band_lo = data.source, data.slice_, data.band_lo
     left = _segment(s, sl.axis, 0, sl.hi, data.left_ids, data.left_ops + (data.sandwich,),
-                    marks=((band, sl.hi, b"L"),))
+                    marks=((band_lo, sl.hi, b"L"),))
     right = _segment(s, sl.axis, sl.lo, s.dims[sl.axis], data.cone_ids,
-                     data.right_ops + (data.input_state,), marks=((band, sl.hi, b"M"),))
+                     data.right_ops + (data.input_state,), marks=((band_lo, sl.hi, b"M"),))
     return SplitResult(left, right)
 
 
@@ -827,9 +825,8 @@ def middle_between_cuts(data_i: CutData, data_j: CutData) -> PhiDescriptor:
         raise SplitError("slices overlap or j is not right of i")
     if set(data_i.right_ops) & set(data_j.left_ops):
         raise SplitError("cut operator inside the middle segment")
-    d = s.depth
     right_of_j = set(data_j.cone_ids)
     middle = _segment(s, axis, i.lo, j.hi, (g for g in data_i.cone_ids if g not in right_of_j),
                       [data_i.input_state, data_j.sandwich],
-                      marks=((j.hi - d, j.hi, b"L"), (i.hi - d, i.hi, b"M")))
+                      marks=((data_j.band_lo, j.hi, b"L"), (data_i.band_lo, i.hi, b"M")))
     return PhiDescriptor(middle)

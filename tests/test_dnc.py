@@ -854,6 +854,11 @@ def test_expected_node_counts_match_traces():
         ({"kind": "identity", "dims": [12, 1, 1], "depth": 1}, {"Delta": 1}),
         ({"kind": "identity", "dims": [24, 1, 1], "depth": 1}, {"Delta": 2}),
         ({"kind": "identity", "dims": [8, 2, 1], "depth": 1}, {"Delta": 1}),
+        # depth 2, where each slab reaches two sites past its slice
+        ({"kind": "identity", "dims": [16, 1, 1], "depth": 2}, {}),
+        ({"kind": "identity", "dims": [16, 1, 1], "depth": 2}, {"z_width": 8, "w0": 13, "Delta": 1}),
+        ({"kind": "identity", "dims": [20, 2, 1], "depth": 1}, {"Delta": 2}),
+        ({"kind": "identity", "dims": [12, 4, 1], "depth": 1}, {"Delta": 1}),
     ]
     delta = 0.1
     for spec, ov in configs:
@@ -863,6 +868,12 @@ def test_expected_node_counts_match_traces():
         got = trace.counts_by_kind()
         got.pop("run")
         assert pred == got, (spec, pred, got)
+    # Z = [3, 11) of a [14,1,1] d2 lattice holds neither slice, [0,4) nor [8,12): both raise
+    ov = {"z_width": 8, "w0": 13, "Delta": 1}
+    with pytest.raises(dnc.SpacingError):
+        run_with_trace({"kind": "identity", "dims": [14, 1, 1], "depth": 2}, delta, overrides=ov)
+    with pytest.raises(dnc.SpacingError, match="Z = \\[3,11\\)"):
+        dnc.expected_node_counts((14, 1, 1), 2, 3, dnc.schedule(14, 2, 3, delta, "desk", **ov), delta)
 
 
 def test_expected_node_counts_follow_the_derived_eta_on_128_qubits():

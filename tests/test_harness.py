@@ -289,6 +289,17 @@ def test_cli_predict(capsys):
     assert "schedule" in out and "predicted error bound" in out and "predicted cost" in out
 
 
+def test_cli_predict_takes_n_outside_the_cost_model_as_a_typed_error(capsys):
+    # the cost model reaches errmodel.e2, whose domain is n >= 4, at n = 3 but not at n = 2, D = 2
+    assert cli.main(["predict", "--n", "3", "--delta", "0.1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines() == [
+        "error: ScheduleError: no runtime prediction: n must be >= 4 so loglog(n) is defined, got 3"]
+    assert cli.main(["predict", "--n", "2", "--D", "2", "--delta", "0.1"]) == 0
+    assert "predicted cost" in capsys.readouterr().out
+
+
 def test_predicted_bound_comes_from_the_schedule_that_ran(capsys):
     config = ExperimentConfig(
         circuits=[{"kind": "brickwork", "dims": [16, 1, 1], "depth": 1, "seed": 3, "gates": "weak"}],
@@ -359,6 +370,15 @@ def test_cli_verify_encodings_k_0_checks_sigma_alone(tmp_path, capsys):
 @pytest.mark.parametrize("config", [
     {"circuits": [], "deltas": [0.1], "dims": 3},
     {"schema_version": 99, "circuits": [], "deltas": [0.1]},
+    {"circuits": [], "deltas": 0.1},
+    {"circuits": [{"kind": "identity", "depth": 1}], "deltas": [0.1]},
+    {"circuits": [{"kind": "brickwork", "dims": [8], "depth": 1}], "deltas": [0.1]},
+    {"circuits": [{"kind": "ladder", "dims": [8], "depth": 1}], "deltas": [0.1]},
+    {"circuits": [{"kind": "identity", "dims": [8], "depth": 0}], "deltas": [0.1]},
+    {"circuits": [], "deltas": [0.1], "cap": "x"},
+    [{"circuits": [], "deltas": [0.1]}],
+    {"circuits": [{"file": 3}], "deltas": [0.1]},  # open() would take 3 as a file descriptor
+    {"circuits": [], "deltas": [0.1], "output_json": 3},
 ])
 def test_cli_experiment_takes_a_bad_config_as_a_typed_error(tmp_path, capsys, config):
     with pytest.raises(dnc.ScheduleError):
@@ -370,6 +390,21 @@ def test_cli_experiment_takes_a_bad_config_as_a_typed_error(tmp_path, capsys, co
     assert captured.out == "" and "Traceback" not in captured.err
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ScheduleError: ")
+
+
+def test_cli_experiment_prints_an_invalid_circuit_file_as_violations(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    gc.save_circuit(generate_circuit({"kind": "x_layer", "dims": [4], "depth": 1}), path)
+    data = json.loads(path.read_text())
+    data["layers"][0][0]["gate"] = [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]  # not unitary
+    path.write_text(json.dumps(data))
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"circuits": [{"kind": "identity", "dims": [8], "depth": 1},
+                                              {"file": str(path)}], "deltas": [0.1]}))
+    assert cli.main(["experiment", str(cpath)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines() == [f"violation: {path}: layer 0: non-unitary gate on ((0,),)"]
 
 
 @pytest.mark.parametrize("text", [None, '{"dims": [4], "depth"'])
